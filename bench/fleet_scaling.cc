@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,22 +163,6 @@ struct ThroughputResult {
   }
 };
 
-/// Bit-exact fingerprint of a run — counters, router decisions, and raw
-/// latency samples — mirroring tests/fleet_parallel_test.cc. Serial and
-/// parallel must produce equal fingerprints (the matches_serial gate).
-std::string fingerprint(const FleetMetrics& m) {
-  std::ostringstream os;
-  os.precision(17);
-  os << m.events << '|';
-  for (const uint64_t r : m.routed) os << r << ',';
-  for (const auto& t : m.tenants) {
-    os << '|' << t.arrived << ':' << t.served << ':' << t.attained << ':'
-       << t.kernels_done << ':';
-    for (const auto s : t.latency.raw()) os << s << ' ';
-  }
-  return os.str();
-}
-
 ThroughputResult run_throughput(const core::ServingHarness& h,
                                 unsigned devices, TimeNs duration,
                                 uint64_t seed, unsigned threads) {
@@ -218,7 +201,7 @@ ThroughputResult run_throughput(const core::ServingHarness& h,
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
-    prints[parallel ? 1 : 0] = fingerprint(m);
+    prints[parallel ? 1 : 0] = run_digest(m);
     if (parallel) {
       out.parallel_wall_ms = wall_ms;
     } else {

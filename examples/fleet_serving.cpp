@@ -122,7 +122,7 @@ int main() {
               spec.name.c_str(), trace.size(), kSpikeFactor,
               to_ms(kSpikeStart), to_ms(kSpikeEnd));
 
-  const PolicyFactory sgdrc_per_device =
+  const ControllerFactory sgdrc_per_device =
       [](const gpusim::GpuSpec& gs) -> std::unique_ptr<control::Controller> {
     return std::make_unique<core::SgdrcPolicy>(gs);
   };

@@ -1,51 +1,57 @@
 #include "baselines/baseline_policies.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace sgdrc::baselines {
 
+using control::Allocation;
+using control::ResourcePlan;
+using control::SimView;
 using core::QosClass;
-using core::ServingSim;
 using gpusim::TpcMask;
 
 // ----------------------------------------------------------- Temporal ----
 
-void TemporalPolicy::schedule(ServingSim& sim) {
+ResourcePlan TemporalPolicy::plan(const SimView& sim) {
+  ResourcePlan p;
   const auto waiting = sim.waiting_jobs(QosClass::kLatencySensitive);
 
   if (!waiting.empty()) {
     // LS work exists: claim the GPU. Preempt running BE kernels first.
     if (sim.inflight(QosClass::kBestEffort) > 0) {
       for (const auto& job : sim.jobs(QosClass::kBestEffort)) {
-        if (job.in_flight && !job.evicting) sim.evict(job.id);
+        if (job.in_flight && !job.evicting) p.evict(job.id);
       }
-      return;  // wait for the evictions to land
+      return p;  // wait for the evictions to land
     }
     if (sim.inflight(QosClass::kLatencySensitive) == 0) {
-      sim.launch(waiting.front().id, {});  // whole GPU
+      p.launch(waiting.front().id, Allocation::all());
     }
-    return;
+    return p;
   }
   // No LS waiting: BE may use the GPU exclusively, one kernel at a time.
   if (sim.inflight(QosClass::kLatencySensitive) == 0 &&
       sim.inflight(QosClass::kBestEffort) == 0) {
     const auto be = sim.waiting_jobs(QosClass::kBestEffort);
-    if (!be.empty()) sim.launch(be.front().id, {});
+    if (!be.empty()) p.launch(be.front().id, Allocation::all());
   }
+  return p;
 }
 
 // -------------------------------------------------------- MultiStream ----
 
-void MultiStreamPolicy::schedule(ServingSim& sim) {
+ResourcePlan MultiStreamPolicy::plan(const SimView& sim) {
   // Everything launches immediately; the hardware scheduler (our
   // processor-sharing executor) arbitrates. LS "priority" only orders the
   // launch queue — it cannot prevent intra-SM or channel contention.
-  for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-    sim.launch(job.id, {});
+  ResourcePlan p;
+  for (const auto qos : {QosClass::kLatencySensitive, QosClass::kBestEffort}) {
+    for (const auto& job : sim.waiting_jobs(qos)) {
+      p.launch(job.id, Allocation::all());
+    }
   }
-  for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-    sim.launch(job.id, {});
-  }
+  return p;
 }
 
 // ---------------------------------------------------------------- MPS ----
@@ -54,29 +60,35 @@ MpsPolicy::MpsPolicy(const gpusim::GpuSpec& spec) {
   // CUDA_MPS_ACTIVE_THREAD_PERCENTAGE = 50 on two instances: an even,
   // static thread-level split. No channel isolation whatsoever.
   const unsigned half = std::max(1u, spec.num_tpcs / 2);
-  ls_mask_ = gpusim::tpc_range(spec.num_tpcs - half, half);
-  be_mask_ = gpusim::tpc_range(0, spec.num_tpcs - half);
+  const auto slice = [](TpcMask m) {
+    return m ? Allocation::on_tpcs(m) : Allocation::all();
+  };
+  ls_ = slice(gpusim::tpc_range(spec.num_tpcs - half, half));
+  be_ = slice(gpusim::tpc_range(0, spec.num_tpcs - half));
 }
 
-void MpsPolicy::schedule(ServingSim& sim) {
+ResourcePlan MpsPolicy::plan(const SimView& sim) {
   // All LS jobs share the LS instance's thread slice concurrently
   // (intra-SM conflicts among LS kernels, §9.3's MPS analysis); BE
   // tenants share the BE instance's slice the same way.
+  ResourcePlan p;
   for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-    sim.launch(job.id, {ls_mask_, 0});
+    p.launch(job.id, ls_);
   }
   for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-    sim.launch(job.id, {be_mask_, 0});
+    p.launch(job.id, be_);
   }
+  return p;
 }
 
 // ---------------------------------------------------------------- TGS ----
 
-void TgsPolicy::schedule(ServingSim& sim) {
+ResourcePlan TgsPolicy::plan(const SimView& sim) {
+  ResourcePlan p;
   const TimeNs now = sim.now();
   if (now < frozen_until_) {
-    sim.poke_at(frozen_until_);
-    return;  // paying the container context switch
+    p.wake_at(frozen_until_);  // paying the container context switch
+    return p;
   }
   const auto waiting = sim.waiting_jobs(QosClass::kLatencySensitive);
   const bool ls_wants =
@@ -86,51 +98,52 @@ void TgsPolicy::schedule(ServingSim& sim) {
   // Feedback-style switching: only reconsider the active container after
   // `dwell`, then pay the switch cost.
   const bool may_switch = now - last_switch_ >= opt_.dwell;
-  if (active_ == Container::kLs && !ls_wants && be_present && may_switch) {
-    active_ = Container::kBe;
+  const bool other_wants =
+      active_ == Container::kLs ? !ls_wants && be_present : ls_wants;
+  if (may_switch && other_wants) {
+    active_ = active_ == Container::kLs ? Container::kBe : Container::kLs;
     last_switch_ = now;
     frozen_until_ = now + opt_.switch_cost;
-    sim.poke_at(frozen_until_);
-    return;
+    p.wake_at(frozen_until_);
+    return p;
   }
-  if (active_ == Container::kBe && ls_wants && may_switch) {
-    active_ = Container::kLs;
-    last_switch_ = now;
-    frozen_until_ = now + opt_.switch_cost;
-    sim.poke_at(frozen_until_);
-    return;
-  }
-  if (!may_switch) {
-    sim.poke_at(last_switch_ + opt_.dwell);
-  }
+  if (!may_switch) p.wake_at(last_switch_ + opt_.dwell);
 
   if (active_ == Container::kLs) {
     if (sim.inflight(QosClass::kLatencySensitive) == 0 && !waiting.empty()) {
-      sim.launch(waiting.front().id, {});
+      p.launch(waiting.front().id, Allocation::all());
     }
   } else {
     for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
+      p.launch(job.id, Allocation::all());
     }
   }
+  return p;
 }
 
 // -------------------------------------------------------------- Orion ----
 
-void OrionPolicy::schedule(ServingSim& sim) {
+ResourcePlan OrionPolicy::plan(const SimView& sim) {
   // LS stream: unrestricted, launch everything immediately.
-  for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-    sim.launch(job.id, {});
-  }
+  ResourcePlan p;
+  const auto ls_waiting = sim.waiting_jobs(QosClass::kLatencySensitive);
+  for (const auto& job : ls_waiting) p.launch(job.id, Allocation::all());
 
-  const auto running = sim.exec().running_infos();
-  const unsigned tpcs = sim.spec().num_tpcs;
-  const unsigned chans = sim.spec().num_channels;
-  // LS pressure is invariant across the BE admission loop: launching BE
-  // kernels changes neither LS in-flight nor waiting counts.
+  // The LS kernels co-running with any BE kernel admitted below: those in
+  // flight now plus the ones this plan launches. (Kernels of unknown
+  // owner count as LS, the conservative side.)
+  std::vector<const gpusim::KernelDesc*> ls_running;
+  for (const auto& info : sim.running_infos()) {
+    const auto owner = sim.find_job(info.tag);
+    if (!owner || owner->qos != QosClass::kBestEffort) {
+      ls_running.push_back(info.kernel);
+    }
+  }
+  for (const auto& job : ls_waiting) ls_running.push_back(job.next_kernel);
+  // Every waiting LS kernel launches above, so the pressure is what is
+  // in flight once this plan lands.
   const size_t ls_pressure =
-      sim.inflight(QosClass::kLatencySensitive) +
-      sim.waiting_jobs(QosClass::kLatencySensitive).size();
+      sim.inflight(QosClass::kLatencySensitive) + ls_waiting.size();
 
   // Interference-aware admission (§3.1's constraint classes), per waiting
   // BE kernel.
@@ -147,43 +160,31 @@ void OrionPolicy::schedule(ServingSim& sim) {
 
     // 2) Runtime constraint: the BE kernel must not outlive the running
     //    LS kernels (it would block the next LS kernel's resources).
-    const TimeNs be_rt = sim.exec().solo_runtime(*be_kernel, tpcs, chans,
-                                                 be_kernel->spt_transformed);
-    bool rejected = false;
-    for (const auto& info : running) {
-      const auto owner = sim.find_job(info.tag);
-      if (owner && owner->qos == QosClass::kBestEffort) {
-        continue;  // ignore other BE kernels
-      }
-      const TimeNs ls_rt = sim.exec().solo_runtime(
-          *info.kernel, tpcs, chans, info.kernel->spt_transformed);
-      if (static_cast<double>(be_rt) >
-          opt_.runtime_ratio * static_cast<double>(ls_rt)) {
-        ++rej_runtime_;
-        rejected = true;
-        break;
-      }
+    const double be_rt = static_cast<double>(sim.solo_runtime(*be_kernel));
+    const auto outlives = [&](const gpusim::KernelDesc* ls) {
+      return be_rt >
+             opt_.runtime_ratio * static_cast<double>(sim.solo_runtime(*ls));
+    };
+    if (std::any_of(ls_running.begin(), ls_running.end(), outlives)) {
+      ++rej_runtime_;
+      continue;
     }
-    if (rejected) continue;
 
     // 3) Resource (memory) constraint: never co-run a memory-bound BE
     //    kernel while a memory-bound LS kernel executes.
-    if (be_kernel->memory_bound) {
-      for (const auto& info : running) {
-        const auto owner = sim.find_job(info.tag);
-        const bool is_be = owner && owner->qos == QosClass::kBestEffort;
-        if (!is_be && info.kernel->memory_bound) {
-          ++rej_resource_;
-          rejected = true;
-          break;
-        }
-      }
+    if (be_kernel->memory_bound &&
+        std::any_of(ls_running.begin(), ls_running.end(),
+                    [](const gpusim::KernelDesc* ls) {
+                      return ls->memory_bound;
+                    })) {
+      ++rej_resource_;
+      continue;
     }
-    if (rejected) continue;
 
     ++admitted_;
-    sim.launch(be_job.id, {});
+    p.launch(be_job.id, Allocation::all());
   }
+  return p;
 }
 
 }  // namespace sgdrc::baselines

@@ -1,4 +1,5 @@
-// The Fig. 17 baselines, each as a Policy over the same serving engine:
+// The Fig. 17 baselines, each as a plan-emitting control::Controller over
+// the same serving engine:
 //
 //  * Temporal   — one kernel owns the GPU at a time; LS preempts BE
 //                 (TGS/Clockwork-style exclusivity, Fig. 1a / Fig. 4a).
@@ -11,38 +12,48 @@
 //  * Orion      — interference-aware admission of BE kernels next to an
 //                 unrestricted LS stream (§9.2 baseline 4; the paper, like
 //                 us, reimplements Orion's policy on its own substrate).
+//
+// None of them knows about vGPU guarantees (they predate the quotas), so
+// each reports guarantee_aware() == false: the enforcer counts their
+// trespasses in ServingMetrics::guarantee_violations instead of
+// rejecting the plan.
 #pragma once
 
 #include <cstdint>
 
-#include "core/serving.h"
+#include "control/controller.h"
 #include "gpusim/resources.h"
 
 namespace sgdrc::baselines {
 
-class TemporalPolicy : public core::Policy {
+class TemporalPolicy : public control::Controller {
  public:
   std::string name() const override { return "Temporal (TGS-like)"; }
-  void schedule(core::ServingSim& sim) override;
+  bool guarantee_aware() const override { return false; }
+  control::ResourcePlan plan(const control::SimView& sim) override;
 };
 
-class MultiStreamPolicy : public core::Policy {
+class MultiStreamPolicy : public control::Controller {
  public:
   std::string name() const override { return "Multi-streaming"; }
-  void schedule(core::ServingSim& sim) override;
+  bool guarantee_aware() const override { return false; }
+  control::ResourcePlan plan(const control::SimView& sim) override;
 };
 
-class MpsPolicy : public core::Policy {
+class MpsPolicy : public control::Controller {
  public:
   explicit MpsPolicy(const gpusim::GpuSpec& spec);
   std::string name() const override { return "MPS"; }
-  void schedule(core::ServingSim& sim) override;
+  bool guarantee_aware() const override { return false; }
+  control::ResourcePlan plan(const control::SimView& sim) override;
 
  private:
-  gpusim::TpcMask ls_mask_, be_mask_;
+  /// The instances' thread slices; a slice with no TPC (the BE half of
+  /// a 1-TPC device) runs on the whole device.
+  control::Allocation ls_, be_;
 };
 
-class TgsPolicy : public core::Policy {
+class TgsPolicy : public control::Controller {
  public:
   struct Options {
     TimeNs dwell = 2 * kNsPerMs;          // feedback-control reaction time
@@ -51,7 +62,8 @@ class TgsPolicy : public core::Policy {
   TgsPolicy() = default;
   explicit TgsPolicy(Options opt) : opt_(opt) {}
   std::string name() const override { return "TGS"; }
-  void schedule(core::ServingSim& sim) override;
+  bool guarantee_aware() const override { return false; }
+  control::ResourcePlan plan(const control::SimView& sim) override;
 
  private:
   enum class Container { kLs, kBe };
@@ -61,7 +73,7 @@ class TgsPolicy : public core::Policy {
   TimeNs frozen_until_ = 0;
 };
 
-class OrionPolicy : public core::Policy {
+class OrionPolicy : public control::Controller {
  public:
   struct Options {
     /// Max queued+running LS kernels for BE co-execution to be allowed.
@@ -75,7 +87,8 @@ class OrionPolicy : public core::Policy {
   OrionPolicy() = default;
   explicit OrionPolicy(Options opt) : opt_(opt) {}
   std::string name() const override { return "Orion"; }
-  void schedule(core::ServingSim& sim) override;
+  bool guarantee_aware() const override { return false; }
+  control::ResourcePlan plan(const control::SimView& sim) override;
 
   /// Constraint rejection counters (Fig. 5b's Res / SM / Runtime bars).
   uint64_t rejected_resource() const { return rej_resource_; }

@@ -1,5 +1,7 @@
 #include "baselines/registry.h"
 
+#include <type_traits>
+
 #include "baselines/baseline_policies.h"
 #include "control/batch_aware.h"
 #include "core/sgdrc_policy.h"
@@ -8,44 +10,35 @@ namespace sgdrc::baselines {
 
 namespace {
 
-/// Legacy imperative policies enter the control plane through an owning
-/// LegacyPolicyAdapter (control::adapt); the SGDRC variants are native
-/// plan-emitting controllers.
-template <typename P, typename... Args>
-control::ControllerFactory adapted(Args... args) {
-  return [=](const gpusim::GpuSpec&) {
-    return control::adapt(std::make_unique<P>(args...));
+/// Factory for controller type C, built from the device spec when C
+/// takes one.
+template <typename C>
+control::ControllerFactory factory() {
+  return [](const gpusim::GpuSpec& gs)
+             -> std::unique_ptr<control::Controller> {
+    if constexpr (std::is_constructible_v<C, const gpusim::GpuSpec&>) {
+      return std::make_unique<C>(gs);
+    } else {
+      (void)gs;
+      return std::make_unique<C>();
+    }
   };
 }
 
 std::vector<SystemSpec> build_registry() {
   std::vector<SystemSpec> r;
-  r.push_back({"Multi-streaming", false, false, adapted<MultiStreamPolicy>()});
-  r.push_back({"TGS", false, false, adapted<TgsPolicy>()});
-  r.push_back({"MPS", false, true,
-               [](const gpusim::GpuSpec& gs) {
-                 return control::adapt(std::make_unique<MpsPolicy>(gs));
-               }});
-  r.push_back({"Orion", false, false, adapted<OrionPolicy>()});
-  r.push_back({"SGDRC (Static)", true, true,
-               [](const gpusim::GpuSpec& gs)
-                   -> std::unique_ptr<control::Controller> {
-                 return std::make_unique<core::SgdrcStaticPolicy>(gs);
-               }});
-  r.push_back({"SGDRC", true, false,
-               [](const gpusim::GpuSpec& gs)
-                   -> std::unique_ptr<control::Controller> {
-                 return std::make_unique<core::SgdrcPolicy>(gs);
-               }});
-  r.push_back({"Temporal (TGS-like)", false, false,
-               adapted<TemporalPolicy>()});
+  r.push_back({"Multi-streaming", false, false, factory<MultiStreamPolicy>()});
+  r.push_back({"TGS", false, false, factory<TgsPolicy>()});
+  r.push_back({"MPS", false, true, factory<MpsPolicy>()});
+  r.push_back({"Orion", false, false, factory<OrionPolicy>()});
+  r.push_back(
+      {"SGDRC (Static)", true, true, factory<core::SgdrcStaticPolicy>()});
+  r.push_back({"SGDRC", true, false, factory<core::SgdrcPolicy>()});
+  r.push_back({"Temporal (TGS-like)", false, false, factory<TemporalPolicy>()});
   // SGDRC wrapped with the batch-occupancy feedback loop; identical to
   // plain SGDRC when no tenant batches (floor stays 0).
   r.push_back({"SGDRC (Batch-aware)", true, false,
-               [](const gpusim::GpuSpec& gs)
-                   -> std::unique_ptr<control::Controller> {
-                 return std::make_unique<control::BatchAwareSgdrc>(gs);
-               }});
+               factory<control::BatchAwareSgdrc>()});
   return r;
 }
 

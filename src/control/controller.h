@@ -6,19 +6,13 @@
 // controllers never touch the executor, so guarantees can be checked in
 // one place, plans can be logged/tested as data, and the same controller
 // runs under the standalone sim, the fleet layer, and the scenario
-// engine unchanged.
-//
-// Legacy imperative policies (core::Policy — every Fig. 17 baseline)
-// keep working through LegacyPolicyAdapter: the adapter runs the policy
-// against the live sim in trace mode and returns the traced plan marked
-// pre_applied, so behaviour is bit-for-bit what it was before the
-// redesign while still flowing through the Controller interface.
+// engine unchanged. Every system — SGDRC and each Fig. 17 baseline — is
+// a Controller; there is no other way to drive the sim.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "control/plan.h"
@@ -52,6 +46,11 @@ class SimView {
   size_t inflight(workload::QosClass q) const { return sim_->inflight(q); }
   std::vector<gpusim::GpuExecutor::RunningInfo> running_infos() const {
     return sim_->exec().running_infos();
+  }
+  /// Isolated runtime of `k` on the whole device (every TPC and channel).
+  TimeNs solo_runtime(const gpusim::KernelDesc& k) const {
+    return sim_->exec().solo_runtime(k, spec().num_tpcs, spec().num_channels,
+                                     k.spt_transformed);
   }
 
   size_t tenant_count() const { return sim_->tenant_count(); }
@@ -92,62 +91,32 @@ class SimView {
     return sim_->batch_occupancy(t);
   }
 
-  /// Escape hatch for LegacyPolicyAdapter only: run an imperative
-  /// core::Policy against the live sim, tracing its launch/evict/poke
-  /// calls into a pre-applied ResourcePlan. Native controllers must not
-  /// call this.
-  ResourcePlan trace_legacy(core::Policy& policy) const {
-    return sim_->trace_policy(policy);
-  }
-
  private:
   core::ServingSim* sim_;
 };
 
 /// The scheduling brain. plan() is invoked after every state change
 /// (request arrival, kernel completion, eviction landing, BE rotation,
-/// wake_at firing); like the old Policy::schedule it must be idempotent —
-/// look at the view, say what should run now.
+/// wake_at firing); it must be idempotent — look at the view, say what
+/// should run now. The plan is applied after plan() returns, so the view
+/// never reflects the plan being built.
 class Controller {
  public:
   virtual ~Controller() = default;
   virtual std::string name() const = 0;
   virtual ResourcePlan plan(const SimView& view) = 0;
-};
-
-/// Runs a legacy imperative core::Policy under the Controller interface.
-/// The policy acts on the sim directly (identical behaviour to the
-/// pre-redesign Policy path); the traced plan is returned pre_applied so
-/// the enforcer treats it as a log. Owning and non-owning flavours.
-class LegacyPolicyAdapter : public Controller {
- public:
-  explicit LegacyPolicyAdapter(core::Policy& policy) : policy_(&policy) {}
-  explicit LegacyPolicyAdapter(std::unique_ptr<core::Policy> policy)
-      : owned_(std::move(policy)), policy_(owned_.get()) {
-    SGDRC_REQUIRE(policy_ != nullptr, "adapter needs a policy");
-  }
-
-  std::string name() const override { return policy_->name(); }
-  ResourcePlan plan(const SimView& view) override {
-    return view.trace_legacy(*policy_);
-  }
-
-  core::Policy& policy() { return *policy_; }
-
- private:
-  std::unique_ptr<core::Policy> owned_;  // null when non-owning
-  core::Policy* policy_;
+  /// Whether this controller honours vGPU guarantees. The enforcer
+  /// rejects a trespassing launch from a guarantee-aware controller as a
+  /// bug; a guarantee-blind one (the Fig. 17 baselines, which predate
+  /// vGPU quotas) is counted in ServingMetrics::guarantee_violations
+  /// instead, so it can still be measured against guaranteed tenants.
+  virtual bool guarantee_aware() const { return true; }
 };
 
 /// Builds one controller per device — fleets hand every GPU its own
-/// instance because controllers are stateful (tidal clocks, cursors).
+/// instance because controllers are stateful (tidal clocks, switch
+/// timers).
 using ControllerFactory =
     std::function<std::unique_ptr<Controller>(const gpusim::GpuSpec&)>;
-
-/// Wrap a legacy policy into an owning adapter (factory helper).
-inline std::unique_ptr<Controller> adapt(
-    std::unique_ptr<core::Policy> policy) {
-  return std::make_unique<LegacyPolicyAdapter>(std::move(policy));
-}
 
 }  // namespace sgdrc::control

@@ -7,10 +7,9 @@
 // their relative order, which is what makes a plan-emitting rewrite of
 // an imperative policy reproducible bit-for-bit.
 //
-// Allocation replaces the old LaunchSpec convention where 0 meant "all"
-// for both fields (the classic footgun: a forgotten mask silently
-// monopolised the GPU). Here an empty allocation is an error; "the
-// whole device" must be spelled Allocation::all().
+// Allocation has no zero-means-"all" convention (the classic footgun: a
+// forgotten mask silently monopolised the GPU). An empty allocation is
+// an error; "the whole device" must be spelled Allocation::all().
 #pragma once
 
 #include <optional>
@@ -60,9 +59,9 @@ struct Directive {
 /// in emission order by the enforcer (core::ServingSim::apply).
 struct ResourcePlan {
   std::vector<Directive> directives;
-  /// Set when the plan was traced off a legacy imperative policy that
-  /// already acted on the sim (LegacyPolicyAdapter): the enforcer must
-  /// not apply it a second time; it is a log, not a request.
+  /// Inert and always false: the library neither sets nor reads it. It
+  /// marked plans traced off the retired imperative Policy path; kept
+  /// only because perfbench still reads it to split plan time.
   bool pre_applied = false;
 
   ResourcePlan& launch(workload::JobId job, Allocation alloc) {

@@ -1,7 +1,6 @@
 #include "core/harness.h"
 
 #include "coloring/transformer.h"
-#include "control/controller.h"
 #include "models/zoo.h"
 
 namespace sgdrc::core {
@@ -55,12 +54,6 @@ ServingHarness::ServingHarness(HarnessOptions opt) : opt_(std::move(opt)) {
     topt.per_service_rates.push_back(rates_.back());
   }
   trace_ = workload::generate_apollo_like_trace(topt);
-}
-
-workload::ServingMetrics ServingHarness::run(Policy& policy,
-                                             bool spt) const {
-  control::LegacyPolicyAdapter adapter(policy);
-  return run(adapter, spt);
 }
 
 workload::ServingMetrics ServingHarness::run(control::Controller& controller,

@@ -2,8 +2,8 @@
 // Tab. 3 zoo, runs offline profiling, derives per-service request rates
 // that put the LS side at a target utilisation, generates the Apollo-like
 // trace, prepares SPT-transformed model variants for SGDRC, and runs any
-// Policy over the identical workload — so every system in Fig. 17 is
-// compared apples-to-apples.
+// control::Controller over the identical workload — so every system in
+// Fig. 17 is compared apples-to-apples.
 #pragma once
 
 #include <memory>
@@ -44,8 +44,6 @@ class ServingHarness {
   /// the §9.1.2 overhead; baselines run the original kernels).
   workload::ServingMetrics run(control::Controller& controller,
                                bool spt) const;
-  /// Legacy imperative flavour (wrapped in a LegacyPolicyAdapter).
-  workload::ServingMetrics run(Policy& policy, bool spt) const;
 
   const HarnessOptions& options() const { return opt_; }
   size_t ls_count() const { return ls_plain_.size(); }

@@ -18,40 +18,65 @@ constexpr size_t qos_index(QosClass q) {
 }
 }  // namespace
 
-// ------------------------------------------------------ DAG frontier ----
+// ----------------------------------------------------------- frontier ----
 
 void ServingSim::Frontier::reset(const models::ModelDesc& m) {
-  const size_t n = m.kernels.size();
-  SGDRC_CHECK(m.kernel_deps.size() == n,
-              "kernel_deps does not cover every kernel");
-  pending.assign(n, 0);
-  done.assign(n, 0);
   done_count = 0;
   ready.clear();
   running.clear();
+  if (m.kernel_deps.empty()) {
+    pending.clear();
+    ready.push_back(0);  // a chain's only source
+    return;
+  }
+  const size_t n = m.kernels.size();
+  pending.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     pending[i] = static_cast<int>(m.kernel_deps[i].size());
     if (pending[i] == 0) ready.push_back(static_cast<int>(i));
   }
-  SGDRC_CHECK(!ready.empty(), "DAG model has no source kernel");
 }
 
 void ServingSim::Frontier::make_ready(int kernel) {
   ready.insert(std::lower_bound(ready.begin(), ready.end(), kernel), kernel);
 }
 
-void ServingSim::init_frontier(Job& job) const {
-  const auto& m = model_of(job);
-  if (m.is_chain()) return;  // chains take the exact pre-DAG path
-  job.frontier = std::make_unique<Frontier>(m);
+void ServingSim::Frontier::stop(int kernel) {
+  auto it = std::find_if(running.begin(), running.end(),
+                         [&](const Running& r) { return r.kernel == kernel; });
+  SGDRC_CHECK(it != running.end(), "kernel not in flight");
+  running.erase(it);
 }
 
-bool ServingSim::job_evictable(const Job& j) const {
-  if (!j.frontier) return j.in_flight && !j.evicting;
-  for (const auto& r : j.frontier->running) {
-    if (!r.evicting) return true;
+void ServingSim::Frontier::retire(int kernel, const models::ModelDesc& m) {
+  ++done_count;
+  const auto& deps = m.kernel_deps;
+  if (deps.empty()) {
+    if (static_cast<size_t>(kernel) + 1 < m.kernels.size()) {
+      make_ready(kernel + 1);
+    }
+    return;
   }
-  return false;
+  // Kernels are topologically ordered, so only higher indices can wait
+  // on `kernel`.
+  for (size_t d = static_cast<size_t>(kernel) + 1; d < deps.size(); ++d) {
+    if (!std::binary_search(deps[d].begin(), deps[d].end(), kernel)) {
+      continue;
+    }
+    SGDRC_CHECK(pending[d] > 0, "dependency count underflow");
+    if (--pending[d] == 0) make_ready(static_cast<int>(d));
+  }
+}
+
+ServingSim::Job ServingSim::make_job(TenantId tenant, TimeNs arrival,
+                                     const models::ModelDesc* model) {
+  Job job;
+  job.id = next_job_++;
+  job.tenant = tenant;
+  job.arrival = arrival;
+  job.model = model;
+  job.frontier.reset(model_of(job));
+  return job;
 }
 
 ServingSim::ServingSim(ServingConfig cfg, std::vector<TenantSpec> tenants,
@@ -62,18 +87,6 @@ ServingSim::ServingSim(ServingConfig cfg, std::vector<TenantSpec> tenants,
       owned_queue_(std::make_unique<EventQueue>()),
       queue_(*owned_queue_),
       rng_(cfg_.seed) {
-  init();
-}
-
-ServingSim::ServingSim(ServingConfig cfg, std::vector<TenantSpec> tenants,
-                       Policy& policy)
-    : cfg_(std::move(cfg)),
-      tenants_(std::move(tenants)),
-      owned_adapter_(std::make_unique<control::LegacyPolicyAdapter>(policy)),
-      owned_queue_(std::make_unique<EventQueue>()),
-      queue_(*owned_queue_),
-      rng_(cfg_.seed) {
-  controller_ = owned_adapter_.get();
   init();
 }
 
@@ -88,17 +101,6 @@ ServingSim::ServingSim(EventQueue& queue, ServingConfig cfg,
   init();
 }
 
-ServingSim::ServingSim(EventQueue& queue, ServingConfig cfg,
-                       std::vector<TenantSpec> tenants, Policy& policy)
-    : cfg_(std::move(cfg)),
-      tenants_(std::move(tenants)),
-      owned_adapter_(std::make_unique<control::LegacyPolicyAdapter>(policy)),
-      queue_(queue),
-      rng_(cfg_.seed) {
-  controller_ = owned_adapter_.get();
-  init();
-}
-
 ServingSim::~ServingSim() = default;
 
 uint64_t ServingSim::effective_vram() const {
@@ -109,6 +111,7 @@ uint64_t ServingSim::effective_vram() const {
 void ServingSim::init() {
   // An empty tenant list is legal: fleets create device sims lazily when
   // an autoscaler or a scenario places the first replica mid-run.
+  for (const auto& spec : tenants_) validate_model(spec.model);
   exec_ = std::make_unique<GpuExecutor>(cfg_.spec, queue_, cfg_.exec_params);
 
   // Memory virtualization: only when enabled AND the device's capacity
@@ -141,6 +144,31 @@ void ServingSim::init() {
                : std::max<double>(1.0, static_cast<double>(ls + be_slots));
 
   for (TenantId t = 0; t < tenants_.size(); ++t) register_tenant(t);
+}
+
+void ServingSim::validate_model(const models::ModelDesc& m) {
+  // Messages are only built on failure (SGDRC_REQUIRE evaluates lazily).
+  const auto bad = [&](const std::string& why) {
+    return "tenant model '" + m.name + "': " + why;
+  };
+  SGDRC_REQUIRE(!m.kernels.empty(), bad("a model needs at least one kernel"));
+  const auto& deps = m.kernel_deps;
+  if (deps.empty()) return;  // a chain
+  SGDRC_REQUIRE(deps.size() == m.kernels.size(),
+                bad("kernel_deps must hold one list per kernel"));
+  for (size_t i = 0; i < deps.size(); ++i) {
+    for (size_t e = 0; e < deps[i].size(); ++e) {
+      const int d = deps[i][e];
+      SGDRC_REQUIRE(d >= 0 && static_cast<size_t>(d) < i,
+                    bad("kernel " + std::to_string(i) + " waits on " +
+                        std::to_string(d) +
+                        "; every edge must name an earlier kernel"));
+      SGDRC_REQUIRE(e == 0 || deps[i][e - 1] < d,
+                    bad("kernel " + std::to_string(i) +
+                        "'s dependency list is not strictly ascending "
+                        "(unsorted or duplicate edge)"));
+    }
+  }
 }
 
 void ServingSim::register_tenant(TenantId t) {
@@ -190,16 +218,11 @@ void ServingSim::register_tenant(TenantId t) {
     m.slo = static_cast<TimeNs>(slo_n_ *
                                 static_cast<double>(spec.isolated_latency));
   } else {
-    SGDRC_REQUIRE(!spec.model.kernels.empty(), "BE tenant with no kernels");
     be_tenants_.push_back(t);
     m.batch = spec.model.batch;
     m.kernels_per_batch = spec.model.kernels.size();
     // The BE batch loop is a closed-loop job that lives until removal.
-    Job job;
-    job.id = next_job_++;
-    job.tenant = t;
-    init_frontier(job);
-    jobs_.push_back(std::move(job));
+    jobs_.push_back(make_job(t, 0));
   }
   metrics_.tenants.push_back(std::move(m));
   if (mem_ && spec.qos == QosClass::kBestEffort &&
@@ -321,6 +344,7 @@ void ServingSim::set_vgpu(TenantId t, const control::VgpuSpec& vgpu) {
 
 TenantId ServingSim::add_tenant(const TenantSpec& spec) {
   shard_guard_.assert_mutable("add_tenant");
+  validate_model(spec.model);
   tenants_.push_back(spec);
   const TenantId t = static_cast<TenantId>(tenants_.size() - 1);
   register_tenant(t);
@@ -345,7 +369,7 @@ void ServingSim::remove_tenant(TenantId t) {
     // ...and stop the in-flight kernel(s); the invisible loop job is
     // never launched again.
     for (auto& job : jobs_) {
-      if (job.tenant == t && job_evictable(job)) evict(job.id);
+      if (job.tenant == t && !job.frontier.running.empty()) evict(job);
     }
   }
   // LS tenants drain: the *router* above us must stop sending new work
@@ -374,8 +398,9 @@ void ServingSim::set_be_paused(bool paused) {
     // Mirror remove_tenant's BE halt: stop in-flight BE kernels so the
     // freed TPCs serve the LS backlog now, not after the batch drains.
     for (auto& job : jobs_) {
-      if (qos_of(job) == QosClass::kBestEffort && job_evictable(job)) {
-        evict(job.id);
+      if (qos_of(job) == QosClass::kBestEffort &&
+          !job.frontier.running.empty()) {
+        evict(job);
       }
     }
   }
@@ -408,7 +433,7 @@ workload::ServingMetrics ServingSim::run(
 void ServingSim::begin() {
   shard_guard_.assert_mutable("begin");
   metrics_.duration = cfg_.duration;
-  poke();  // let the policy start the BE closed loops immediately
+  poke();  // let the controller start the BE closed loops immediately
 }
 
 workload::ServingMetrics ServingSim::finish() {
@@ -516,13 +541,8 @@ void ServingSim::admit_batch(TenantId t, std::vector<TimeNs> arrivals) {
   const size_t size = arrivals.size();
   SGDRC_CHECK(size >= 1 && size <= bs.variants.size(),
               "batch size outside the tenant's variant range");
-  Job job;
-  job.id = next_job_++;
-  job.tenant = t;
-  job.arrival = arrivals.front();
-  job.model = &bs.variants[size - 1];
+  Job job = make_job(t, arrivals.front(), &bs.variants[size - 1]);
   job.batch = std::move(arrivals);
-  init_frontier(job);  // after job.model: the variant carries the deps
   bs.admitted_requests += size;
   ++bs.launched_batches;
   bs.launched_requests += size;
@@ -576,11 +596,7 @@ void ServingSim::admit_or_backlog(TenantId t, TimeNs arrival) {
 }
 
 void ServingSim::admit(TenantId tenant, TimeNs arrival) {
-  Job job;
-  job.id = next_job_++;
-  job.tenant = tenant;
-  job.arrival = arrival;
-  init_frontier(job);
+  Job job = make_job(tenant, arrival);
   apply_memory_gates(job);
   jobs_.push_back(std::move(job));
 }
@@ -593,7 +609,7 @@ bool ServingSim::tenant_busy(TenantId t) const {
     return true;
   }
   for (const auto& j : jobs_) {
-    if (j.tenant == t && job_inflight_any(j)) return true;
+    if (j.tenant == t && !j.frontier.running.empty()) return true;
   }
   return false;
 }
@@ -644,7 +660,7 @@ void ServingSim::ensure_residency() {
   // here on every poke — pokes fire on every completion, so the waiter
   // makes progress as soon as memory frees.
   for (const auto& j : jobs_) {
-    if (!job_can_launch(j)) continue;
+    if (j.frontier.ready.empty()) continue;
     const auto r = mem_->residency(j.tenant);
     if (r != memory::Residency::kCold && r != memory::Residency::kPaged) {
       continue;
@@ -668,7 +684,8 @@ void ServingSim::request_weights(TenantId t) {
       // The replica just degraded cold → paged: every job it already has
       // in the system pays the per-request restream before launching.
       for (auto& j : jobs_) {
-        if (j.tenant != t || job_inflight_any(j) || held_jobs_.count(j.id)) {
+        if (j.tenant != t || !j.frontier.running.empty() ||
+            held_jobs_.count(j.id)) {
           continue;
         }
         j.cold = true;
@@ -705,7 +722,7 @@ bool ServingSim::visible(const Job& j) const {
 
 bool ServingSim::visible_rotation(const Job& j) const {
   // Removed-LS jobs stay visible so admitted work drains; removed-BE
-  // loops vanish so the policy never relaunches them.
+  // loops vanish so the controller never relaunches them.
   if (qos_of(j) == QosClass::kLatencySensitive) return true;
   if (be_paused_) return false;  // fleet overload: BE sheds before LS
   if (!active_[j.tenant] || be_tenants_.empty()) return false;
@@ -714,29 +731,19 @@ bool ServingSim::visible_rotation(const Job& j) const {
 }
 
 ServingSim::JobView ServingSim::view_of(const Job& j) const {
-  const auto& kernels = model_of(j).kernels;
-  if (j.frontier) {
-    // Aggregate frontier view: next_kernel is the lowest-index ready
-    // kernel; "in flight" means nothing is launchable right now.
-    const auto& f = *j.frontier;
-    const bool blocked = f.ready.empty();
-    bool evicting = false;
-    for (const auto& r : f.running) evicting |= r.evicting;
-    return {j.id,
-            j.tenant,
-            qos_of(j),
-            j.arrival,
-            blocked ? nullptr : &kernels[f.ready.front()],
-            blocked,
-            evicting};
-  }
+  // Aggregate frontier view: next_kernel is the lowest-index ready
+  // kernel; "in flight" means nothing is launchable right now.
+  const auto& f = j.frontier;
+  const bool blocked = f.ready.empty();
+  bool evicting = false;
+  for (const auto& r : f.running) evicting |= r.evicting;
   return {j.id,
           j.tenant,
           qos_of(j),
           j.arrival,
-          j.in_flight ? nullptr : &kernels[j.cursor],
-          j.in_flight,
-          j.evicting};
+          blocked ? nullptr : &model_of(j).kernels[f.ready.front()],
+          blocked,
+          evicting};
 }
 
 std::vector<ServingSim::JobView> ServingSim::jobs(QosClass qos) const {
@@ -759,17 +766,13 @@ std::vector<ServingSim::JobView> ServingSim::waiting_jobs(
   std::vector<JobView> out;
   for (const auto& j : jobs_) {
     if (qos_of(j) != qos || !visible(j)) continue;
-    if (j.frontier) {
-      // One entry per ready kernel, index ascending — the deterministic
-      // ready order. launch(id, ...) consumes the same order, so the
-      // i-th entry is exactly what the i-th launch of this job runs.
-      const auto& kernels = model_of(j).kernels;
-      for (const int k : j.frontier->ready) {
-        out.push_back({j.id, j.tenant, qos, j.arrival, &kernels[k],
-                       /*in_flight=*/false, /*evicting=*/false});
-      }
-    } else if (!j.in_flight) {
-      out.push_back(view_of(j));
+    // One entry per ready kernel, index ascending — the deterministic
+    // ready order. launch() consumes the same order, so the i-th entry
+    // is exactly what the i-th launch of this job runs.
+    const auto& kernels = model_of(j).kernels;
+    for (const int k : j.frontier.ready) {
+      out.push_back({j.id, j.tenant, qos, j.arrival, &kernels[k],
+                     /*in_flight=*/false, /*evicting=*/false});
     }
   }
   return out;
@@ -791,20 +794,16 @@ std::vector<const gpusim::KernelDesc*> ServingSim::upcoming_kernels(
   for (const auto& j : jobs_) {
     if (out.size() >= window) break;
     if (qos_of(j) != qos || !visible(j)) continue;
-    if (j.frontier) {
-      for (const int k : j.frontier->ready) {
-        if (out.size() >= window) break;
-        out.push_back(&model_of(j).kernels[k]);
-      }
-    } else if (!j.in_flight) {
-      out.push_back(&model_of(j).kernels[j.cursor]);
+    for (const int k : j.frontier.ready) {
+      if (out.size() >= window) break;
+      out.push_back(&model_of(j).kernels[k]);
     }
   }
   return out;
 }
 
 size_t ServingSim::tenant_count(QosClass qos) const {
-  // Active only, for both classes: policies sizing per-class shares
+  // Active only, for both classes: controllers sizing per-class shares
   // must not reserve capacity for drained tenants. (The all-time slot
   // count is the no-argument tenant_count().)
   size_t n = 0;
@@ -847,7 +846,7 @@ bool ServingSim::trespasses(TenantId owner, TpcMask eff_tpcs) const {
   return (eff_tpcs & foreign) != 0;
 }
 
-LaunchSpec ServingSim::compile_allocation(
+ServingSim::LaunchSpec ServingSim::compile_allocation(
     const control::Allocation& a) const {
   SGDRC_REQUIRE(!a.empty(),
                 "plan carries an empty Allocation — a zero mask no longer "
@@ -878,127 +877,82 @@ LaunchSpec ServingSim::compile_allocation(
 
 void ServingSim::apply(const control::ResourcePlan& plan) {
   shard_guard_.assert_mutable("apply");
-  // A plan traced off a legacy imperative policy already acted on the
-  // sim; re-applying would double-launch. It is a log, not a request.
-  if (plan.pre_applied) return;
   for (const auto& d : plan.directives) {
     switch (d.kind) {
       case control::Directive::Kind::kLaunch: {
         const LaunchSpec spec = compile_allocation(d.alloc);
-        const Job* job = job_ptr(d.job);
+        Job* job = job_ptr(d.job);
         SGDRC_REQUIRE(job != nullptr, "plan launches an unknown job");
         const TpcMask eff =
             spec.tpc_mask ? spec.tpc_mask
                           : gpusim::full_tpc_mask(cfg_.spec.num_tpcs);
-        SGDRC_REQUIRE(!trespasses(job->tenant, eff),
+        const bool trespass = trespasses(job->tenant, eff);
+        SGDRC_REQUIRE(!trespass || !controller_->guarantee_aware(),
                       "plan puts a kernel inside another tenant's "
                       "guaranteed TPC region");
-        launch(d.job, spec);
+        launch(*job, spec);
+        if (trespass) ++metrics_.guarantee_violations;
         break;
       }
-      case control::Directive::Kind::kEvict:
-        evict(d.job);
+      case control::Directive::Kind::kEvict: {
+        Job* job = job_ptr(d.job);
+        SGDRC_REQUIRE(job != nullptr, "plan evicts an unknown job");
+        evict(*job);
         break;
+      }
       case control::Directive::Kind::kWakeAt:
-        poke_at(d.at);
+        queue_.schedule_at(std::max(d.at, now()), [this] { poke(); });
         break;
     }
   }
 }
 
-control::ResourcePlan ServingSim::trace_policy(Policy& policy) {
-  control::ResourcePlan plan;
-  plan.pre_applied = true;
-  SGDRC_CHECK(trace_ == nullptr, "nested policy trace");
-  trace_ = &plan;
-  try {
-    policy.schedule(*this);
-  } catch (...) {
-    trace_ = nullptr;
-    throw;
-  }
-  trace_ = nullptr;
-  return plan;
-}
-
-void ServingSim::launch(JobId id, LaunchSpec spec) {
-  Job* job = job_ptr(id);
-  SGDRC_REQUIRE(job != nullptr, "unknown job");
-  SGDRC_REQUIRE(visible(*job),
+void ServingSim::launch(Job& job, LaunchSpec spec) {
+  SGDRC_REQUIRE(visible(job),
                 "job is not resident (BE rotation or weights not loaded)");
-  if (job->frontier) {
-    SGDRC_REQUIRE(!job->frontier->ready.empty(),
-                  "job has no ready kernel (frontier blocked or fully "
-                  "in flight)");
-  } else {
-    SGDRC_REQUIRE(!job->in_flight, "job already has a kernel in flight");
-  }
-  if (mem_) mem_->note_use(job->tenant, now());
-  const auto& model = model_of(*job);
-  // Chain: the cursor kernel. DAG: consume the lowest-index ready
-  // kernel — the same order waiting_jobs() exposed.
-  const int kidx = job->frontier
-                       ? job->frontier->ready.front()
-                       : static_cast<int>(job->cursor);
-  const gpusim::KernelDesc& k = model.kernels[kidx];
-  // Guarantee bookkeeping: kernels landing inside a *different* tenant's
-  // reserved region are violations. Plan-enforced launches were already
-  // rejected in apply(); this counts what legacy imperative policies
-  // (which cannot see guarantees) do to them.
-  const TpcMask eff = spec.tpc_mask
-                          ? spec.tpc_mask
-                          : gpusim::full_tpc_mask(cfg_.spec.num_tpcs);
-  if (trespasses(job->tenant, eff)) ++metrics_.guarantee_violations;
-  if (trace_ != nullptr) {
-    trace_->launch(id, control::Allocation{
-                           spec.tpc_mask ? spec.tpc_mask : ~TpcMask{0},
-                           spec.channels ? spec.channels
-                                         : ~gpusim::ChannelSet{0}});
-  }
+  Frontier& f = job.frontier;
+  SGDRC_REQUIRE(!f.ready.empty(),
+                "job has no ready kernel (fully in flight, or its "
+                "dependencies are still running)");
+  if (mem_) mem_->note_use(job.tenant, now());
+  const int kidx = f.ready.front();
+  const gpusim::KernelDesc& k = model_of(job).kernels[kidx];
   // Only memory-bound kernels are channel-colored (§7.2); others keep the
   // default all-channel mapping.
   const gpusim::ChannelSet ch = k.memory_bound ? spec.channels : 0;
-  note_inflight(qos_of(*job), +1);
-  if (job->frontier) {
-    auto& f = *job->frontier;
-    f.ready.erase(f.ready.begin());
-    f.running.push_back({kidx, 0, false});
-    // Completion events fire through the queue, never synchronously, so
-    // writing the launch id after launch() matches the chain path.
-    f.running.back().launch_id =
-        exec_->launch({&k, spec.tpc_mask, ch, id},
-                      [this, id, kidx](GpuExecutor::LaunchId, TimeNs) {
-                        finish_kernel_dag(id, kidx);
-                      });
-    return;
-  }
-  job->in_flight = true;
-  job->evicting = false;
-  job->launch_id = exec_->launch({&k, spec.tpc_mask, ch, id},
-                                 [this, id](GpuExecutor::LaunchId, TimeNs) {
-                                   finish_kernel(id);
-                                 });
+  note_inflight(qos_of(job), +1);
+  f.ready.erase(f.ready.begin());
+  f.running.push_back({kidx, 0, false});
+  // Completion events fire through the queue, never synchronously, so
+  // the launch id is recorded before any callback can look for it.
+  const JobId id = job.id;
+  f.running.back().launch_id =
+      exec_->launch({&k, spec.tpc_mask, ch, id},
+                    [this, id, kidx](GpuExecutor::LaunchId, TimeNs) {
+                      finish_kernel(id, kidx);
+                    });
 }
 
-void ServingSim::finish_kernel(JobId id) {
+void ServingSim::finish_kernel(JobId id, int kernel) {
   auto it = std::find_if(jobs_.begin(), jobs_.end(),
                          [&](const Job& j) { return j.id == id; });
   SGDRC_CHECK(it != jobs_.end(), "completion for unknown job");
   Job& job = *it;
   const QosClass qos = qos_of(job);
-  job.in_flight = false;
-  job.evicting = false;
+  job.frontier.stop(kernel);
   note_inflight(qos, -1);
-  ++job.cursor;
+  const auto& model = model_of(job);
+  job.frontier.retire(kernel, model);
+  const bool done = job.frontier.done_count >= model.kernels.size();
 
   if (qos == QosClass::kBestEffort) {
     auto& m = metrics_.tenants[job.tenant];
     if (!stopped_) ++m.kernels_done;
-    if (job.cursor >= model_of(job).kernels.size()) {
+    if (done) {
       if (!stopped_) ++m.batches_completed;
       rotate_be(job);
     }
-  } else if (job.cursor >= model_of(job).kernels.size()) {
+  } else if (done) {
     complete_ls(it);
   }
   poke();
@@ -1021,48 +975,6 @@ void ServingSim::complete_ls(std::deque<Job>::iterator it) {
   }
 }
 
-void ServingSim::finish_kernel_dag(JobId id, int kernel) {
-  auto it = std::find_if(jobs_.begin(), jobs_.end(),
-                         [&](const Job& j) { return j.id == id; });
-  SGDRC_CHECK(it != jobs_.end(), "completion for unknown job");
-  Job& job = *it;
-  SGDRC_CHECK(job.frontier != nullptr, "DAG completion on a chain job");
-  Frontier& f = *job.frontier;
-  const QosClass qos = qos_of(job);
-  auto rit = std::find_if(
-      f.running.begin(), f.running.end(),
-      [&](const Frontier::Running& r) { return r.kernel == kernel; });
-  SGDRC_CHECK(rit != f.running.end(), "completion for a kernel not in flight");
-  f.running.erase(rit);
-  note_inflight(qos, -1);
-  f.done[kernel] = 1;
-  ++f.done_count;
-
-  // Unlock dependents: kernels are topologically ordered, so only
-  // higher indices can wait on `kernel`.
-  const auto& deps = model_of(job).kernel_deps;
-  for (size_t d = static_cast<size_t>(kernel) + 1; d < deps.size(); ++d) {
-    if (!std::binary_search(deps[d].begin(), deps[d].end(), kernel)) {
-      continue;
-    }
-    SGDRC_CHECK(f.pending[d] > 0, "dependency count underflow");
-    if (--f.pending[d] == 0) f.make_ready(static_cast<int>(d));
-  }
-
-  const size_t total = model_of(job).kernels.size();
-  if (qos == QosClass::kBestEffort) {
-    auto& m = metrics_.tenants[job.tenant];
-    if (!stopped_) ++m.kernels_done;
-    if (f.done_count >= total) {
-      if (!stopped_) ++m.batches_completed;
-      rotate_be(job);
-    }
-  } else if (f.done_count >= total) {
-    complete_ls(it);
-  }
-  poke();
-}
-
 void ServingSim::complete_ls_job(TenantId tenant, TimeNs arrival, bool cold) {
   if (!stopped_) {
     metrics_.record_latency(tenant, arrival, now());
@@ -1082,8 +994,7 @@ void ServingSim::complete_ls_job(TenantId tenant, TimeNs arrival, bool cold) {
 }
 
 void ServingSim::rotate_be(Job& job) {
-  job.cursor = 0;  // the batch loop restarts
-  if (job.frontier) job.frontier->reset(model_of(job));
+  job.frontier.reset(model_of(job));  // the batch loop restarts
   // A removed tenant's final batch must not advance the rotation: its
   // removal already re-aimed be_resident_ at the next live tenant.
   if (cfg_.be_mode == BeMode::kRoundRobin && active_[job.tenant] &&
@@ -1098,62 +1009,26 @@ void ServingSim::rotate_be(Job& job) {
   }
 }
 
-void ServingSim::evict(JobId id) {
-  Job* job = job_ptr(id);
-  SGDRC_REQUIRE(job != nullptr, "unknown job");
-  if (job->frontier) {
-    SGDRC_REQUIRE(!job->frontier->running.empty(),
-                  "no in-flight kernel to evict");
-    if (!job_evictable(*job)) return;  // everything already evicting
-    if (trace_ != nullptr) trace_->evict(id);
-    const QosClass qos = qos_of(*job);
-    for (auto& r : job->frontier->running) {
-      if (r.evicting) continue;
-      r.evicting = true;
-      ++metrics_.tenants[job->tenant].evictions;
-      exec_->evict(r.launch_id, [this, id, qos, kernel = r.kernel](
-                                    GpuExecutor::LaunchId, TimeNs) {
-        // Progress lost; the kernel returns to the ready set (§7.1
-        // restart) at its sorted position.
-        Job* j = job_ptr(id);
-        SGDRC_CHECK(j != nullptr && j->frontier != nullptr,
-                    "eviction for unknown job");
-        auto& f = *j->frontier;
-        auto rit2 = std::find_if(
-            f.running.begin(), f.running.end(),
-            [&](const Frontier::Running& r2) { return r2.kernel == kernel; });
-        SGDRC_CHECK(rit2 != f.running.end(),
-                    "evicted kernel not in flight");
-        f.running.erase(rit2);
-        f.make_ready(kernel);
-        note_inflight(qos, -1);
-        poke();
-      });
-    }
-    return;
+void ServingSim::evict(Job& job) {
+  SGDRC_REQUIRE(!job.frontier.running.empty(), "no in-flight kernel to evict");
+  const JobId id = job.id;
+  const QosClass qos = qos_of(job);
+  for (auto& r : job.frontier.running) {
+    if (r.evicting) continue;
+    r.evicting = true;
+    ++metrics_.tenants[job.tenant].evictions;
+    exec_->evict(r.launch_id, [this, id, qos, kernel = r.kernel](
+                                  GpuExecutor::LaunchId, TimeNs) {
+      // Progress lost; the kernel returns to the ready set (§7.1
+      // restart) at its sorted position.
+      Job* j = job_ptr(id);
+      SGDRC_CHECK(j != nullptr, "eviction for unknown job");
+      j->frontier.stop(kernel);
+      j->frontier.make_ready(kernel);
+      note_inflight(qos, -1);
+      poke();
+    });
   }
-  SGDRC_REQUIRE(job->in_flight, "no in-flight kernel to evict");
-  if (job->evicting) return;
-  if (trace_ != nullptr) trace_->evict(id);
-  job->evicting = true;
-  ++metrics_.tenants[job->tenant].evictions;
-  const QosClass qos = qos_of(*job);
-  exec_->evict(job->launch_id,
-               [this, id, qos](GpuExecutor::LaunchId, TimeNs) {
-                 // Progress lost; the cursor stays on the same kernel
-                 // (§7.1 restart).
-                 Job* j = job_ptr(id);
-                 SGDRC_CHECK(j != nullptr, "eviction for unknown job");
-                 j->in_flight = false;
-                 j->evicting = false;
-                 note_inflight(qos, -1);
-                 poke();
-               });
-}
-
-void ServingSim::poke_at(TimeNs t) {
-  if (trace_ != nullptr) trace_->wake_at(t);
-  queue_.schedule_at(std::max(t, now()), [this] { poke(); });
 }
 
 void ServingSim::poke() {

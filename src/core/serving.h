@@ -5,11 +5,12 @@
 // (§9.2's testing scenario: one BE task resident at a time) or run
 // concurrently (N-way colocation).
 //
-// Scheduling decisions are delegated to a Policy — SGDRC and every
-// baseline of Fig. 17 implement this interface, so all systems run on
-// exactly the same substrate and workload. Policies see one unified
-// JobView API regardless of QoS class and act through
-// launch(JobId, LaunchSpec) / evict(JobId).
+// Scheduling decisions are delegated to a control::Controller — SGDRC
+// and every baseline of Fig. 17 implement this interface, so all systems
+// run on exactly the same substrate and workload. Controllers see one
+// unified JobView API regardless of QoS class and answer with a
+// declarative ResourcePlan; apply() is the only path from plan to
+// mechanism (launches, eviction flags, wake-ups).
 #pragma once
 
 #include <cstdint>
@@ -44,22 +45,6 @@ namespace sgdrc::core {
 using workload::JobId;
 using workload::QosClass;
 using workload::TenantId;
-
-class ServingSim;
-
-/// Legacy imperative scheduler interface. schedule() is invoked after
-/// every state change (request arrival, kernel completion, eviction, BE
-/// batch switch); it must be idempotent — inspect the sim, launch what
-/// should run now. New schedulers should implement control::Controller
-/// instead (declarative ResourcePlans, validated guarantees); Policies
-/// keep running unchanged through control::LegacyPolicyAdapter, which
-/// the sim instantiates internally for the Policy& constructors.
-class Policy {
- public:
-  virtual ~Policy() = default;
-  virtual std::string name() const = 0;
-  virtual void schedule(ServingSim& sim) = 0;
-};
 
 /// One workload sharing the GPU: an LS service or a BE batch task.
 struct TenantSpec {
@@ -104,9 +89,9 @@ inline TenantSpec with_batching(TenantSpec spec,
 /// How best-effort tenants share the GPU among themselves.
 enum class BeMode {
   /// §9.2: one BE tenant resident at a time, rotating at batch
-  /// boundaries — policies see at most one BE job.
+  /// boundaries — controllers see at most one BE job.
   kRoundRobin,
-  /// Every BE tenant has its own always-on job; policies arbitrate.
+  /// Every BE tenant has its own always-on job; controllers arbitrate.
   kConcurrent,
 };
 
@@ -130,24 +115,12 @@ struct ServingConfig {
   memory::MemoryOptions memory;
 };
 
-/// Resource allocation for one kernel launch. Zero means "all" for both
-/// fields (monopolisation).
-struct LaunchSpec {
-  gpusim::TpcMask tpc_mask = 0;
-  gpusim::ChannelSet channels = 0;
-};
-
 class ServingSim {
  public:
   /// Standalone sim driven by a declarative controller: owns its event
   /// queue; the enforcer compiles each plan into launches/evictions.
   ServingSim(ServingConfig cfg, std::vector<TenantSpec> tenants,
              control::Controller& controller);
-  /// Standalone sim driven by a legacy imperative Policy (wrapped in an
-  /// internal LegacyPolicyAdapter; behaviour is identical to the
-  /// pre-control-plane path).
-  ServingSim(ServingConfig cfg, std::vector<TenantSpec> tenants,
-             Policy& policy);
   /// Fleet mode: shares `queue` with sibling devices so an outer
   /// simulation (fleet::FleetSim) can interleave N GPUs on one clock and
   /// route requests by live per-device state. The caller drives the
@@ -155,8 +128,6 @@ class ServingSim {
   ServingSim(EventQueue& queue, ServingConfig cfg,
              std::vector<TenantSpec> tenants,
              control::Controller& controller);
-  ServingSim(EventQueue& queue, ServingConfig cfg,
-             std::vector<TenantSpec> tenants, Policy& policy);
   ~ServingSim();
 
   /// Replay the trace; returns the metrics after `duration`.
@@ -165,7 +136,7 @@ class ServingSim {
   // -------------------------------------------- external-driver API ----
   // run() is begin() + per-request inject() + queue drain + finish();
   // fleets call the pieces directly.
-  /// Start metrics collection and let the policy boot the BE loops.
+  /// Start metrics collection and let the controller boot the BE loops.
   void begin();
   /// Admit a routed LS request for `tenant`. `arrival` is the upstream
   /// (fleet) arrival time — it may predate now() so queueing at the
@@ -199,7 +170,9 @@ class ServingSim {
   // remove tenants while the simulation runs.
   /// Register a new tenant mid-run. LS tenants get an instance pool and
   /// an SLO derived from the same multiplier the initial set used; BE
-  /// tenants get a batch loop that the policy starts on the next poke.
+  /// tenants get a batch loop that the controller starts on its next
+  /// plan. Throws ConfigError for a malformed model (no kernels, or
+  /// kernel_deps that are not one ascending in-range list per kernel).
   /// Returns the new dense TenantId (existing ids never shift).
   TenantId add_tenant(const TenantSpec& spec);
   /// Retire a tenant. LS tenants drain: routers must stop sending new
@@ -225,7 +198,7 @@ class ServingSim {
   void set_be_paused(bool paused);
   bool be_paused() const { return be_paused_; }
 
-  // ------------------------------------------------- policy read API ----
+  // --------------------------------------------- controller read API ----
   const gpusim::GpuSpec& spec() const { return cfg_.spec; }
   const ServingConfig& config() const { return cfg_; }
   gpusim::GpuExecutor& exec() { return *exec_; }
@@ -242,26 +215,25 @@ class ServingSim {
   };
   /// Every visible job, LS before BE, each class in arrival order — one
   /// view per job. In round-robin mode only the resident BE tenant's
-  /// job is visible. For a DAG job the view aggregates its frontier:
-  /// next_kernel is the lowest-index ready kernel (null, with in_flight
-  /// set, when every runnable kernel is already launched).
+  /// job is visible. The view aggregates the job's frontier: next_kernel
+  /// is the lowest-index ready kernel (null, with in_flight set, when
+  /// every runnable kernel is already launched).
   std::vector<JobView> jobs() const;
   /// Visible jobs of one class, arrival order.
   std::vector<JobView> jobs(QosClass qos) const;
-  /// Waiting work of one class: one view per launchable kernel. Chain
-  /// jobs contribute at most one entry (the cursor kernel when idle) —
-  /// exactly the historic list. A DAG job contributes one entry per
-  /// ready kernel, kernel index ascending, each with next_kernel
-  /// pointing at that kernel; launch(id, ...) consumes them in the same
-  /// order, so "launch every waiting entry" co-schedules the frontier.
+  /// Waiting work of one class: one view per launchable kernel, kernel
+  /// index ascending within a job, each with next_kernel pointing at
+  /// that kernel (a chain job contributes at most one). A plan's
+  /// launches of a job consume its entries in the same order, so
+  /// "launch every waiting entry" co-schedules the frontier.
   std::vector<JobView> waiting_jobs(QosClass qos) const;
   /// Look a job up by id — e.g. classify a RunningInfo by its tag.
   std::optional<JobView> find_job(JobId id) const;
   /// In-flight kernels of one class.
   size_t inflight(QosClass qos) const;
   /// The next `window` kernels of waiting jobs of `qos` — the tidal
-  /// scheduler's sliding window (§7.1). DAG jobs contribute every ready
-  /// kernel (ascending), mirroring waiting_jobs.
+  /// scheduler's sliding window (§7.1), over every ready kernel
+  /// (ascending), mirroring waiting_jobs.
   std::vector<const gpusim::KernelDesc*> upcoming_kernels(
       QosClass qos, size_t window) const;
 
@@ -313,7 +285,7 @@ class ServingSim {
            static_cast<double>(batch_[t]->recent.size());
   }
   /// This sim's private deterministic RNG stream (device-salted in
-  /// fleets); policies and outer simulations draw jitter from it.
+  /// fleets); outer simulations draw jitter from it.
   Rng& rng() { return rng_; }
   /// The shard-ownership race detector (dormant unless armed — see
   /// common/shard_guard.h). Tests claim it to fake a mid-window worker.
@@ -342,60 +314,49 @@ class ServingSim {
   /// Union of active guaranteed regions of one class.
   gpusim::TpcMask guaranteed_union(QosClass qos) const;
 
-  // ------------------------------------------------ policy write API ----
-  /// Enforce a declarative plan: validate each directive (explicit
-  /// allocations — no zero-means-all; launches must not trespass on
-  /// another tenant's guaranteed region) and compile it into
-  /// launch/evict/poke_at calls, strictly in emission order. Plans
-  /// traced off a legacy policy (pre_applied) already acted and are
-  /// skipped. This is the only path from plan to mechanism.
+  // -------------------------------------------------------- enforcer ----
+  /// Enforce a declarative plan: validate each directive and compile it
+  /// into launches / eviction flags / wake-ups, strictly in emission
+  /// order. Launches need explicit allocations (no zero-means-all) and a
+  /// waiting job: one that is resident (BE rotation, loaded weights) with
+  /// a ready kernel — anything else throws ConfigError. A launch that
+  /// trespasses on another tenant's guaranteed region is rejected when
+  /// the controller is guarantee_aware(), and counted in
+  /// ServingMetrics::guarantee_violations otherwise. This is the only
+  /// path from plan to mechanism.
   void apply(const control::ResourcePlan& plan);
 
-  /// Legacy mechanism API: launch the next kernel of a waiting job —
-  /// for a DAG job, the lowest-index ready kernel of its frontier
-  /// (repeated launches in one poke walk the ready set in order).
-  /// Zero means "all" for both LaunchSpec fields (pre-control-plane
-  /// convention, kept for imperative Policies; plans use the explicit
-  /// control::Allocation instead). For non-memory-bound kernels the
-  /// channel restriction is ignored (only memory-bound tensors are
-  /// colored, §7.2). Launches that put a kernel inside another tenant's
-  /// guaranteed region are counted in ServingMetrics::
-  /// guarantee_violations (and rejected outright on the plan path).
-  void launch(JobId id, LaunchSpec spec);
-
-  /// Preempt the job's in-flight kernel(s) via the eviction flag (§7.1).
-  /// Restart-from-scratch semantics: progress is lost and the job's
-  /// cursor stays on the same kernel until the next launch() (a DAG
-  /// job's evicted kernels return to its ready set). Evicts every
-  /// in-flight kernel of a DAG job. Only preemptible (best-effort)
-  /// kernels accept this.
-  void evict(JobId id);
-
-  /// Schedule a future policy wake-up (policies with timed behaviour,
-  /// e.g. TGS's container switching).
-  void poke_at(TimeNs t);
-
-  /// Adapter plumbing (control::SimView::trace_legacy): run an
-  /// imperative Policy against the live sim while tracing its
-  /// launch/evict/poke_at calls into a pre_applied ResourcePlan.
-  control::ResourcePlan trace_policy(Policy& policy);
-
  private:
-  /// DAG execution state for one job, allocated only when the job's
-  /// model carries explicit kernel_deps. Ready order is deterministic:
-  /// kernel index ascending (docs/models.md), so reruns are
-  /// bit-identical whatever completion order the executor produces.
+  /// Resource allocation for one kernel launch, in the executor's
+  /// encoding: zero means "all" for both fields (monopolisation). Only
+  /// compile_allocation() produces one, from an explicit Allocation.
+  struct LaunchSpec {
+    gpusim::TpcMask tpc_mask = 0;
+    gpusim::ChannelSet channels = 0;
+  };
+
+  /// A job's execution state: the frontier of its model's operator DAG
+  /// — the dependency-satisfied kernels ready to launch and the ones in
+  /// flight, any number at once (multi-launch into the executor's
+  /// concurrent-kernel support). A chain (no kernel_deps) is the
+  /// degenerate DAG whose kernel k has the one dependent k + 1, so it
+  /// keeps no pending counts and has at most one kernel ready or in
+  /// flight. Ready order is kernel index ascending (docs/models.md), so
+  /// reruns are bit-identical whatever completion order the executor
+  /// produces.
   struct Frontier {
-    explicit Frontier(const models::ModelDesc& m) { reset(m); }
-    /// (Re)derive the initial frontier from the model's kernel_deps —
-    /// also how a BE batch loop restarts at rotation.
+    /// (Re)derive the initial frontier from the model — also how a BE
+    /// batch loop restarts at rotation.
     void reset(const models::ModelDesc& m);
     /// Return an evicted/unblocked kernel to the ready set, keeping the
     /// ascending order.
     void make_ready(int kernel);
+    /// Drop `kernel` from the in-flight set (completed or evicted).
+    void stop(int kernel);
+    /// Count `kernel` done and unlock its dependents.
+    void retire(int kernel, const models::ModelDesc& m);
 
-    std::vector<int> pending;  // unmet dep count (0 = ready/running/done)
-    std::vector<char> done;    // completed kernels
+    std::vector<int> pending;  // DAG only: unmet dep count per kernel
     size_t done_count = 0;
     std::vector<int> ready;    // launchable kernel indices, ascending
     struct Running {
@@ -406,24 +367,12 @@ class ServingSim {
     std::vector<Running> running;  // in-flight kernels, launch order
   };
 
-  /// One admitted unit of work. A chain job (frontier == nullptr — every
-  /// model without explicit kernel_deps) advances the historic way: the
-  /// single `cursor` walks `kernels` in order with at most one kernel in
-  /// flight, tracked by in_flight/evicting/launch_id — exactly the
-  /// pre-DAG code path, bit for bit. A DAG job instead tracks a
-  /// *frontier*: a ready set of dependency-satisfied kernels, any number
-  /// of which may be in flight at once (multi-launch into the executor's
-  /// concurrent-kernel support); cursor/in_flight/launch_id are unused.
+  /// One admitted unit of work.
   struct Job {
     JobId id = 0;
     TenantId tenant = 0;
     TimeNs arrival = 0;  // batched jobs: the oldest request's arrival
-    size_t cursor = 0;
-    bool in_flight = false;
-    bool evicting = false;
-    gpusim::GpuExecutor::LaunchId launch_id = 0;
-    /// Non-null iff the model has explicit kernel_deps.
-    std::unique_ptr<Frontier> frontier;
+    Frontier frontier;
     /// Batched jobs run a batch-size-scaled kernel sequence (owned by the
     /// tenant's BatchState; stable storage). Null = the tenant spec model.
     const models::ModelDesc* model = nullptr;
@@ -462,20 +411,10 @@ class ServingSim {
   const models::ModelDesc& model_of(const Job& j) const {
     return j.model ? *j.model : tenants_[j.tenant].model;
   }
-  /// Allocate the job's frontier when its model is a DAG (no-op for
-  /// chains). Must run after job.model is final (batch variants).
-  void init_frontier(Job& job) const;
-  /// Any kernel of the job in flight (chain: the single cursor kernel).
-  bool job_inflight_any(const Job& j) const {
-    return j.frontier ? !j.frontier->running.empty() : j.in_flight;
-  }
-  /// The job can accept a launch right now (chain: not in flight; DAG:
-  /// the ready set is non-empty).
-  bool job_can_launch(const Job& j) const {
-    return j.frontier ? !j.frontier->ready.empty() : !j.in_flight;
-  }
-  /// The job has at least one in-flight kernel not already evicting.
-  bool job_evictable(const Job& j) const;
+  /// A new job of `tenant` (next id, frontier at the model's sources).
+  /// `model` is a batch variant, or null for the tenant's own model.
+  Job make_job(TenantId tenant, TimeNs arrival,
+               const models::ModelDesc* model = nullptr);
   bool visible(const Job& j) const;
   /// The pre-memory visibility rule (LS always; BE per rotation/churn).
   bool visible_rotation(const Job& j) const;
@@ -488,6 +427,8 @@ class ServingSim {
 
   void init();
   void register_tenant(TenantId t);
+  /// Reject a model the frontier cannot run (ConfigError).
+  static void validate_model(const models::ModelDesc& m);
   /// Carve (or release + re-carve) the TPC region backing a guarantee.
   void assign_guarantee_region(TenantId t);
   void release_guarantee_region(TenantId t);
@@ -495,16 +436,24 @@ class ServingSim {
   /// True when `eff_tpcs` trespasses on another active tenant's region.
   bool trespasses(TenantId owner, gpusim::TpcMask eff_tpcs) const;
   /// Compile an explicit Allocation into the canonical LaunchSpec
-  /// (device-covering masks → the legacy 0 = "all" encoding, so explicit
-  /// Allocation::all() and historic {0,0} behave identically).
+  /// (the all() sentinel and device-covering channel sets → 0 = "all").
   LaunchSpec compile_allocation(const control::Allocation& a) const;
+  /// Launch the job's lowest-index ready kernel (the order
+  /// waiting_jobs() exposed). For non-memory-bound kernels the channel
+  /// restriction is ignored (only memory-bound tensors are colored,
+  /// §7.2).
+  void launch(Job& job, LaunchSpec spec);
+  /// Preempt the job's in-flight kernels via the eviction flag (§7.1).
+  /// Restart-from-scratch semantics: progress is lost and each evicted
+  /// kernel returns to the ready set. Kernels already evicting are left
+  /// alone. Only preemptible (best-effort) kernels accept this.
+  void evict(Job& job);
   void arrive(const workload::Request& r);
   void admit(TenantId tenant, TimeNs arrival);
   void admit_or_backlog(TenantId tenant, TimeNs arrival);
-  void finish_kernel(JobId id);
-  /// DAG completion path: retire `kernel` from the frontier, unlock its
-  /// dependents, and finish the job when the whole DAG has run.
-  void finish_kernel_dag(JobId id, int kernel);
+  /// Completion: retire `kernel` from the job's frontier, unlock its
+  /// dependents, and finish the job when every kernel has run.
+  void finish_kernel(JobId id, int kernel);
   /// Shared LS completion tail (erase + record + instance hand-off).
   void complete_ls(std::deque<Job>::iterator it);
   void complete_ls_job(TenantId tenant, TimeNs arrival, bool cold);
@@ -538,13 +487,7 @@ class ServingSim {
 
   ServingConfig cfg_;
   std::vector<TenantSpec> tenants_;
-  /// The scheduling brain. Policy& constructors wrap the policy in an
-  /// owned LegacyPolicyAdapter so there is exactly one scheduling path.
-  control::Controller* controller_ = nullptr;
-  std::unique_ptr<control::Controller> owned_adapter_;
-  /// Non-null while a legacy policy runs under trace_policy(): launch /
-  /// evict / poke_at append their directive here (and still act).
-  control::ResourcePlan* trace_ = nullptr;
+  control::Controller* controller_;  // the scheduling brain
 
   std::unique_ptr<EventQueue> owned_queue_;  // null in fleet mode
   EventQueue& queue_;
@@ -593,7 +536,7 @@ class ServingSim {
 ///                  .add_best_effort(model_i)
 ///                  .add_best_effort(model_j)
 ///                  .best_effort_mode(BeMode::kConcurrent)
-///                  .build(policy);
+///                  .build(controller);
 class ServingSimBuilder {
  public:
   /// Seed the whole ServingConfig at once (fleet drivers deriving a
@@ -671,20 +614,14 @@ class ServingSimBuilder {
     return *this;
   }
 
-  /// The sim keeps a reference to the scheduler; both must outlive
+  /// The sim keeps a reference to the controller; both must outlive
   /// run(). (unique_ptr because the sim's executor holds a reference
   /// into the sim-owned event queue — the sim must not move.)
-  std::unique_ptr<ServingSim> build(Policy& policy) const {
-    return std::make_unique<ServingSim>(cfg_, tenants_, policy);
-  }
   std::unique_ptr<ServingSim> build(control::Controller& controller) const {
     return std::make_unique<ServingSim>(cfg_, tenants_, controller);
   }
   /// Fleet mode: the device sim shares `queue` with its siblings and is
   /// driven through begin()/inject()/finish() by the fleet layer.
-  std::unique_ptr<ServingSim> build(EventQueue& queue, Policy& policy) const {
-    return std::make_unique<ServingSim>(queue, cfg_, tenants_, policy);
-  }
   std::unique_ptr<ServingSim> build(EventQueue& queue,
                                     control::Controller& controller) const {
     return std::make_unique<ServingSim>(queue, cfg_, tenants_, controller);

@@ -22,8 +22,8 @@
 //
 // With no guarantees declared (all-default VgpuSpec), plan() emits
 // exactly the directive sequence the historic imperative schedule()
-// produced, so metrics are bit-for-bit identical — enforced by
-// tests/control_test.cc against a verbatim copy of the legacy code.
+// produced, so metrics are bit-for-bit identical — pinned by the golden
+// run digests in tests/control_test.cc and tests/conformance_test.cc.
 //
 // SgdrcStaticPolicy is §9.2's "SGDRC (Static)" ablation: the same
 // partitions, frozen at an even split, with no tide and no preemption.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <thread>
 
 namespace sgdrc::fleet {
@@ -13,14 +14,15 @@ using workload::TenantMetrics;
 
 FleetSim::FleetSim(FleetConfig cfg, std::vector<FleetTenantSpec> tenants,
                    const PlacementPolicy& placement, Router& router,
-                   const ControllerFactory& make_policy)
+                   const ControllerFactory& make_controller)
     : cfg_(std::move(cfg)),
       tenants_(std::move(tenants)),
       router_(router),
-      make_policy_(make_policy) {
+      make_controller_(make_controller) {
   SGDRC_REQUIRE(cfg_.devices >= 1, "fleet needs at least one device");
   SGDRC_REQUIRE(!tenants_.empty(), "fleet needs at least one tenant");
-  SGDRC_REQUIRE(make_policy != nullptr, "fleet needs a policy factory");
+  SGDRC_REQUIRE(make_controller != nullptr,
+                "fleet needs a controller factory");
   SGDRC_REQUIRE(cfg_.device_specs.empty() ||
                     cfg_.device_specs.size() == cfg_.devices,
                 "device_specs must be empty (homogeneous) or list one "
@@ -51,15 +53,15 @@ FleetSim::FleetSim(FleetConfig cfg, std::vector<FleetTenantSpec> tenants,
   for (DeviceId d = 0; d < cfg_.devices; ++d) {
     shards_.push_back(std::make_unique<EventQueue>());
   }
-  policies_.resize(cfg_.devices);
+  controllers_.resize(cfg_.devices);
   devices_.resize(cfg_.devices);
   for (DeviceId d = 0; d < cfg_.devices; ++d) {
     if (per_device[d].empty()) continue;  // idled by pack placement
-    policies_[d] = make_policy_(device_spec(d));
+    controllers_[d] = make_controller_(device_spec(d));
     devices_[d] = core::ServingSimBuilder()
                       .config(device_config(d))
                       .tenants(per_device[d])
-                      .build(*shards_[d], *policies_[d]);
+                      .build(*shards_[d], *controllers_[d]);
   }
 
   if (cfg_.engine.parallel && cfg_.devices > 1) {
@@ -108,10 +110,10 @@ core::ServingSim& FleetSim::ensure_device(DeviceId d) {
     // shard already exists and sits on the fleet frontier — barriers
     // advance every shard's clock, sims or not — so the new sim's first
     // events land at >= now() like any sibling's.
-    policies_[d] = make_policy_(device_spec(d));
+    controllers_[d] = make_controller_(device_spec(d));
     devices_[d] = core::ServingSimBuilder()
                       .config(device_config(d))
-                      .build(*shards_[d], *policies_[d]);
+                      .build(*shards_[d], *controllers_[d]);
     if (begun_) devices_[d]->begin();
     // A device brought up during an overload inherits the current BE
     // pause state, like its long-lived siblings.
@@ -564,6 +566,31 @@ void FleetSim::schedule_retry(const Request& r, unsigned attempt,
 }
 
 // ---------------------------------------------------------- metrics ----
+
+std::string run_digest(const FleetMetrics& m, bool tenants_only) {
+  std::ostringstream os;
+  os.precision(17);
+  for (const uint64_t r : m.routed) os << r << ',';
+  if (!tenants_only) {
+    const auto& fd = m.front_door;
+    os << '|' << m.events << '|' << fd.arrived << ':' << fd.admitted << ':'
+       << fd.rejected << ':' << fd.shed << ':' << fd.retries << ':'
+       << fd.dropped << ':' << fd.expired << ':' << fd.pending_retries << ':'
+       << fd.be_pause_events << ':' << fd.be_paused_ns;
+    for (const auto* v : {&fd.arrived_by_service, &fd.admitted_by_service,
+                          &fd.rejected_by_service, &fd.shed_by_service,
+                          &fd.dropped_by_service}) {
+      os << '|';
+      for (const uint64_t n : *v) os << n << ',';
+    }
+    for (const auto& d : m.devices) {
+      os << '|' << d.ls_busy_ns << ':' << d.be_busy_ns << ':'
+         << d.guarantee_violations << ':' << d.memory_trespasses;
+    }
+  }
+  workload::render_tenants(os, m.tenants);
+  return workload::fnv1a_hex(os.str());
+}
 
 double FleetMetrics::ls_goodput() const {
   return workload::ls_goodput(tenants, duration);

@@ -144,21 +144,27 @@ struct FleetMetrics {
   double imbalance_max_over_mean() const;
 };
 
+/// Bit-exact digest of a fleet run, in workload::run_digest's scheme: the
+/// router's decisions and every fleet tenant's counters and raw samples,
+/// plus — unless `tenants_only` — the engine's event count, the front
+/// door's books and each device's busy time and violation counters.
+/// `tenants_only` compares runs that may legitimately differ in engine
+/// work, e.g. with and without an observing front door.
+std::string run_digest(const FleetMetrics& m, bool tenants_only = false);
+
 /// Each device runs its own controller instance (controllers are
-/// stateful — tidal clocks, cursors); the factory builds one per device.
-/// Legacy imperative policies slot in through control::adapt().
+/// stateful — tidal clocks, switch timers); the factory builds one per
+/// device.
 using ControllerFactory = control::ControllerFactory;
-/// Historic name, kept so older drivers read naturally.
-using PolicyFactory = ControllerFactory;
 
 class FleetSim {
  public:
   /// `placement` is consulted once, in the constructor; `router` and
-  /// `make_policy`'s products must outlive run(). `make_policy` is also
-  /// kept (by copy) for devices brought up lazily mid-run.
+  /// `make_controller`'s products must outlive run(). `make_controller`
+  /// is also kept (by copy) for devices brought up lazily mid-run.
   FleetSim(FleetConfig cfg, std::vector<FleetTenantSpec> tenants,
            const PlacementPolicy& placement, Router& router,
-           const ControllerFactory& make_policy);
+           const ControllerFactory& make_controller);
 
   /// Replay `trace` fleet-wide; Request::service indexes the LS fleet
   /// tenants in spec order. Single-shot: one run per FleetSim.
@@ -302,7 +308,7 @@ class FleetSim {
   FleetConfig cfg_;
   std::vector<FleetTenantSpec> tenants_;
   Router& router_;
-  ControllerFactory make_policy_;
+  ControllerFactory make_controller_;
   Assignment assignment_;
   /// Fleet-tier queues: control actions (at(); churn, SLO changes,
   /// autoscaler ticks) and trace dispatches (run()'s arrival → route
@@ -323,7 +329,8 @@ class FleetSim {
   /// the pool's condition variable — readiness events, not polling.
   std::unique_ptr<ThreadPool> pool_;
   uint64_t events_ = 0;
-  std::vector<std::unique_ptr<control::Controller>> policies_;  // per device
+  /// One controller per device.
+  std::vector<std::unique_ptr<control::Controller>> controllers_;
   std::vector<std::unique_ptr<core::ServingSim>> devices_;  // null if idle
   std::vector<std::vector<Replica>> replicas_;  // active, per fleet tenant
   std::vector<std::vector<Replica>> retired_;   // removed, kept for metrics

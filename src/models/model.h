@@ -42,9 +42,9 @@ struct ModelDesc {
   std::vector<TensorDesc> tensors;
   /// Explicit dependency edges: kernel_deps[i] lists the kernel indices
   /// kernel i waits on, each strictly less than i (topological order is
-  /// the validated invariant, see ModelBuilder::build_dag()). Empty ⇒
-  /// pure chain: kernel i implicitly depends on kernel i-1 and the
-  /// serving layer takes the exact single-cursor path it always has.
+  /// the validated invariant, see ModelBuilder::build_dag(); ServingSim
+  /// re-checks hand-built lists at tenant registration). Empty ⇒ pure
+  /// chain: kernel i implicitly depends on kernel i-1.
   std::vector<std::vector<int>> kernel_deps;
 
   bool is_ls() const { return service == ServiceClass::kLatencySensitive; }

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
@@ -140,9 +142,10 @@ struct ServingMetrics {
   TimeNs ls_busy_ns = 0;  // wall time with ≥1 LS kernel in flight
   TimeNs be_busy_ns = 0;  // wall time with ≥1 BE kernel in flight
   /// Launches that put a kernel inside another tenant's guaranteed vGPU
-  /// TPC region. Plan-emitting controllers are rejected outright by the
-  /// enforcer, so a non-zero count exposes a guarantee-blind legacy
-  /// policy running against guaranteed tenants.
+  /// TPC region. The enforcer rejects such launches from guarantee-aware
+  /// controllers outright, so a non-zero count exposes a guarantee-blind
+  /// one (Controller::guarantee_aware() == false, e.g. a Fig. 17
+  /// baseline) running against guaranteed tenants.
   uint64_t guarantee_violations = 0;
   /// Weight loads that pushed a tenant past its own declared
   /// VgpuSpec::memory_bytes quota (memory virtualization; quotas are
@@ -189,5 +192,20 @@ struct ServingMetrics {
     return workload::mean_attainment(tenants);
   }
 };
+
+/// Bit-exact digest of a run: 64-bit FNV-1a, as 16 hex digits, over a
+/// precision-17 decimal rendering (doubles round-trip) of every counter
+/// and every raw latency sample. Equal digests mean two runs agree in
+/// every metric the repo reports; golden tests pin them. (Not named
+/// `digest`: perfbench keeps its own unqualified digest() overloads,
+/// which argument-dependent lookup would make ambiguous.)
+std::string run_digest(const ServingMetrics& m);
+
+// The pieces fleet::run_digest builds on.
+std::string fnv1a_hex(std::string_view bytes);
+/// Appends every tenant's counters and raw samples to a precision-17
+/// stream.
+void render_tenants(std::ostream& os,
+                    const std::vector<TenantMetrics>& tenants);
 
 }  // namespace sgdrc::workload

@@ -233,7 +233,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
                              const ScenarioEngineConfig& cfg,
                              const fleet::PlacementPolicy& placement,
                              fleet::Router& router,
-                             const fleet::PolicyFactory& make_policy) {
+                             const fleet::ControllerFactory& make_controller) {
   SGDRC_REQUIRE(cfg.slo_multiplier > 0.0,
                 "scenarios need an explicit SLO multiplier (tenant churn "
                 "makes the per-device default drift)");
@@ -310,7 +310,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
   }
 
   fleet::FleetSim sim(fcfg, std::move(tenants), placement, router,
-                      make_policy);
+                      make_controller);
   fleet::Autoscaler autoscaler(scenario.autoscaler_options());
   const std::vector<Request> trace =
       build_scenario_trace(scenario, initial, cfg);

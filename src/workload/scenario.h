@@ -232,7 +232,7 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
                              const ScenarioEngineConfig& cfg,
                              const fleet::PlacementPolicy& placement,
                              fleet::Router& router,
-                             const fleet::PolicyFactory& make_policy);
+                             const fleet::ControllerFactory& make_controller);
 
 /// Options for the stock scenario library. The factories mint tenants
 /// for churn arrivals (index = arrival ordinal); they may be empty when

@@ -1,247 +1,35 @@
 // Control-plane tests: the declarative ResourcePlan/Controller API, the
 // enforcer inside ServingSim (explicit allocations, guaranteed-region
-// validation, pre_applied traces), vGPU quota wiring (regions, set_vgpu,
-// overcommit), and — the redesign's anchor — bit-for-bit equivalence of
-// the plan-emitting SGDRC controllers with a verbatim copy of the
-// historic imperative implementation.
+// validation, guarantee-blind controllers counted rather than
+// rejected), vGPU quota wiring (regions, set_vgpu, overcommit), and —
+// the redesign's anchor — golden digests pinning the SGDRC controllers
+// to the historic imperative implementation's runs bit for bit.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <functional>
+#include <string>
 
 #include "baselines/baseline_policies.h"
+#include "baselines/registry.h"
 #include "control/controller.h"
 #include "core/harness.h"
 #include "core/sgdrc_policy.h"
 #include "fleet/fleet.h"
 #include "models/zoo.h"
+#include "test_support.h"
 
 namespace sgdrc::core {
 namespace {
 
 using control::Allocation;
-using control::Controller;
 using control::ResourcePlan;
 using control::SimView;
 using control::VgpuSpec;
 using gpusim::ChannelSet;
 using gpusim::TpcMask;
-
-// ===================================================================
-// Verbatim copies of the pre-redesign imperative policies (the last
-// Policy-based SgdrcPolicy/SgdrcStaticPolicy), kept here as the golden
-// reference: the plan-emitting rewrite must reproduce their metrics
-// bit-for-bit on identical fixed-seed runs.
-// ===================================================================
-
-class LegacyImperativeSgdrc : public Policy {
- public:
-  explicit LegacyImperativeSgdrc(const gpusim::GpuSpec& spec,
-                                 SgdrcOptions opt = {})
-      : opt_(opt), num_tpcs_(spec.num_tpcs) {
-    be_channels_ = be_channel_partition(spec, opt_.ch_be);
-    ls_channels_ = gpusim::all_channels(spec.num_channels) & ~be_channels_;
-  }
-
-  std::string name() const override { return "SGDRC (legacy imperative)"; }
-
-  void schedule(ServingSim& sim) override {
-    const auto waiting = sim.waiting_jobs(QosClass::kLatencySensitive);
-    const bool ls_active =
-        !waiting.empty() || sim.inflight(QosClass::kLatencySensitive) > 0;
-
-    if (ls_active) last_ls_activity_ = sim.now();
-
-    struct BeRun {
-      JobId job;
-      TpcMask mask;
-      bool monopolising;
-      bool evicting;
-    };
-    TpcMask ls_used = 0;
-    TpcMask be_mask_running = 0;
-    bool be_memory_bound_in_flight = false;
-    std::vector<BeRun> be_runs;
-    for (const auto& info : sim.exec().running_infos()) {
-      const auto job = sim.find_job(info.tag);
-      if (job && job->qos == QosClass::kBestEffort) {
-        const TpcMask mask =
-            info.tpc_mask ? info.tpc_mask : gpusim::full_tpc_mask(num_tpcs_);
-        be_mask_running |= mask;
-        be_memory_bound_in_flight |= info.kernel->memory_bound;
-        const bool monopolising =
-            info.channels == 0 && info.kernel->memory_bound;
-        be_runs.push_back({job->id, mask, monopolising, job->evicting});
-      } else {
-        ls_used |= info.tpc_mask;
-      }
-    }
-
-    TpcMask claimed_from_be = 0;
-    if (!waiting.empty()) {
-      const bool colocated = be_memory_bound_in_flight;
-      size_t launched = 0;
-      for (const auto& job : waiting) {
-        if (launched >= opt_.sliding_window) break;
-        if (ls_used == gpusim::full_tpc_mask(num_tpcs_)) break;
-        const unsigned need = std::max(1u, job.next_kernel->min_tpcs);
-        TpcMask mask = 0;
-        unsigned got = 0;
-        for (int t = static_cast<int>(num_tpcs_) - 1; t >= 0 && got < need;
-             --t) {
-          const TpcMask bit = gpusim::tpc_bit(static_cast<unsigned>(t));
-          if ((ls_used | be_mask_running) & bit) continue;
-          mask |= bit;
-          ++got;
-        }
-        for (int t = static_cast<int>(num_tpcs_) - 1; t >= 0 && got < need;
-             --t) {
-          const TpcMask bit = gpusim::tpc_bit(static_cast<unsigned>(t));
-          if ((ls_used & bit) || !(be_mask_running & bit)) continue;
-          mask |= bit;
-          ++got;
-          claimed_from_be |= bit;
-        }
-        if (got == 0) break;
-        ls_used |= mask;
-        sim.launch(job.id, {mask, colocated ? ls_channels_ : 0});
-        ++launched;
-      }
-    }
-
-    for (const auto& run : be_runs) {
-      if (run.evicting) continue;
-      if ((ls_active && run.monopolising) || (run.mask & claimed_from_be)) {
-        sim.evict(run.job);
-      }
-    }
-
-    if (!ls_active && claimed_from_be == 0) {
-      for (const auto& run : be_runs) {
-        if (run.evicting) continue;
-        const bool colocated_mode =
-            run.mask != gpusim::full_tpc_mask(num_tpcs_);
-        if (!colocated_mode) continue;
-        if (sim.now() >= last_ls_activity_ + 200 * kNsPerUs) {
-          sim.evict(run.job);
-        } else {
-          sim.poke_at(last_ls_activity_ + 200 * kNsPerUs);
-        }
-      }
-    }
-
-    unsigned window_need = 1;
-    for (const auto* k : sim.upcoming_kernels(QosClass::kLatencySensitive,
-                                              opt_.sliding_window)) {
-      window_need = std::max(window_need, std::max(1u, k->min_tpcs));
-    }
-    window_need = std::max(window_need, gpusim::tpc_count(ls_used));
-    if (window_need >= ls_reserve_) {
-      ls_reserve_ = std::min(num_tpcs_, window_need);
-      last_decay_ = sim.now();
-    } else if (sim.now() >= last_decay_ + opt_.reserve_decay_interval) {
-      const unsigned steps = static_cast<unsigned>(
-          (sim.now() - last_decay_) / opt_.reserve_decay_interval);
-      ls_reserve_ = std::max(
-          window_need, ls_reserve_ > steps ? ls_reserve_ - steps : 1u);
-      last_decay_ = sim.now();
-    }
-
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      if (!ls_active) {
-        sim.launch(job.id, {0, 0});
-      } else {
-        const TpcMask reserved =
-            gpusim::tpc_range(num_tpcs_ - ls_reserve_, ls_reserve_);
-        const TpcMask free =
-            gpusim::full_tpc_mask(num_tpcs_) & ~ls_used & ~reserved;
-        if (free) {
-          sim.launch(job.id, {free, be_channels_});
-        }
-      }
-    }
-  }
-
- private:
-  SgdrcOptions opt_;
-  unsigned num_tpcs_;
-  ChannelSet be_channels_;
-  ChannelSet ls_channels_;
-  TimeNs last_ls_activity_ = 0;
-  unsigned ls_reserve_ = 1;
-  TimeNs last_decay_ = 0;
-};
-
-class LegacyImperativeStatic : public Policy {
- public:
-  explicit LegacyImperativeStatic(const gpusim::GpuSpec& spec) {
-    const unsigned half = spec.num_tpcs / 2;
-    ls_mask_ = gpusim::tpc_range(half, spec.num_tpcs - half);
-    be_mask_ = gpusim::tpc_range(0, half);
-    be_channels_ = be_channel_partition(spec, 0.5);
-    ls_channels_ = gpusim::all_channels(spec.num_channels) & ~be_channels_;
-  }
-
-  std::string name() const override { return "SGDRC Static (legacy)"; }
-
-  void schedule(ServingSim& sim) override {
-    TpcMask ls_used = 0;
-    for (const auto& info : sim.exec().running_infos()) {
-      const auto job = sim.find_job(info.tag);
-      if (!job || job->qos != QosClass::kBestEffort) ls_used |= info.tpc_mask;
-    }
-    for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-      const TpcMask free = ls_mask_ & ~ls_used;
-      if (!free) break;
-      const unsigned need = std::max(1u, job.next_kernel->min_tpcs);
-      TpcMask mask = 0;
-      unsigned got = 0;
-      for (int t = 63; t >= 0 && got < need; --t) {
-        const TpcMask bit = TpcMask{1} << t;
-        if (!(free & bit)) continue;
-        mask |= bit;
-        ++got;
-      }
-      ls_used |= mask;
-      sim.launch(job.id, {mask, ls_channels_});
-    }
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {be_mask_, be_channels_});
-    }
-  }
-
- private:
-  TpcMask ls_mask_, be_mask_;
-  ChannelSet ls_channels_, be_channels_;
-};
-
-// ------------------------------------------------------------------
-// Exact metric equality: the simulation is deterministic, so a faithful
-// rewrite reproduces every counter and every latency sample.
-// ------------------------------------------------------------------
-void expect_metrics_equal(const workload::ServingMetrics& a,
-                          const workload::ServingMetrics& b) {
-  ASSERT_EQ(a.tenants.size(), b.tenants.size());
-  EXPECT_EQ(a.ls_busy_ns, b.ls_busy_ns);
-  EXPECT_EQ(a.be_busy_ns, b.be_busy_ns);
-  EXPECT_EQ(a.guarantee_violations, b.guarantee_violations);
-  for (size_t t = 0; t < a.tenants.size(); ++t) {
-    const auto& x = a.tenants[t];
-    const auto& y = b.tenants[t];
-    EXPECT_EQ(x.arrived, y.arrived) << "tenant " << t;
-    EXPECT_EQ(x.served, y.served) << "tenant " << t;
-    EXPECT_EQ(x.attained, y.attained) << "tenant " << t;
-    EXPECT_EQ(x.evictions, y.evictions) << "tenant " << t;
-    EXPECT_EQ(x.kernels_done, y.kernels_done) << "tenant " << t;
-    EXPECT_EQ(x.batches_completed, y.batches_completed) << "tenant " << t;
-    ASSERT_EQ(x.latency.count(), y.latency.count()) << "tenant " << t;
-    if (!x.latency.empty()) {
-      // Exact double equality on purpose: same samples, same order.
-      EXPECT_EQ(x.latency.mean(), y.latency.mean()) << "tenant " << t;
-      EXPECT_EQ(x.latency.p99(), y.latency.p99()) << "tenant " << t;
-    }
-  }
-}
+using tests::FnController;
+using tests::idle_controller;
+using tests::tiny_be_model;
+using tests::two_be_builder;
 
 HarnessOptions fig17_like_options(double load_scale, BeMode be_mode) {
   HarnessOptions o;
@@ -257,27 +45,11 @@ HarnessOptions fig17_like_options(double load_scale, BeMode be_mode) {
   return o;
 }
 
-TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyImperativeBitForBit) {
-  for (const double load : {1.0, 0.5}) {
-    const ServingHarness h(fig17_like_options(load, BeMode::kRoundRobin));
-    SgdrcPolicy plan_based(h.options().spec);
-    LegacyImperativeSgdrc imperative(h.options().spec);
-    expect_metrics_equal(h.run(plan_based, true), h.run(imperative, true));
-  }
-}
-
-TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyUnderConcurrentBe) {
-  const ServingHarness h(fig17_like_options(1.0, BeMode::kConcurrent));
-  SgdrcPolicy plan_based(h.options().spec);
-  LegacyImperativeSgdrc imperative(h.options().spec);
-  expect_metrics_equal(h.run(plan_based, true), h.run(imperative, true));
-}
-
-TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyInASharedQueueFleet) {
-  // Fleet regression for the full-mask encoding: an LS kernel packed
-  // onto every TPC must stay an *explicit* mask through the enforcer
-  // (only Allocation::all() compiles to the legacy 0), or the next
-  // plan's occupancy snapshot loses it and routing diverges.
+/// The shared-queue fleet config: an LS kernel packed onto every TPC
+/// must stay an *explicit* mask through the enforcer (only
+/// Allocation::all() compiles to the executor's 0 = "all"), or the next
+/// plan's occupancy snapshot loses it and routing diverges.
+fleet::FleetMetrics run_fleet_config(const std::string& system) {
   HarnessOptions o = fig17_like_options(1.0, BeMode::kRoundRobin);
   o.utilization = 0.8;
   const ServingHarness h(o);
@@ -291,103 +63,75 @@ TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyInASharedQueueFleet) {
   }
   const auto trace = workload::generate_apollo_like_trace(topt);
 
-  auto run = [&](const fleet::ControllerFactory& f) {
-    fleet::FleetConfig cfg;
-    cfg.spec = o.spec;
-    cfg.devices = 2;
-    cfg.duration = o.duration;
-    cfg.slo_multiplier = 4.0;
-    cfg.seed = 0xf1ee7;
-    cfg.dispatch_latency = 2 * kNsPerUs;
-    cfg.dispatch_jitter = 3 * kNsPerUs;
-    std::vector<fleet::FleetTenantSpec> tenants;
-    for (size_t i = 0; i < h.ls_count(); ++i) {
-      tenants.push_back(fleet::replicated(
-          latency_sensitive_tenant(h.ls_model_spt(i), h.isolated_latency(i)),
-          2));
-    }
-    for (size_t i = 0; i < h.be_count(); ++i) {
-      tenants.push_back(
-          fleet::replicated(best_effort_tenant(h.be_model_spt(i)), 2));
-    }
-    fleet::QosAwarePlacement placement;
-    fleet::QosLoadAwareRouter router;
-    fleet::FleetSim sim(cfg, std::move(tenants), placement, router, f);
-    return sim.run(trace);
-  };
-  const auto plan_based =
-      run([](const gpusim::GpuSpec& gs) -> std::unique_ptr<Controller> {
-        return std::make_unique<SgdrcPolicy>(gs);
-      });
-  const auto imperative = run([](const gpusim::GpuSpec& gs) {
-    return control::adapt(std::make_unique<LegacyImperativeSgdrc>(gs));
-  });
-  EXPECT_EQ(plan_based.routed, imperative.routed);
-  ASSERT_EQ(plan_based.tenants.size(), imperative.tenants.size());
-  for (size_t t = 0; t < plan_based.tenants.size(); ++t) {
-    EXPECT_EQ(plan_based.tenants[t].served, imperative.tenants[t].served);
-    EXPECT_EQ(plan_based.tenants[t].kernels_done,
-              imperative.tenants[t].kernels_done);
-    ASSERT_EQ(plan_based.tenants[t].latency.count(),
-              imperative.tenants[t].latency.count());
-    if (!plan_based.tenants[t].latency.empty()) {
-      EXPECT_EQ(plan_based.tenants[t].latency.p99(),
-                imperative.tenants[t].latency.p99());
-    }
+  fleet::FleetConfig cfg;
+  cfg.spec = o.spec;
+  cfg.devices = 2;
+  cfg.duration = o.duration;
+  cfg.slo_multiplier = 4.0;
+  cfg.seed = 0xf1ee7;
+  cfg.dispatch_latency = 2 * kNsPerUs;
+  cfg.dispatch_jitter = 3 * kNsPerUs;
+  std::vector<fleet::FleetTenantSpec> tenants;
+  for (size_t i = 0; i < h.ls_count(); ++i) {
+    tenants.push_back(fleet::replicated(
+        latency_sensitive_tenant(h.ls_model_spt(i), h.isolated_latency(i)),
+        2));
   }
+  for (size_t i = 0; i < h.be_count(); ++i) {
+    tenants.push_back(
+        fleet::replicated(best_effort_tenant(h.be_model_spt(i)), 2));
+  }
+  fleet::QosAwarePlacement placement;
+  fleet::QosLoadAwareRouter router;
+  fleet::FleetSim sim(cfg, std::move(tenants), placement, router,
+                      baselines::system(system).make);
+  return sim.run(trace);
+}
+
+// ------------------------------------------------------------------
+// Golden digests (workload::run_digest, fleet::run_digest) of the SGDRC
+// controllers on four configs, recorded while the plan path was still
+// checked against a verbatim copy of the historic imperative
+// implementation: a faithful controller keeps reproducing every counter
+// and every latency sample.
+// ------------------------------------------------------------------
+std::string run_harness_config(const std::string& system, double load,
+                               BeMode be_mode) {
+  const ServingHarness h(fig17_like_options(load, be_mode));
+  const auto controller = baselines::make_system(system, h.options().spec);
+  return workload::run_digest(h.run(*controller, true));
+}
+
+TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyImperativeBitForBit) {
+  EXPECT_EQ(run_harness_config("SGDRC", 1.0, BeMode::kRoundRobin),
+            "b3f36bd3defc30c2");
+  EXPECT_EQ(run_harness_config("SGDRC", 0.5, BeMode::kRoundRobin),
+            "02c4249126f0a978");
+}
+
+TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyUnderConcurrentBe) {
+  EXPECT_EQ(run_harness_config("SGDRC", 1.0, BeMode::kConcurrent),
+            "b2564c1e089103d7");
+}
+
+TEST(PlanEquivalence, SgdrcPlanPathMatchesLegacyInASharedQueueFleet) {
+  EXPECT_EQ(fleet::run_digest(run_fleet_config("SGDRC")), "2e46a27abe5c9697");
 }
 
 TEST(PlanEquivalence, StaticPlanPathMatchesLegacyImperativeBitForBit) {
-  const ServingHarness h(fig17_like_options(1.0, BeMode::kRoundRobin));
-  SgdrcStaticPolicy plan_based(h.options().spec);
-  LegacyImperativeStatic imperative(h.options().spec);
-  expect_metrics_equal(h.run(plan_based, true), h.run(imperative, true));
+  const std::string system = "SGDRC (Static)";
+  EXPECT_EQ(run_harness_config(system, 1.0, BeMode::kRoundRobin),
+            "7df652ad9c2eea6d");
+  EXPECT_EQ(run_harness_config(system, 0.5, BeMode::kRoundRobin),
+            "7825974bb2e86eb0");
+  EXPECT_EQ(run_harness_config(system, 1.0, BeMode::kConcurrent),
+            "932091638fb475f1");
+  EXPECT_EQ(fleet::run_digest(run_fleet_config(system)), "7235dfdf94a94b53");
 }
 
 // ===================================================================
 // Plan / enforcer mechanics on a small synthetic setup.
 // ===================================================================
-
-/// Controller driven by a std::function — scripts plans from tests.
-class FnController : public Controller {
- public:
-  explicit FnController(std::function<ResourcePlan(const SimView&)> fn)
-      : fn_(std::move(fn)) {}
-  std::string name() const override { return "test-fn-controller"; }
-  ResourcePlan plan(const SimView& view) override { return fn_(view); }
-
- private:
-  std::function<ResourcePlan(const SimView&)> fn_;
-};
-
-models::ModelDesc tiny_be_model(const std::string& name, char letter) {
-  models::ModelDesc m;
-  m.name = name;
-  m.letter = letter;
-  m.service = models::ServiceClass::kBestEffort;
-  m.batch = 4;
-  for (int i = 0; i < 3; ++i) {
-    gpusim::KernelDesc k;
-    k.name = name + ".k" + std::to_string(i);
-    k.flops = 4'000'000;
-    k.bytes = 200'000;
-    k.blocks = 64;
-    k.max_useful_tpcs = 4;
-    k.preemptible = true;
-    k.memory_bound = i == 1;
-    k.min_tpcs = 1;
-    m.kernels.push_back(std::move(k));
-  }
-  return m;
-}
-
-ServingSimBuilder two_be_builder() {
-  return ServingSimBuilder()
-      .gpu(gpusim::test_gpu())
-      .duration(20 * kNsPerMs)
-      .add_best_effort(tiny_be_model("tiny-x", 'X'))
-      .add_best_effort(tiny_be_model("tiny-y", 'Y'));
-}
 
 TEST(ResourcePlanApi, EmptyAllocationIsRejectedLoudly) {
   // The zero-means-all footgun is gone: a plan with a default-initialised
@@ -458,7 +202,7 @@ TEST(ResourcePlanApi, WakeAtDirectiveReplansLater) {
 // ===================================================================
 
 TEST(VgpuQuota, RegionsAreCarvedDisjointLsTopBeBottom) {
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   auto sim = ServingSimBuilder()
                  .gpu(gpusim::test_gpu())  // 4 TPCs
                  .duration(1 * kNsPerMs)
@@ -477,7 +221,7 @@ TEST(VgpuQuota, RegionsAreCarvedDisjointLsTopBeBottom) {
 }
 
 TEST(VgpuQuota, OvercommittedGuaranteesAreRejectedAtConstruction) {
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   EXPECT_THROW(ServingSimBuilder()
                    .gpu(gpusim::test_gpu())  // 4 TPCs
                    .add_best_effort(tiny_be_model("tiny-x", 'X'))
@@ -514,17 +258,19 @@ TEST(VgpuQuota, PlanTrespassingOnForeignRegionIsRejected) {
 }
 
 TEST(VgpuQuota, LegacyPoliciesAreCountedNotCrashed) {
-  // A guarantee-blind imperative policy (Multi-streaming launches
-  // everything whole-device) runs against guaranteed tenants: its traced
-  // plans are logs, so the run completes, but every trespass is counted.
+  // A guarantee-blind baseline (Multi-streaming launches everything
+  // whole-device) runs against guaranteed tenants: it is not
+  // guarantee_aware(), so the enforcer applies its trespassing plans —
+  // the run completes — and counts every trespass.
   baselines::MultiStreamPolicy ms;
+  EXPECT_FALSE(ms.guarantee_aware());
   auto sim = two_be_builder().quota({.guaranteed_tpcs = 2}).build(ms);
   const auto m = sim->run({});
   EXPECT_GT(m.guarantee_violations, 0u);
 }
 
 TEST(VgpuQuota, SetVgpuRecarvesAndValidates) {
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   auto sim = two_be_builder().build(idle);
   EXPECT_EQ(sim->guaranteed_mask(0), 0u);
   sim->set_vgpu(0, {.guaranteed_tpcs = 2});
@@ -543,7 +289,7 @@ TEST(VgpuQuota, SetVgpuRecarvesAndValidates) {
 }
 
 TEST(VgpuQuota, RemovalReleasesTheRegion) {
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   auto sim = two_be_builder().quota({.guaranteed_tpcs = 3}).build(idle);
   EXPECT_EQ(gpusim::tpc_count(sim->guaranteed_mask(1)), 3u);
   sim->begin();
@@ -560,7 +306,7 @@ TEST(VgpuQuota, UnequalBeWeightsPartitionTheTideProportionally) {
   // the *whole* pool (the heavy tenant gets ~3x, and the last tenant
   // picks up the rounding dust — nothing idles). Equal weights keep the
   // legacy full-overlap sharing, covered by the equivalence suite.
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   auto sim = ServingSimBuilder()
                  .gpu(gpusim::rtx_a2000())  // 13 TPCs
                  .duration(20 * kNsPerMs)
@@ -626,7 +372,7 @@ TEST(VgpuQuota, SgdrcControllerKeepsBeOutOfGuaranteedLsRegion) {
 
 TEST(BuilderApi, FleetModeOverloadSharesTheExternalQueue) {
   EventQueue queue;
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   ServingConfig cfg;
   cfg.spec = gpusim::test_gpu();
   cfg.duration = 5 * kNsPerMs;
@@ -650,7 +396,7 @@ TEST(BuilderApi, ConfigSeedsEveryField) {
   cfg.slo_multiplier = 3.5;
   cfg.be_mode = BeMode::kConcurrent;
   cfg.seed = 0xabc;
-  FnController idle([](const SimView&) { return ResourcePlan{}; });
+  FnController idle = idle_controller();
   auto sim = ServingSimBuilder()
                  .config(cfg)
                  .tenants({best_effort_tenant(tiny_be_model("tiny-x", 'X'))})

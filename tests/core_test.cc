@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <sstream>
 #include <string>
 
 #include "baselines/baseline_policies.h"
@@ -15,11 +14,19 @@
 #include "core/serving.h"
 #include "core/sgdrc_policy.h"
 #include "models/zoo.h"
+#include "test_support.h"
 
 namespace sgdrc::core {
 namespace {
 
+using control::Allocation;
+using control::ResourcePlan;
+using control::SimView;
 using gpusim::GpuSpec;
+using tests::FnController;
+using tests::launch_all_waiting;
+using tests::tiny_be_model;
+using tests::two_be_builder;
 
 GpuSpec small_spec() { return gpusim::test_gpu(); }
 
@@ -248,69 +255,29 @@ TEST_F(ServingTest, TgsPaysContextSwitches) {
 
 // ----------------------------------------------------- Tenant API ----
 
-/// Policy driven by a std::function — scripts the new API from tests.
-class FnPolicy : public Policy {
- public:
-  explicit FnPolicy(std::function<void(ServingSim&)> fn)
-      : fn_(std::move(fn)) {}
-  std::string name() const override { return "test-fn"; }
-  void schedule(ServingSim& sim) override { fn_(sim); }
-
- private:
-  std::function<void(ServingSim&)> fn_;
-};
-
-/// A small synthetic BE model whose batches finish in tens of
-/// microseconds on the 4-TPC test GPU, so round-robin rotation cycles
-/// many times within a short simulated run.
-models::ModelDesc tiny_be_model(const std::string& name, char letter) {
-  models::ModelDesc m;
-  m.name = name;
-  m.letter = letter;
-  m.service = models::ServiceClass::kBestEffort;
-  m.batch = 4;
-  for (int i = 0; i < 3; ++i) {
-    gpusim::KernelDesc k;
-    k.name = name + ".k" + std::to_string(i);
-    k.flops = 4'000'000;
-    k.bytes = 200'000;
-    k.blocks = 64;
-    k.max_useful_tpcs = 4;
-    k.preemptible = true;
-    k.memory_bound = i == 1;  // one memory-bound kernel per batch
-    k.min_tpcs = 1;
-    m.kernels.push_back(std::move(k));
-  }
-  return m;
-}
-
-ServingSimBuilder two_be_builder() {
-  return ServingSimBuilder()
-      .gpu(small_spec())
-      .duration(20 * kNsPerMs)
-      .add_best_effort(tiny_be_model("tiny-x", 'X'))
-      .add_best_effort(tiny_be_model("tiny-y", 'Y'));
-}
-
 TEST(TenantApi, ScheduleIsIdempotentAndLaunchedJobsLeaveTheWaitingSet) {
-  // schedule() fires after every state change; a correct substrate must
-  // (a) not re-offer a job that was just launched and (b) reject a
-  // second launch of an in-flight job.
+  // Plans are recomputed after every state change; a correct substrate
+  // must (a) not re-offer a job whose kernel it just launched and (b)
+  // reject a plan that launches an in-flight job again.
   size_t launches = 0;
-  FnPolicy policy([&](ServingSim& sim) {
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-      ++launches;
-      // The launched job must vanish from the waiting view immediately.
-      for (const auto& w : sim.waiting_jobs(QosClass::kBestEffort)) {
-        EXPECT_NE(w.id, job.id);
-      }
-      EXPECT_THROW(sim.launch(job.id, {}), ConfigError);
-    }
+  FnController c([&](const SimView& view) {
+    const ResourcePlan p = launch_all_waiting(view);
+    launches += p.size();
+    return p;
   });
-  auto sim = two_be_builder().build(policy);
-  const auto m = sim->run({});
-  EXPECT_GT(launches, 0u);
+  EventQueue queue;
+  auto sim = two_be_builder().build(queue, c);
+  sim->begin();  // the first plan launches the resident batch loop
+  const SimView view(*sim);
+  const auto be = view.jobs(QosClass::kBestEffort);
+  ASSERT_EQ(be.size(), 1u);
+  EXPECT_TRUE(be[0].in_flight);
+  EXPECT_TRUE(view.waiting_jobs(QosClass::kBestEffort).empty());
+  EXPECT_THROW(sim->apply(ResourcePlan().launch(be[0].id, Allocation::all())),
+               ConfigError);
+  queue.run_until(sim->config().duration);
+  const auto m = sim->finish();
+  EXPECT_GT(launches, 1u);
   uint64_t done = 0;
   for (const auto* b : m.of_class(QosClass::kBestEffort)) {
     done += b->kernels_done;
@@ -320,37 +287,36 @@ TEST(TenantApi, ScheduleIsIdempotentAndLaunchedJobsLeaveTheWaitingSet) {
 
 TEST(TenantApi, EvictRestartsTheSameKernelFromScratch) {
   // §7.1 reset semantics: an evicted kernel loses all progress and the
-  // job's cursor stays put — the next launch() runs the same kernel.
-  const gpusim::KernelDesc* launched = nullptr;
-  bool evicted_once = false;
-  FnPolicy policy([&](ServingSim& sim) {
-    const auto waiting = sim.waiting_jobs(QosClass::kBestEffort);
-    if (!waiting.empty()) {
-      const auto& job = waiting.front();
-      if (evicted_once && launched != nullptr) {
-        // After the eviction landed, the job offers the SAME kernel.
-        EXPECT_EQ(job.next_kernel, launched);
-        launched = nullptr;  // checked; stop pinning
-      } else if (!evicted_once) {
-        launched = job.next_kernel;
-      }
-      sim.launch(job.id, {});
-      if (!evicted_once) {
-        // Preempt the very kernel we just launched.
-        const auto view = sim.find_job(job.id);
-        ASSERT_TRUE(view.has_value());
-        EXPECT_TRUE(view->in_flight);
-        sim.evict(job.id);
-        evicted_once = true;
-      }
+  // job's frontier returns it to the ready set — the next launch runs
+  // the same kernel.
+  const gpusim::KernelDesc* evicted = nullptr;
+  bool rechecked = false;
+  FnController c([&](const SimView& view) {
+    ResourcePlan p;
+    const auto waiting = view.waiting_jobs(QosClass::kBestEffort);
+    if (waiting.empty()) return p;
+    const auto& job = waiting.front();
+    if (evicted == nullptr) {
+      // Launch a kernel and preempt that very kernel in the same plan.
+      evicted = job.next_kernel;
+      p.launch(job.id, Allocation::all()).evict(job.id);
+      return p;
     }
+    if (!rechecked) {
+      // After the eviction landed, the job offers the SAME kernel.
+      EXPECT_EQ(job.next_kernel, evicted);
+      rechecked = true;
+    }
+    p.launch(job.id, Allocation::all());
+    return p;
   });
   auto sim = ServingSimBuilder()
                  .gpu(small_spec())
                  .duration(20 * kNsPerMs)
                  .add_best_effort(tiny_be_model("tiny-e", 'E'))
-                 .build(policy);
+                 .build(c);
   const auto m = sim->run({});
+  EXPECT_TRUE(rechecked);
   const auto bes = m.of_class(QosClass::kBestEffort);
   ASSERT_EQ(bes.size(), 1u);
   EXPECT_EQ(bes[0]->evictions, 1u);
@@ -359,16 +325,17 @@ TEST(TenantApi, EvictRestartsTheSameKernelFromScratch) {
 }
 
 TEST(TenantApi, ViewsAreConsistentAcrossAccessors) {
-  FnPolicy policy([&](ServingSim& sim) {
-    const auto all = sim.jobs();
-    const auto ls = sim.jobs(QosClass::kLatencySensitive);
-    const auto be = sim.jobs(QosClass::kBestEffort);
+  FnController c([&](const SimView& view) {
+    const auto all = view.jobs();
+    const auto ls = view.jobs(QosClass::kLatencySensitive);
+    const auto be = view.jobs(QosClass::kBestEffort);
     EXPECT_EQ(all.size(), ls.size() + be.size());
     size_t inflight_ls = 0, inflight_be = 0;
     for (const auto& v : all) {
       // find_job agrees field-for-field with the enumeration view.
-      const auto f = sim.find_job(v.id);
-      ASSERT_TRUE(f.has_value());
+      const auto f = view.find_job(v.id);
+      EXPECT_TRUE(f.has_value());
+      if (!f) continue;
       EXPECT_EQ(f->tenant, v.tenant);
       EXPECT_EQ(f->qos, v.qos);
       EXPECT_EQ(f->in_flight, v.in_flight);
@@ -378,24 +345,19 @@ TEST(TenantApi, ViewsAreConsistentAcrossAccessors) {
       (v.qos == QosClass::kLatencySensitive ? inflight_ls : inflight_be) +=
           v.in_flight;
       // The view's tenant really is of the view's class.
-      EXPECT_EQ(sim.tenant(v.tenant).qos, v.qos);
+      EXPECT_EQ(view.tenant(v.tenant).qos, v.qos);
     }
-    EXPECT_EQ(sim.inflight(QosClass::kLatencySensitive), inflight_ls);
-    EXPECT_EQ(sim.inflight(QosClass::kBestEffort), inflight_be);
+    EXPECT_EQ(view.inflight(QosClass::kLatencySensitive), inflight_ls);
+    EXPECT_EQ(view.inflight(QosClass::kBestEffort), inflight_be);
     // Waiting views are exactly the not-in-flight visible jobs.
     for (const auto qos :
          {QosClass::kLatencySensitive, QosClass::kBestEffort}) {
       size_t waiting_expected = 0;
-      for (const auto& v : sim.jobs(qos)) waiting_expected += !v.in_flight;
-      EXPECT_EQ(sim.waiting_jobs(qos).size(), waiting_expected);
+      for (const auto& v : view.jobs(qos)) waiting_expected += !v.in_flight;
+      EXPECT_EQ(view.waiting_jobs(qos).size(), waiting_expected);
     }
     // Keep the sim busy so views change between invocations.
-    for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-      sim.launch(job.id, {});
-    }
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-    }
+    return launch_all_waiting(view);
   });
   HarnessOptions o;
   o.spec = small_spec();
@@ -405,32 +367,28 @@ TEST(TenantApi, ViewsAreConsistentAcrossAccessors) {
   o.duration = 100 * kNsPerMs;
   o.seed = 7;
   ServingHarness h(o);
-  const auto m = h.run(policy, false);
+  const auto m = h.run(c, false);
   EXPECT_GT(m.overall_throughput(), 0.0);
 }
 
 TEST(TenantApi, RoundRobinExposesOneBeJobConcurrentExposesAll) {
   bool saw_two_concurrent = false;
-  FnPolicy rr_policy([&](ServingSim& sim) {
-    EXPECT_LE(sim.jobs(QosClass::kBestEffort).size(), 1u);
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-    }
+  FnController rr_controller([&](const SimView& view) {
+    EXPECT_LE(view.jobs(QosClass::kBestEffort).size(), 1u);
+    return launch_all_waiting(view);
   });
-  auto rr = two_be_builder().build(rr_policy);
+  auto rr = two_be_builder().build(rr_controller);
   const auto m_rr = rr->run({});
 
-  FnPolicy conc_policy([&](ServingSim& sim) {
-    if (sim.jobs(QosClass::kBestEffort).size() == 2) {
+  FnController conc_controller([&](const SimView& view) {
+    if (view.jobs(QosClass::kBestEffort).size() == 2) {
       saw_two_concurrent = true;
     }
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-    }
+    return launch_all_waiting(view);
   });
   auto conc = two_be_builder()
                   .best_effort_mode(BeMode::kConcurrent)
-                  .build(conc_policy);
+                  .build(conc_controller);
   const auto m_conc = conc->run({});
 
   EXPECT_TRUE(saw_two_concurrent);
@@ -453,27 +411,24 @@ TEST(TenantApi, RoundRobinExposesOneBeJobConcurrentExposesAll) {
 
 TEST(TenantApi, LaunchOnNonResidentBeJobIsRejected) {
   // In round-robin mode only the resident BE tenant is schedulable; a
-  // stale JobId from the other tenant must be refused, not silently run.
-  bool probed = false;
-  FnPolicy policy([&](ServingSim& sim) {
-    const auto be = sim.jobs(QosClass::kBestEffort);
-    ASSERT_EQ(be.size(), 1u);  // rotation exposes exactly one
-    if (!probed) {
-      probed = true;
-      // The two BE batch loops get the first two JobIds at construction;
-      // exactly one of them is resident right now — the other must be
-      // rejected.
-      const JobId resident = be.front().id;
-      const JobId hidden = resident == 1 ? 2 : 1;
-      EXPECT_THROW(sim.launch(hidden, {}), ConfigError);
-    }
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-    }
+  // plan naming the other tenant's (stale) JobId must be refused, not
+  // silently run.
+  FnController c([](const SimView& view) {
+    EXPECT_EQ(view.jobs(QosClass::kBestEffort).size(), 1u);
+    return launch_all_waiting(view);
   });
-  auto sim = two_be_builder().build(policy);
-  const auto m = sim->run({});
-  EXPECT_TRUE(probed);
+  EventQueue queue;
+  auto sim = two_be_builder().build(queue, c);
+  sim->begin();
+  // The two BE batch loops get the first two JobIds at construction;
+  // exactly one of them is resident right now — the other is rejected.
+  const auto be = SimView(*sim).jobs(QosClass::kBestEffort);
+  ASSERT_EQ(be.size(), 1u);
+  const JobId hidden = be.front().id == 1 ? 2 : 1;
+  EXPECT_THROW(sim->apply(ResourcePlan().launch(hidden, Allocation::all())),
+               ConfigError);
+  queue.run_until(sim->config().duration);
+  const auto m = sim->finish();
   // Both tenants took turns through the rotation.
   for (const auto* b : m.of_class(QosClass::kBestEffort)) {
     EXPECT_GT(b->kernels_done, 0u) << b->name;
@@ -489,19 +444,17 @@ TEST(TenantApi, PerTenantInstanceOverrides) {
   const TimeNs iso = prof.isolated_latency(ls);
 
   size_t max_jobs = 0;
-  FnPolicy policy([&](ServingSim& sim) {
+  FnController c([&](const SimView& view) {
     max_jobs = std::max(max_jobs,
-                        sim.jobs(QosClass::kLatencySensitive).size());
-    for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-      sim.launch(job.id, {});
-    }
+                        view.jobs(QosClass::kLatencySensitive).size());
+    return launch_all_waiting(view);
   });
   auto sim = ServingSimBuilder()
                  .gpu(small_spec())
                  .duration(50 * kNsPerMs)
                  .default_ls_instances(4)
                  .add_latency_sensitive(ls, iso, /*instances=*/1)
-                 .build(policy);
+                 .build(c);
   // A burst of simultaneous arrivals; with instances=1 they serialize.
   std::vector<workload::Request> burst;
   for (int i = 0; i < 6; ++i) burst.push_back({1000, 0});
@@ -511,6 +464,66 @@ TEST(TenantApi, PerTenantInstanceOverrides) {
   ASSERT_EQ(lsm.size(), 1u);
   EXPECT_EQ(lsm[0]->arrived, 6u);
   EXPECT_EQ(lsm[0]->served, 6u);
+}
+
+// ------------------------------------------------ tenant validation ----
+// A model the frontier cannot run (no kernels, or a kernel_deps list
+// that is not one strictly ascending list of earlier kernels per kernel)
+// would crash or stall the run, so registration rejects it — at
+// construction and mid-run — with a ConfigError naming the problem.
+
+void expect_rejected(const TenantSpec& bad, const std::string& why) {
+  FnController idle = tests::idle_controller();
+  const auto check = [&](const std::function<void()>& register_bad) {
+    try {
+      register_bad();
+      ADD_FAILURE() << "accepted a malformed model (" << why << ")";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  check([&] {
+    ServingSimBuilder().gpu(small_spec()).add_tenant(bad).build(idle);
+  });
+  auto sim = ServingSimBuilder().gpu(small_spec()).build(idle);
+  check([&] { sim->add_tenant(bad); });
+  EXPECT_EQ(sim->tenant_count(), 0u);  // the rejected tenant left no trace
+}
+
+/// tiny_be_model's three kernels with hand-built dependency lists.
+TenantSpec be_with_deps(std::vector<std::vector<int>> deps) {
+  auto m = tiny_be_model("hand-dag", 'H');
+  m.kernel_deps = std::move(deps);
+  return best_effort_tenant(std::move(m));
+}
+
+TEST(TenantValidation, ModelWithoutKernelsIsRejected) {
+  models::ModelDesc empty;
+  empty.name = "empty";
+  expect_rejected(latency_sensitive_tenant(empty, kNsPerMs),
+                  "at least one kernel");
+  expect_rejected(best_effort_tenant(empty), "at least one kernel");
+}
+
+TEST(TenantValidation, ForwardEdgeIsRejected) {
+  expect_rejected(be_with_deps({{}, {2}, {0}}), "earlier kernel");
+}
+
+TEST(TenantValidation, OutOfRangeEdgeIsRejected) {
+  expect_rejected(be_with_deps({{}, {0}, {7}}), "earlier kernel");
+}
+
+TEST(TenantValidation, UnsortedDependencyListIsRejected) {
+  expect_rejected(be_with_deps({{}, {0}, {1, 0}}), "strictly ascending");
+}
+
+TEST(TenantValidation, DuplicateEdgeIsRejected) {
+  expect_rejected(be_with_deps({{}, {0}, {0, 0}}), "strictly ascending");
+}
+
+TEST(TenantValidation, ShortDependencyListsAreRejected) {
+  expect_rejected(be_with_deps({{}, {0}}), "one list per kernel");
 }
 
 // Regression: a tenant that served zero requests used to report 100%
@@ -567,27 +580,29 @@ TEST(DagFrontier, CoSchedulesIndependentKernels) {
   // "Launch every waiting entry" must put all three branches in flight
   // at once — one request finally uses more than one kernel's worth of
   // the GPU.
-  size_t max_inflight = 0;
-  FnPolicy policy([&](ServingSim& sim) {
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-    }
-    // A drained frontier rejects further launches (nothing ready).
-    for (const auto& job : sim.jobs(QosClass::kBestEffort)) {
-      if (job.in_flight) {
-        EXPECT_THROW(sim.launch(job.id, {}), ConfigError);
-      }
-    }
-    max_inflight =
-        std::max(max_inflight, sim.inflight(QosClass::kBestEffort));
-  });
+  FnController c(launch_all_waiting);
+  EventQueue queue;
+  const TimeNs duration = 20 * kNsPerMs;
   auto sim = ServingSimBuilder()
                  .gpu(small_spec())
-                 .duration(20 * kNsPerMs)
+                 .duration(duration)
                  .add_best_effort(wide_dag_model(
                      "wide", 'W', models::ServiceClass::kBestEffort))
-                 .build(policy);
-  const auto m = sim->run({});
+                 .build(queue, c);
+  sim->begin();  // the stem launches; nothing else is ready yet
+  const SimView view(*sim);
+  const auto be = view.jobs(QosClass::kBestEffort);
+  ASSERT_EQ(be.size(), 1u);
+  ASSERT_TRUE(be[0].in_flight);
+  // A drained frontier rejects further launches (nothing ready).
+  EXPECT_THROW(sim->apply(ResourcePlan().launch(be[0].id, Allocation::all())),
+               ConfigError);
+  size_t max_inflight = 0;
+  while (queue.peek_next_time().value_or(duration + 1) <= duration) {
+    queue.run_next();
+    max_inflight = std::max(max_inflight, view.inflight(QosClass::kBestEffort));
+  }
+  const auto m = sim->finish();
   EXPECT_GE(max_inflight, 3u);
   EXPECT_GT(m.of_class(QosClass::kBestEffort)[0]->batches_completed, 0u);
 }
@@ -597,48 +612,32 @@ TEST(DagFrontier, EvictReturnsEvictedKernelsToReady) {
   // every in-flight branch back, and each lands in the ready set again.
   bool evict_issued = false;
   size_t max_ready_after = 0;
-  FnPolicy policy([&](ServingSim& sim) {
-    const auto jobs = sim.jobs(QosClass::kBestEffort);
-    if (jobs.empty()) return;
-    if (!evict_issued) {
-      for (const auto& w : sim.waiting_jobs(QosClass::kBestEffort)) {
-        sim.launch(w.id, {});
-      }
-      if (sim.inflight(QosClass::kBestEffort) >= 3) {
-        sim.evict(jobs.front().id);
-        evict_issued = true;
-      }
-    } else {
+  FnController c([&](const SimView& view) {
+    ResourcePlan p;
+    const auto waiting = view.waiting_jobs(QosClass::kBestEffort);
+    if (evict_issued) {
       // Stop launching; watch the evictions land back in the ready set.
-      max_ready_after = std::max(
-          max_ready_after, sim.waiting_jobs(QosClass::kBestEffort).size());
+      max_ready_after = std::max(max_ready_after, waiting.size());
+      return p;
     }
+    for (const auto& w : waiting) p.launch(w.id, Allocation::all());
+    if (waiting.size() >= 3) {
+      // The three branches: launch them all, then pull them all back.
+      p.evict(waiting.front().id);
+      evict_issued = true;
+    }
+    return p;
   });
   auto sim = ServingSimBuilder()
                  .gpu(small_spec())
                  .duration(5 * kNsPerMs)
                  .add_best_effort(wide_dag_model(
                      "wide", 'W', models::ServiceClass::kBestEffort))
-                 .build(policy);
-  sim->run({});
+                 .build(c);
+  const auto m = sim->run({});
   EXPECT_TRUE(evict_issued);
+  EXPECT_EQ(m.tenants[0].evictions, 3u);
   EXPECT_GE(max_ready_after, 3u);
-}
-
-/// Exact textual fingerprint of a serving run (precision 17: doubles
-/// round-trip), down to every raw latency sample.
-std::string serving_digest(const workload::ServingMetrics& m) {
-  std::ostringstream os;
-  os.precision(17);
-  for (const auto& t : m.tenants) {
-    os << t.id << ": arrived=" << t.arrived << " served=" << t.served
-       << " attained=" << t.attained << " kernels=" << t.kernels_done
-       << " batches=" << t.batches_completed << " evictions=" << t.evictions
-       << " lat=";
-    for (const auto s : t.latency.raw()) os << s << ' ';
-    os << '\n';
-  }
-  return os.str();
 }
 
 std::string run_wide_model_once() {
@@ -663,7 +662,7 @@ std::string run_wide_model_once() {
                  .build(controller);
   const auto m = sim->run(trace);
   EXPECT_GT(m.tenants[0].served, 0u);
-  return serving_digest(m);
+  return workload::run_digest(m);
 }
 
 TEST(DagFrontier, RerunsAreBitIdentical) {

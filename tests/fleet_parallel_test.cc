@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,7 @@ const Zoo& zoo() {
   return z;
 }
 
-PolicyFactory sgdrc_factory() {
+ControllerFactory sgdrc_factory() {
   return [](const gpusim::GpuSpec& spec)
              -> std::unique_ptr<control::Controller> {
     return std::make_unique<core::SgdrcPolicy>(spec);
@@ -53,23 +52,6 @@ PolicyFactory sgdrc_factory() {
 
 /// Exact textual fingerprint of a whole fleet run: event count, router
 /// decisions, and per-tenant counters down to every raw latency sample.
-/// Two runs with equal digests are bit-identical in every metric the
-/// repo reports.
-std::string digest(const FleetMetrics& m) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "events=" << m.events << "\nrouted=";
-  for (const uint64_t r : m.routed) os << r << ',';
-  for (const auto& t : m.tenants) {
-    os << "\ntenant " << t.id << ": arrived=" << t.arrived
-       << " served=" << t.served << " attained=" << t.attained
-       << " kernels=" << t.kernels_done << " lat=";
-    for (const auto s : t.latency.raw()) os << s << ' ';
-  }
-  os << '\n';
-  return os.str();
-}
-
 std::vector<FleetTenantSpec> mixed_tenants(unsigned devices) {
   const auto& z = zoo();
   const unsigned reps = std::min(devices, 3u);
@@ -116,7 +98,7 @@ std::string run_digest(unsigned devices, bool parallel, unsigned threads,
   for (const auto& t : m.tenants) served += t.served;
   EXPECT_GT(served, 0u);
   EXPECT_GT(m.events, 0u);
-  return digest(m);
+  return run_digest(m);
 }
 
 // ------------------------------------------------- bit-identity grid ----
@@ -185,7 +167,7 @@ std::string run_scripted(bool parallel, unsigned threads) {
   fleet.at(20 * kNsPerMs, [&fleet] { fleet.set_slo_factor(0.9); });
   fleet.at(50 * kNsPerMs, [&fleet] { fleet.remove_replica(0, 0); });
   fleet.run_until(duration);
-  return digest(fleet.finish());
+  return run_digest(fleet.finish());
 }
 
 TEST(FleetParallel, BitIdenticalUnderScriptedChurn) {
@@ -228,14 +210,7 @@ std::string run_overload(bool parallel, unsigned threads, bool hetero) {
   // The storm must actually storm, or the digest compares idle doors.
   EXPECT_GT(fd.rejected, 0u);
   EXPECT_GT(fd.retries, 0u);
-  std::ostringstream os;
-  os << digest(m) << "door arrived=" << fd.arrived << " admitted="
-     << fd.admitted << " rejected=" << fd.rejected << " shed=" << fd.shed
-     << " retries=" << fd.retries << " dropped=" << fd.dropped
-     << " expired=" << fd.expired << " pending=" << fd.pending_retries
-     << " pauses=" << fd.be_pause_events << " paused_ns="
-     << fd.be_paused_ns << '\n';
-  return os.str();
+  return run_digest(m);  // the full digest covers the door's books
 }
 
 TEST(FleetParallel, BitIdenticalThroughRetryStorm) {
@@ -302,7 +277,7 @@ std::string run_dag_digest(bool parallel, unsigned threads) {
   uint64_t served = 0;
   for (const auto& t : m.tenants) served += t.served;
   EXPECT_GT(served, 0u);
-  return digest(m);
+  return run_digest(m);
 }
 
 TEST(FleetParallel, BitIdenticalWithDagModelFrontiers) {

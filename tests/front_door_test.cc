@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,7 @@ const Zoo& zoo() {
   return z;
 }
 
-PolicyFactory sgdrc_factory() {
+ControllerFactory sgdrc_factory() {
   return [](const gpusim::GpuSpec& spec)
              -> std::unique_ptr<control::Controller> {
     return std::make_unique<core::SgdrcPolicy>(spec);
@@ -86,18 +85,6 @@ std::vector<workload::Request> heavy_trace(TimeNs duration) {
 /// Tenant-level fingerprint (excludes engine event counts, which
 /// legitimately differ between the coalescing and barriered dispatch
 /// paths even when every request outcome is identical).
-std::string tenant_digest(const FleetMetrics& m) {
-  std::ostringstream os;
-  os << "routed=";
-  for (const uint64_t r : m.routed) os << r << ',';
-  for (const auto& t : m.tenants) {
-    os << "\ntenant " << t.id << ": arrived=" << t.arrived
-       << " served=" << t.served << " attained=" << t.attained << " lat=";
-    for (const auto s : t.latency.raw()) os << s << ' ';
-  }
-  return os.str();
-}
-
 // ------------------------------------------------ per-device specs ----
 
 TEST(HeteroFleet, A100SpecAndRelativePerf) {
@@ -237,7 +224,8 @@ TEST(FrontDoor, NoOpDoorMatchesDisabledDoorOutcomeForOutcome) {
   ASSERT_NE(on.front_door(), nullptr);
   const auto m_on = on.run(trace);
 
-  EXPECT_EQ(tenant_digest(m_off), tenant_digest(m_on));
+  EXPECT_EQ(run_digest(m_off, /*tenants_only=*/true),
+            run_digest(m_on, /*tenants_only=*/true));
   // The observing door still keeps books.
   EXPECT_GT(m_on.front_door.arrived, 0u);
   EXPECT_EQ(m_on.front_door.arrived, m_on.front_door.admitted);
@@ -369,12 +357,7 @@ TEST(FrontDoor, RerunsAreBitIdentical) {
     QosLoadAwareRouter router;
     FleetSim fleet(overload_config(duration), mixed_tenants(2), spread,
                    router, sgdrc_factory());
-    const auto m = fleet.run(heavy_trace(duration));
-    std::ostringstream os;
-    os << tenant_digest(m) << "\ndoor " << m.front_door.admitted << ' '
-       << m.front_door.rejected << ' ' << m.front_door.shed << ' '
-       << m.front_door.retries << ' ' << m.front_door.dropped;
-    return os.str();
+    return run_digest(fleet.run(heavy_trace(duration)));
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -17,6 +18,12 @@
 #include "gpusim/resources.h"
 
 namespace sgdrc::gpusim {
+
+// Prints a spec parameter as its name. gtest's default printer dumps the
+// object's bytes, which hold heap pointers, so the listed test names
+// (and the CTest names discovered from them) would change on every run.
+static void PrintTo(const GpuSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 // ------------------------------------------------------------ GpuSpec ----

@@ -20,29 +20,17 @@
 #include "core/profiler.h"
 #include "core/serving.h"
 #include "models/zoo.h"
+#include "test_support.h"
 
 namespace sgdrc::core {
 namespace {
-
-class LaunchAllPolicy : public Policy {
- public:
-  std::string name() const override { return "launch-all"; }
-  void schedule(ServingSim& sim) override {
-    for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-      sim.launch(job.id, {});
-    }
-    for (const auto& job : sim.waiting_jobs(QosClass::kBestEffort)) {
-      sim.launch(job.id, {});
-    }
-  }
-};
 
 /// A minimal fleet-mode sim (external queue, one LS tenant) — the
 /// configuration the shard guard exists to police.
 struct GuardRig {
   gpusim::GpuSpec spec = gpusim::test_gpu();
   EventQueue queue;
-  LaunchAllPolicy policy;
+  tests::FnController controller{tests::launch_all_waiting};
   std::unique_ptr<ServingSim> sim;
 
   GuardRig() {
@@ -54,7 +42,7 @@ struct GuardRig {
               .gpu(spec)
               .duration(50 * kNsPerMs)
               .add_latency_sensitive(ls, iso)
-              .build(queue, policy);
+              .build(queue, controller);
   }
 };
 

@@ -11,7 +11,9 @@
 // concurrently pending events, not by the total ever scheduled — a
 // multi-hour run schedules hundreds of millions of events and must not
 // grow a tombstone per event. cancel() stays O(1): the heap entry is
-// left in place and skipped as a tombstone when it surfaces.
+// left in place and skipped as a tombstone when it surfaces. Generations
+// start at 1 and skip 0 when they wrap, so the default EventId{} never
+// names a live event and cancelling it is a safe no-op.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +33,7 @@ namespace sgdrc {
 /// Layout: generation in the high 32 bits, slot index in the low 32 —
 /// ids are unique for the queue's lifetime but NOT monotone (slots are
 /// reused); ordering guarantees come from an internal sequence number.
+/// Generation 0 is never issued, so EventId{} is a valid "no event".
 using EventId = uint64_t;
 
 class EventQueue {
@@ -45,7 +48,7 @@ class EventQueue {
       free_.pop_back();
     } else {
       slot = static_cast<uint32_t>(slots_.size());
-      slots_.push_back({0, false});
+      slots_.push_back({});
     }
     slots_[slot].pending = true;
     const EventId id =
@@ -178,7 +181,7 @@ class EventQueue {
 
  private:
   struct Slot {
-    uint32_t generation = 0;
+    uint32_t generation = 1;  // 0 is reserved for EventId{}
     bool pending = false;
   };
 
@@ -202,7 +205,7 @@ class EventQueue {
   /// Free a slot for reuse; the bumped generation invalidates stale ids.
   void retire(uint32_t slot) {
     slots_[slot].pending = false;
-    ++slots_[slot].generation;
+    if (++slots_[slot].generation == 0) slots_[slot].generation = 1;
     free_.push_back(slot);
   }
 

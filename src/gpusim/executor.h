@@ -21,12 +21,32 @@
 // Rates are recomputed at every launch / completion / eviction, so
 // progress between events is linear (fluid processor sharing).
 //
+// Hot path. Each recompute first rebuilds three occupancy tables from
+// scratch — per-TPC user counts, and per-channel user counts and summed
+// bandwidth demand over the kernels that move bytes — walking running
+// kernels in LaunchId order. runtime_ns() then reads a kernel's TPCs and
+// channels from the tables instead of rescanning every co-runner, and
+// because each demand sum adds the same terms in the same order as that
+// rescan did, every rate is bit-identical to it. The executor keeps ONE
+// pending completion event, at the smallest (due, LaunchId) over its
+// running kernels, and cancels and re-pushes it on every recompute, even
+// when its due time did not change. That is exact: one event per kernel,
+// all re-pushed with consecutive sequence numbers at every recompute,
+// could only ever fire at the earliest of them, whose own recompute then
+// re-pushed the rest; the single event takes that earliest one's place
+// among same-timestamp events. Keeping an unchanged event instead would
+// let it fire ahead of events pushed at its time since it was scheduled.
+// tests/executor_crosscheck_test.cc diffs this executor against the
+// per-kernel-event original on seeded launch/evict scripts.
+//
 // Preemption (§7.1): BE kernels poll an eviction flag; evict() kills the
 // kernel after the microsecond-scale flag-check latency and all progress
 // is lost — the scheduler must relaunch to restart, exactly the paper's
 // (and Reef's) reset semantics.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -119,14 +139,12 @@ class GpuExecutor {
     double demand_gbps = 0.0;      // natural bandwidth demand (bytes/ns)
     TimeNs last_update = 0;
     TimeNs started = 0;
-    EventId completion_event = 0;
-    bool has_completion_event = false;
     bool eviction_pending = false;
   };
 
   void settle_progress();      // apply rates up to now
-  void recompute_rates();      // re-derive rates + completion events
-  double runtime_ns(const Running& r) const;  // t under current sharing
+  void recompute_rates();      // re-derive tables, rates + completion event
+  double runtime_ns(const Running& r) const;  // t from the tables
   double parallelism_cap(const KernelDesc& k) const;
   void finish(LaunchId id);
   void kill(LaunchId id, EvictionFn on_evicted);
@@ -138,6 +156,14 @@ class GpuExecutor {
   EventQueue& queue_;
   ExecutorParams params_;
   std::map<LaunchId, Running> running_;
+  // Occupancy tables, rebuilt by every recompute_rates(); sized by the
+  // TpcMask and ChannelSet widths, so an executor allocates none.
+  static constexpr size_t kMaxTpcs = 64;
+  static constexpr size_t kMaxChannels = 32;
+  std::array<unsigned, kMaxTpcs> tpc_users_{};  // kernels covering TPC t
+  std::array<unsigned, kMaxChannels> channel_users_{};  // byte movers on c
+  std::array<double, kMaxChannels> channel_demand_{};   // summed in id order
+  EventId completion_event_{};  // EventId{} never names a live event
   LaunchId next_id_ = 1;
   uint64_t stats_launches_ = 0;
   uint64_t stats_completions_ = 0;

@@ -308,6 +308,22 @@ TEST(EventQueue, StaleIdCannotCancelASlotReuse) {
   EXPECT_FALSE(q.cancel(b));  // already fired
 }
 
+// Regression: the first event a queue scheduled got id 0, so a holder
+// that cancels its default-initialised EventId{} before its first
+// schedule silently cancelled someone else's event.
+TEST(EventQueue, DefaultEventIdNeverCancelsALiveEvent) {
+  EventQueue q;
+  int fired = 0;
+  for (int round = 0; round < 3; ++round) {  // slot 0 is reused each round
+    const EventId id = q.schedule_after(1, [&] { ++fired; });
+    EXPECT_NE(id, EventId{});
+    EXPECT_FALSE(q.cancel(EventId{}));
+    EXPECT_EQ(q.pending(), 1u);
+    q.run_all();
+  }
+  EXPECT_EQ(fired, 3);
+}
+
 // --------------------------------------------------------- ThreadPool ----
 
 TEST(ThreadPool, RunsAllTasks) {

@@ -1,0 +1,247 @@
+// Cross-check of the library GpuExecutor (occupancy tables, one pending
+// completion event) against the test-only reference in
+// reference_executor.h (a rescan per TPC and channel, one completion
+// event per kernel). Seeded scripts mix launches and evictions; before
+// each action the runner pushes probe events at the next few completion
+// and eviction times of a reference pre-run. Both executors must log the
+// same completions and evictions at the same times, interleaved the same
+// way with the probes, so a completion event that fires at a different
+// point among same-timestamp events than the reference's fails here.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/event_queue.h"
+#include "common/rng.h"
+#include "gpusim/executor.h"
+#include "gpusim/gpu_spec.h"
+#include "reference_executor.h"
+
+namespace sgdrc::gpusim {
+namespace {
+
+/// Salt of the script generator's seed stream.
+constexpr uint64_t kExecutorCrossCheckSalt = 0xc7055c4ecull;
+
+constexpr size_t kScriptsPerGpu = 24;
+constexpr size_t kActionsPerScript = 160;
+constexpr size_t kProbesPerAction = 3;
+
+struct Action {
+  bool evict = false;
+  // Run inside the next completion or eviction callback (as the serving
+  // layer launches follow-on kernels) instead of `gap` after the previous
+  // action. Falls back to `gap` when nothing is running.
+  bool on_callback = false;
+  TimeNs gap = 0;
+  size_t kernel = 0;  // launch: index into Script::kernels
+  TpcMask tpc_mask = 0;
+  ChannelSet channels = 0;
+  size_t victim = 0;  // evict: index (mod count) into preemptible launches
+};
+
+struct Script {
+  std::vector<KernelDesc> kernels;
+  std::vector<Action> actions;
+};
+
+Script make_script(const GpuSpec& spec, uint64_t index) {
+  Rng rng(splitmix64(kExecutorCrossCheckSalt + kGoldenSeedStride * index));
+  Script s;
+  for (int i = 0; i < 12; ++i) {
+    KernelDesc k;
+    k.name = "k" + std::to_string(i);
+    // Solo runtime on the whole device between 5 µs and 400 µs.
+    const double solo_ns = 5e3 + rng.uniform() * 395e3;
+    k.flops = static_cast<uint64_t>(solo_ns * spec.peak_tflops * 1e3 *
+                                    (0.2 + rng.uniform()));
+    // Half compute-only, half moving bytes (some memory-bound).
+    k.bytes = rng.uniform() < 0.5
+                  ? 0
+                  : static_cast<uint64_t>(solo_ns * spec.vram_gbps *
+                                          (0.2 + rng.uniform()));
+    k.blocks = static_cast<unsigned>(rng.uniform_int(1, 4096));
+    k.max_useful_tpcs =
+        rng.uniform() < 0.5
+            ? 1e9
+            : static_cast<double>(rng.uniform_int(1, spec.num_tpcs));
+    k.spt_transformed = rng.uniform() < 0.3;
+    k.preemptible = rng.uniform() < 0.5;
+    s.kernels.push_back(k);
+  }
+  for (size_t i = 0; i < kActionsPerScript; ++i) {
+    Action a;
+    a.evict = rng.uniform() < 0.25;
+    a.on_callback = rng.uniform() < 0.3;
+    a.gap = rng.uniform() < 0.15 ? 0 : rng.uniform_int(1, 100'000);
+    a.kernel = rng.uniform_u64(s.kernels.size());
+    if (rng.uniform() >= 0.25) {  // else 0: every TPC
+      const unsigned count =
+          static_cast<unsigned>(rng.uniform_int(1, spec.num_tpcs));
+      const unsigned first = static_cast<unsigned>(
+          rng.uniform_int(0, spec.num_tpcs - count));
+      a.tpc_mask = tpc_range(first, count);
+    }
+    const double ch = rng.uniform();
+    if (ch < 0.4) {  // a contiguous run of channels
+      const unsigned count =
+          static_cast<unsigned>(rng.uniform_int(1, spec.num_channels));
+      const unsigned first = static_cast<unsigned>(
+          rng.uniform_int(0, spec.num_channels - count));
+      for (unsigned c = first; c < first + count; ++c) {
+        a.channels |= channel_bit(c);
+      }
+    } else if (ch < 0.75) {  // any non-empty subset
+      a.channels = static_cast<ChannelSet>(
+          rng.uniform_u64(all_channels(spec.num_channels)) + 1);
+    }  // else 0: every channel
+    a.victim = rng.uniform_u64(1u << 16);
+    s.actions.push_back(a);
+  }
+  return s;
+}
+
+/// Runs a script on one executor and logs, in firing order:
+/// "C<id>@<t>" completions, "E<id>@<t>" evictions, "e<id>:<accepted>"
+/// evict calls, "L<id>@<t>" launches and "P<n>@<t>" probes.
+template <class Executor>
+class ScriptRunner {
+ public:
+  ScriptRunner(const GpuSpec& spec, const Script& script,
+               std::vector<TimeNs> probe_times)
+      : exec_(spec, q_), script_(script), probes_(std::move(probe_times)) {}
+
+  std::vector<std::string> run() {
+    q_.schedule_at(0, [this] { step(); });
+    q_.run_all();
+    EXPECT_EQ(next_, script_.actions.size()) << "script stalled";
+    EXPECT_EQ(exec_.running_count(), 0u);
+    return log_;
+  }
+
+  /// Completion and eviction times, sorted: the probe times for a run.
+  std::vector<TimeNs> event_times() const {
+    std::vector<TimeNs> out = event_times_;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  void note(char tag, uint64_t id) {
+    log_.push_back(tag + std::to_string(id) + "@" +
+                   std::to_string(q_.now()));
+  }
+
+  void on_event(char tag, uint64_t id, TimeNs t) {
+    EXPECT_EQ(t, q_.now());
+    note(tag, id);
+    event_times_.push_back(t);
+    if (armed_) {
+      armed_ = false;
+      step();
+    }
+  }
+
+  void push_probes() {
+    auto it = std::lower_bound(probes_.begin(), probes_.end(), q_.now());
+    for (size_t i = 0; i < kProbesPerAction && it != probes_.end();
+         ++i, ++it) {
+      const uint64_t n = probe_count_++;
+      q_.schedule_at(*it, [this, n] { note('P', n); });
+    }
+  }
+
+  void step() {
+    const Action& a = script_.actions[next_++];
+    push_probes();
+    if (a.evict) {
+      if (!preemptible_.empty()) {
+        const uint64_t id = preemptible_[a.victim % preemptible_.size()];
+        const bool accepted =
+            exec_.evict(id, [this](uint64_t lid, TimeNs t) {
+              on_event('E', lid, t);
+            });
+        log_.push_back("e" + std::to_string(id) + ":" +
+                       std::to_string(accepted));
+      }
+    } else {
+      const KernelDesc& k = script_.kernels[a.kernel];
+      const uint64_t id = exec_.launch(
+          {&k, a.tpc_mask, a.channels},
+          [this](uint64_t lid, TimeNs t) { on_event('C', lid, t); });
+      note('L', id);
+      if (k.preemptible) preemptible_.push_back(id);
+    }
+    if (next_ == script_.actions.size()) return;
+    const Action& b = script_.actions[next_];
+    if (b.on_callback && exec_.running_count() > 0) {
+      armed_ = true;
+    } else {
+      q_.schedule_after(b.gap, [this] { step(); });
+    }
+  }
+
+  EventQueue q_;
+  Executor exec_;
+  const Script& script_;
+  std::vector<TimeNs> probes_;
+  std::vector<std::string> log_;
+  std::vector<TimeNs> event_times_;
+  std::vector<uint64_t> preemptible_;
+  size_t next_ = 0;
+  uint64_t probe_count_ = 0;
+  bool armed_ = false;
+};
+
+struct Coverage {
+  size_t completions = 0;
+  size_t evictions = 0;
+  size_t probe_ties = 0;  // completions at the latest probe's time
+};
+
+void cross_check(const GpuSpec& spec, uint64_t salt_base) {
+  Coverage cov;
+  for (uint64_t i = 0; i < kScriptsPerGpu; ++i) {
+    const Script script = make_script(spec, salt_base + i);
+    ScriptRunner<reference::GpuExecutor> pre(spec, script, {});
+    pre.run();
+    const std::vector<TimeNs> probes = pre.event_times();
+
+    const auto want =
+        ScriptRunner<reference::GpuExecutor>(spec, script, probes).run();
+    const auto got = ScriptRunner<GpuExecutor>(spec, script, probes).run();
+    ASSERT_EQ(got, want) << spec.name << " script " << i;
+
+    std::string last_time;
+    for (const std::string& e : want) {
+      const std::string at = e.substr(e.find('@') + 1);
+      cov.completions += e[0] == 'C';
+      cov.evictions += e[0] == 'E';
+      cov.probe_ties += e[0] == 'C' && at == last_time;
+      if (e[0] == 'P') last_time = at;
+    }
+  }
+  // The scripts must reach the cases the check exists for.
+  EXPECT_GT(cov.completions, kScriptsPerGpu * 50) << spec.name;
+  EXPECT_GT(cov.evictions, kScriptsPerGpu * 2) << spec.name;
+  EXPECT_GT(cov.probe_ties, kScriptsPerGpu * 10) << spec.name;
+}
+
+TEST(ExecutorCrossCheck, MatchesReferenceOnTestGpu) {
+  cross_check(test_gpu(), 0);
+}
+
+TEST(ExecutorCrossCheck, MatchesReferenceOnRtxA2000) {
+  cross_check(rtx_a2000(), 1000);
+}
+
+TEST(ExecutorCrossCheck, MatchesReferenceOnA100) {
+  cross_check(a100_sxm4(), 2000);
+}
+
+}  // namespace
+}  // namespace sgdrc::gpusim

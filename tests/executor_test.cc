@@ -3,6 +3,7 @@
 // eviction/restart semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -289,6 +290,42 @@ TEST_F(ExecutorTest, ManySequentialKernelsAllComplete) {
   q_.run_all();
   EXPECT_EQ(completions, 50);
   EXPECT_EQ(exec_.completions(), 50u);
+}
+
+TEST_F(ExecutorTest, OnePendingCompletionEventPerExecutor) {
+  // However many kernels overlap, the executor keeps one completion event
+  // pending (one per kernel would be 32 here); an eviction adds its own
+  // flag-check event.
+  KernelDesc be = compute_kernel(1.0);
+  be.preemptible = true;
+  std::vector<GpuExecutor::LaunchId> ids;
+  for (int i = 0; i < 32; ++i) ids.push_back(exec_.launch({&be}, nullptr));
+  EXPECT_EQ(exec_.running_count(), 32u);
+  EXPECT_EQ(q_.pending(), 1u);
+  exec_.evict(ids[0], nullptr);
+  EXPECT_EQ(q_.pending(), 2u);
+  q_.run_all();
+  EXPECT_EQ(exec_.completions(), 31u);
+  EXPECT_EQ(exec_.evictions(), 1u);
+}
+
+TEST_F(ExecutorTest, EventSlotsStayConstantThroughChurn) {
+  // 20k kernels, eight in flight at a time, each completion launching the
+  // next: the queue never needs more than a couple of bookkeeping slots.
+  const KernelDesc k = compute_kernel(0.01);
+  int launched = 0;
+  std::function<void(GpuExecutor::LaunchId, TimeNs)> relaunch =
+      [&](GpuExecutor::LaunchId, TimeNs) {
+        if (launched < 20'000) {
+          ++launched;
+          exec_.launch({&k, tpc_bit(static_cast<unsigned>(launched % 4)), 0},
+                       relaunch);
+        }
+      };
+  for (int i = 0; i < 8; ++i) relaunch(0, 0);
+  q_.run_all();
+  EXPECT_EQ(exec_.completions(), 20'000u);
+  EXPECT_LE(q_.slot_count(), 2u);
 }
 
 TEST_F(ExecutorTest, RejectsInvalidLaunches) {

@@ -40,6 +40,13 @@ baselines when you want the gate to hold the new line:
     ./memory_pressure  --quick --json bench/baselines/BENCH_memory.json
     ./dag_parallelism  --quick --json bench/baselines/BENCH_dag.json
 
+With --exact the script is a second, stricter gate instead: every field
+of every BENCH_*.json must equal the baseline exactly, apart from the
+fields that measure the recording host (fleet_scaling's `hw_threads`
+and its throughput cells' thread count, wall-clock times, rates and
+speedup: THROUGHPUT_HOST_FIELDS). A change that moves simulated behaviour on purpose
+refreshes the baselines and names the changed records.
+
 Override: label the PR `perf-gate-override` (documented in README) to
 skip the gate on the PR run for intentional regressions. The label
 cannot reach the push-to-main run, so refresh the baselines before
@@ -47,6 +54,7 @@ merging to keep main green.
 
 Usage:
     tools/bench_compare.py BASELINE_DIR CURRENT_DIR [options]
+    tools/bench_compare.py --exact BASELINE_DIR CURRENT_DIR
 """
 
 import argparse
@@ -279,6 +287,74 @@ def extract(path):
     return out
 
 
+# The fields --exact ignores, because they measure the recording host and
+# not the simulation: fleet_scaling's `hw_threads` and these fields of each
+# of its throughput cells.
+THROUGHPUT_HOST_FIELDS = {
+    "threads", "serial_wall_ms", "parallel_wall_ms", "serial_events_per_s",
+    "parallel_events_per_s", "serial_sim_s_per_wall_s",
+    "parallel_sim_s_per_wall_s", "speedup",
+}
+
+
+def without_host_fields(doc):
+    if doc.get("bench") != "fleet_scaling":
+        return doc
+    out = {k: v for k, v in doc.items() if k != "hw_threads"}
+    if "throughput" in out:
+        out["throughput"] = [
+            {k: v for k, v in cell.items() if k not in THROUGHPUT_HOST_FIELDS}
+            for cell in out["throughput"]]
+    return out
+
+
+MISSING = "<missing>"
+
+
+def diff_fields(base, cur, path=""):
+    """Yield (path, baseline value, current value) for every differing
+    leaf. A type change counts (true vs 1, 1 vs 1.0)."""
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for k in sorted(set(base) | set(cur)):
+            sub = f"{path}.{k}" if path else k
+            yield from diff_fields(base.get(k, MISSING), cur.get(k, MISSING),
+                                   sub)
+    elif isinstance(base, list) and isinstance(cur, list):
+        for i in range(max(len(base), len(cur))):
+            yield from diff_fields(base[i] if i < len(base) else MISSING,
+                                   cur[i] if i < len(cur) else MISSING,
+                                   f"{path}[{i}]")
+    elif type(base) is not type(cur) or base != cur:
+        yield path, base, cur
+
+
+def exact_gate(baselines, current_dir):
+    failures = []
+    for bpath in baselines:
+        cpath = current_dir / bpath.name
+        if not cpath.exists():
+            failures.append(f"{bpath.name}: no current output at {cpath}")
+            continue
+        base = without_host_fields(json.loads(bpath.read_text()))
+        cur = without_host_fields(json.loads(cpath.read_text()))
+        failures.extend(f"{bpath.name}: {path}: {b!r} -> {c!r}"
+                        for path, b, c in diff_fields(base, cur))
+    if failures:
+        print(f"EXACT GATE FAILED ({len(failures)} field(s) differ from "
+              "the baselines, host fields excluded):")
+        for f in failures[:50]:
+            print(f"  {f}")
+        if len(failures) > 50:
+            print(f"  ... and {len(failures) - 50} more")
+        print("\nIf simulated behaviour changed on purpose, refresh the "
+              "baselines and name the changed records, or add the "
+              "`perf-gate-override` label to the PR.")
+        return 1
+    print(f"exact gate passed: {len(baselines)} file(s) identical to the "
+          "baselines apart from host fields")
+    return 0
+
+
 def compare(name, base, cur, p99_tol, be_tol):
     failures = []
 
@@ -335,11 +411,16 @@ def main():
     ap.add_argument("--be-tolerance", type=float, default=0.10,
                     help="max allowed relative BE-throughput drop "
                          "(default 0.10)")
+    ap.add_argument("--exact", action="store_true",
+                    help="fail on any change to a non-host field instead "
+                         "of applying the tolerances")
     args = ap.parse_args()
 
     baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         raise SystemExit(f"no BENCH_*.json baselines in {args.baseline_dir}")
+    if args.exact:
+        return exact_gate(baselines, args.current_dir)
 
     failures = []
     checked = 0

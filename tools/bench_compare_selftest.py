@@ -8,6 +8,10 @@ must FAIL against a baseline where it was true, and a numeric
 `attainment` turning null must fail too. Registered as a ctest so the
 gate's own behaviour is regression-tested alongside the C++ suite.
 
+It also covers the --exact mode: a change inside the tolerances still
+fails it, and a change to a host-only field (wall clock, thread count)
+passes both gates.
+
 Usage: tools/bench_compare_selftest.py   (exit 0 = all checks hold)
 """
 
@@ -135,7 +139,7 @@ BASELINE_DAG = {
 }
 
 
-def run_gate(baseline, current, name="BENCH_vgpu.json"):
+def run_gate(baseline, current, name="BENCH_vgpu.json", flags=()):
     with tempfile.TemporaryDirectory() as tmp:
         bdir = pathlib.Path(tmp) / "baseline"
         cdir = pathlib.Path(tmp) / "current"
@@ -144,7 +148,7 @@ def run_gate(baseline, current, name="BENCH_vgpu.json"):
         (bdir / name).write_text(json.dumps(baseline))
         (cdir / name).write_text(json.dumps(current))
         proc = subprocess.run(
-            [sys.executable, str(GATE), str(bdir), str(cdir)],
+            [sys.executable, str(GATE), *flags, str(bdir), str(cdir)],
             capture_output=True, text=True)
         return proc.returncode, proc.stdout + proc.stderr
 
@@ -363,6 +367,58 @@ def main():
     rc, out = run_gate(BASELINE_DAG, cur, name=dag)
     checks.append(expect("dag: dropped serialized cell fails", rc, out, True,
                          "missing from current output"))
+
+    # ---- --exact: no change to a non-host field, whatever its size ----
+    exact = ("--exact",)
+    rc, out = run_gate(BASELINE_VGPU, BASELINE_VGPU, flags=exact)
+    checks.append(expect("exact: identical output passes", rc, out, False))
+
+    cur = copy.deepcopy(BASELINE_VGPU)
+    cur["cells"][0]["p99_ms"] *= 1.05
+    rc, out = run_gate(BASELINE_VGPU, cur)
+    checks.append(expect("exact: 5% p99 change passes the tolerance gate",
+                         rc, out, False))
+    rc, out = run_gate(BASELINE_VGPU, cur, flags=exact)
+    checks.append(expect("exact: 5% p99 change fails --exact", rc, out, True,
+                         "cells[0].p99_ms"))
+
+    # Wall-clock, rates, speedup and thread counts measure the recording
+    # host; changing all of them at once passes both gates.
+    cur = copy.deepcopy(BASELINE_FLEET)
+    cur["hw_threads"] = 4
+    cell = cur["throughput"][0]
+    cell["threads"] = 4
+    for field in ("serial_wall_ms", "parallel_wall_ms",
+                  "serial_events_per_s", "parallel_events_per_s",
+                  "serial_sim_s_per_wall_s", "parallel_sim_s_per_wall_s",
+                  "speedup"):
+        cell[field] *= 0.7
+    rc, out = run_gate(BASELINE_FLEET, cur, name=flt)
+    checks.append(expect("exact: host-field change passes the tolerance "
+                         "gate", rc, out, False))
+    rc, out = run_gate(BASELINE_FLEET, cur, name=flt, flags=exact)
+    checks.append(expect("exact: host-field change passes --exact", rc, out,
+                         False))
+
+    # The throughput cell's event count is simulated, not host time.
+    cur = copy.deepcopy(BASELINE_FLEET)
+    cur["throughput"][0]["events"] += 1
+    rc, out = run_gate(BASELINE_FLEET, cur, name=flt, flags=exact)
+    checks.append(expect("exact: fleet event-count change fails --exact", rc,
+                         out, True, "throughput[0].events"))
+
+    # A type change is a change (a count turning into a float).
+    cur = copy.deepcopy(BASELINE_DAG)
+    cur["duration_ms"] = 250
+    rc, out = run_gate(BASELINE_DAG, cur, name=dag, flags=exact)
+    checks.append(expect("exact: int/float type change fails --exact", rc,
+                         out, True, "duration_ms"))
+
+    cur = copy.deepcopy(BASELINE_SCENARIOS)
+    del cur["scenarios"][1]["systems"][0]["front_door"]["services"][1]
+    rc, out = run_gate(BASELINE_SCENARIOS, cur, name=scn, flags=exact)
+    checks.append(expect("exact: dropped record fails --exact", rc, out, True,
+                         "<missing>"))
 
     if not all(checks):
         print("bench_compare selftest FAILED")

@@ -65,7 +65,7 @@ double victim_p99_ms(const GpuSpec& spec, const KernelDesc& victim,
         share_sms ? tpc_range(0, 2)  // same SMs as the victim
                   : tpc_range(2 + 2 * (i % 5), 2);
     relaunchers[i] = [&exec, &interferer, mask, &relaunchers, i]() {
-      exec.launch({&interferer, mask, 0},
+      exec.launch({&interferer, Allocation::on_tpcs(mask)},
                   [&relaunchers, i](GpuExecutor::LaunchId, TimeNs) {
                     relaunchers[i]();
                   });
@@ -77,7 +77,7 @@ double victim_p99_ms(const GpuSpec& spec, const KernelDesc& victim,
   std::function<void()> run_victim = [&]() {
     if (lat.count() >= 50) return;
     start = q.now();
-    exec.launch({&victim, tpc_range(0, 2), 0},
+    exec.launch({&victim, Allocation::on_tpcs(tpc_range(0, 2))},
                 [&](GpuExecutor::LaunchId, TimeNs t) {
                   lat.add(to_ms(t - start));
                   run_victim();

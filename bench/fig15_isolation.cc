@@ -42,14 +42,14 @@ TimeNs corun_runtime(const GpuSpec& spec, const KernelDesc& victim,
   GpuExecutor exec(spec, q);
   const KernelDesc hog = be_thrasher(spec);
   const unsigned half = spec.num_tpcs / 2;
+  const ChannelSet all_ch = all_channels(spec.num_channels);
   const ChannelSet be_ch =
-      isolate ? core::be_channel_partition(spec, 1.0 / 3.0) : 0;
-  const ChannelSet ls_ch =
-      isolate ? (all_channels(spec.num_channels) & ~be_ch) : 0;
+      isolate ? core::be_channel_partition(spec, 1.0 / 3.0) : all_ch;
+  const ChannelSet ls_ch = isolate ? (all_ch & ~be_ch) : all_ch;
 
   // Closed-loop thrasher on the lower half.
   std::function<void()> relaunch = [&]() {
-    exec.launch({&hog, tpc_range(0, spec.num_tpcs - half), be_ch},
+    exec.launch({&hog, {tpc_range(0, spec.num_tpcs - half), be_ch}},
                 [&](GpuExecutor::LaunchId, TimeNs) { relaunch(); });
   };
   relaunch();
@@ -59,7 +59,7 @@ TimeNs corun_runtime(const GpuSpec& spec, const KernelDesc& victim,
   std::function<void()> run_victim = [&]() {
     if (lat.count() >= 30) return;
     start = q.now();
-    exec.launch({&victim, tpc_range(spec.num_tpcs - half, half), ls_ch},
+    exec.launch({&victim, {tpc_range(spec.num_tpcs - half, half), ls_ch}},
                 [&](GpuExecutor::LaunchId, TimeNs t) {
                   lat.add(static_cast<double>(t - start));
                   done = t;

@@ -7,9 +7,11 @@
 // their relative order, which is what makes a plan-emitting rewrite of
 // an imperative policy reproducible bit-for-bit.
 //
-// Allocation has no zero-means-"all" convention (the classic footgun: a
-// forgotten mask silently monopolised the GPU). An empty allocation is
-// an error; "the whole device" must be spelled Allocation::all().
+// A launch directive carries a gpusim::Allocation, the executor's own
+// grant type (gpusim/resources.h), so plan, enforcer and executor share
+// one encoding. GpuExecutor::resolve() is the one place that expands
+// Allocation::all() to device masks and rejects empty or out-of-device
+// grants.
 #pragma once
 
 #include <optional>
@@ -21,28 +23,8 @@
 
 namespace sgdrc::control {
 
-/// Explicit resource grant for one kernel launch. Both fields must be
-/// non-empty; the sentinel all-ones masks (Allocation::all()) mean "every
-/// TPC / channel the device has" without the caller knowing the device
-/// size. The enforcer canonicalises device-covering masks, so all() and
-/// an explicit full mask behave identically.
-struct Allocation {
-  gpusim::TpcMask tpcs = 0;        // 0 is invalid — use all()
-  gpusim::ChannelSet channels = 0; // 0 is invalid — use all()
-
-  /// The whole device (monopolisation), device-size agnostic.
-  static constexpr Allocation all() {
-    return {~gpusim::TpcMask{0}, ~gpusim::ChannelSet{0}};
-  }
-  /// A TPC slice with every channel (compute-bound colocation).
-  static constexpr Allocation on_tpcs(gpusim::TpcMask m) {
-    return {m, ~gpusim::ChannelSet{0}};
-  }
-  static constexpr Allocation on(gpusim::TpcMask m, gpusim::ChannelSet c) {
-    return {m, c};
-  }
-  constexpr bool empty() const { return tpcs == 0 || channels == 0; }
-};
+/// Explicit resource grant for one kernel launch (gpusim/resources.h).
+using Allocation = gpusim::Allocation;
 
 /// One step of a plan. kLaunch grants `alloc` to job `job`'s next
 /// kernel; kEvict raises the eviction flag on `job`'s in-flight kernel;

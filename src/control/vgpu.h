@@ -55,10 +55,5 @@ inline VgpuSpec guaranteed_vgpu(unsigned tpcs, double channel_share = 0.0,
                                 double weight = 1.0, int priority = 0) {
   return {tpcs, channel_share, weight, priority};
 }
-/// Attach a guaranteed-memory quota to a vGPU declaration.
-inline VgpuSpec with_memory_quota(VgpuSpec vgpu, uint64_t memory_bytes) {
-  vgpu.memory_bytes = memory_bytes;
-  return vgpu;
-}
 
 }  // namespace sgdrc::control

@@ -46,9 +46,14 @@ bool OfflineProfiler::is_memory_bound(const KernelDesc& k) const {
   const TimeNs solo = exec.solo_runtime(k, half, spec_.num_channels, false);
 
   TimeNs shared = 0;
-  exec.launch({&thrasher, gpusim::tpc_range(half, spec_.num_tpcs - half), 0},
+  // On a 1-TPC device the upper half is empty: the thrasher then shares
+  // the victim's TPC, i.e. runs on every TPC.
+  const gpusim::TpcMask upper =
+      gpusim::tpc_range(half, spec_.num_tpcs - half);
+  exec.launch({&thrasher, upper ? gpusim::Allocation::on_tpcs(upper)
+                                : gpusim::Allocation::all()},
               nullptr);
-  exec.launch({&k, gpusim::tpc_range(0, half), 0},
+  exec.launch({&k, gpusim::Allocation::on_tpcs(gpusim::tpc_range(0, half))},
               [&](GpuExecutor::LaunchId, TimeNs t) { shared = t; });
   q.run_until(q.now() + 60 * kNsPerSec);
   SGDRC_CHECK(shared != 0, "victim kernel did not finish under thrasher");

@@ -1,6 +1,7 @@
 #include "core/serving.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "control/controller.h"
@@ -109,9 +110,6 @@ uint64_t ServingSim::effective_vram() const {
 }
 
 void ServingSim::init() {
-  // An empty tenant list is legal: fleets create device sims lazily when
-  // an autoscaler or a scenario places the first replica mid-run.
-  for (const auto& spec : tenants_) validate_model(spec.model);
   exec_ = std::make_unique<GpuExecutor>(cfg_.spec, queue_, cfg_.exec_params);
 
   // Memory virtualization: only when enabled AND the device's capacity
@@ -143,7 +141,14 @@ void ServingSim::init() {
                ? cfg_.slo_multiplier
                : std::max<double>(1.0, static_cast<double>(ls + be_slots));
 
-  for (TenantId t = 0; t < tenants_.size(); ++t) register_tenant(t);
+  // Register the initial set one by one, each checked against the ones
+  // before it, exactly as add_tenant does mid-run. An empty list is
+  // legal: fleets create device sims lazily when an autoscaler or a
+  // scenario places the first replica mid-run.
+  std::vector<TenantSpec> specs = std::move(tenants_);
+  tenants_.clear();
+  tenants_.reserve(specs.size());
+  for (auto& spec : specs) register_tenant(std::move(spec));
 }
 
 void ServingSim::validate_model(const models::ModelDesc& m) {
@@ -171,37 +176,41 @@ void ServingSim::validate_model(const models::ModelDesc& m) {
   }
 }
 
-void ServingSim::register_tenant(TenantId t) {
-  const auto& spec = tenants_[t];
-  instances_.push_back(0);
-  free_instances_.push_back(0);
-  backlog_.emplace_back();
-  if (spec.batching.enabled()) {
-    SGDRC_REQUIRE(spec.qos == QosClass::kLatencySensitive,
-                  "BatchPolicy applies to LS tenants (BE tasks already "
-                  "batch through ModelDesc::batch)");
+void ServingSim::validate_tenant(const TenantSpec& spec) const {
+  validate_model(spec.model);
+  if (spec.qos == QosClass::kLatencySensitive) {
+    SGDRC_REQUIRE(spec.batching.max_batch >= 1,
+                  "max_batch must be at least 1 (1 = no batching)");
     SGDRC_REQUIRE(spec.batching.max_batch <= 64,
                   "max_batch above 64 is outside the latency model's range");
-    auto bs = std::make_unique<BatchState>();
-    bs->variants.reserve(spec.batching.max_batch);
-    for (unsigned b = 1; b <= spec.batching.max_batch; ++b) {
-      bs->variants.push_back(models::batched_variant(spec.model, b));
-    }
-    batch_.push_back(std::move(bs));
+    SGDRC_REQUIRE((spec.instances ? spec.instances : cfg_.ls_instances) >= 1,
+                  "need at least one instance");
   } else {
-    batch_.push_back(nullptr);
+    SGDRC_REQUIRE(!spec.batching.enabled(),
+                  "BatchPolicy applies to LS tenants (BE tasks already "
+                  "batch through ModelDesc::batch)");
   }
+  validate_vgpu(spec.vgpu, static_cast<TenantId>(tenants_.size()));
+}
+
+TenantId ServingSim::register_tenant(TenantSpec incoming) {
+  validate_tenant(incoming);
+  const auto t = static_cast<TenantId>(tenants_.size());
+  if (mem_) {
+    // The VRAM-fit check inside is the one that can still throw, so it
+    // runs before any state here changes. Registration then allocates
+    // the replica's weights (evicting idle victims under pressure); the
+    // first request pays the cold-start load. Weight bytes come from the
+    // model's kWeight tensors.
+    mem_->add_replica(t, incoming.model.weight_bytes(),
+                      incoming.vgpu.priority, incoming.vgpu.memory_bytes,
+                      busy_probe());
+  }
+  tenants_.push_back(std::move(incoming));
+  const TenantSpec& spec = tenants_.back();
   active_.push_back(1);
   guaranteed_mask_.push_back(0);
   assign_guarantee_region(t);
-  validate_vgpu_budget();
-  if (mem_) {
-    // Registration allocates the replica's weights (evicting idle
-    // victims under pressure); the first request pays the cold-start
-    // load. Weight bytes come from the model's kWeight tensors.
-    mem_->add_replica(t, spec.model.weight_bytes(), spec.vgpu.priority,
-                      spec.vgpu.memory_bytes, busy_probe());
-  }
   workload::TenantMetrics m;
   m.id = t;
   m.qos = spec.qos;
@@ -209,15 +218,17 @@ void ServingSim::register_tenant(TenantId t) {
   m.letter = spec.model.letter;
   if (spec.qos == QosClass::kLatencySensitive) {
     ls_tenants_.push_back(t);
-    const unsigned instances =
-        spec.instances ? spec.instances : cfg_.ls_instances;
-    SGDRC_REQUIRE(instances >= 1, "need at least one instance");
-    instances_[t] = instances;
-    free_instances_[t] = instances;
+    auto bs = std::make_unique<BatchState>();
+    bs->free_instances = spec.instances ? spec.instances : cfg_.ls_instances;
+    for (unsigned b = 2; b <= spec.batching.max_batch; ++b) {
+      bs->variants.push_back(models::batched_variant(spec.model, b));
+    }
+    batch_.push_back(std::move(bs));
     m.isolated_p99 = spec.isolated_latency;
     m.slo = static_cast<TimeNs>(slo_n_ *
                                 static_cast<double>(spec.isolated_latency));
   } else {
+    batch_.push_back(nullptr);
     be_tenants_.push_back(t);
     m.batch = spec.model.batch;
     m.kernels_per_batch = spec.model.kernels.size();
@@ -232,17 +243,16 @@ void ServingSim::register_tenant(TenantId t) {
     // the per-batch restream from then on.
     hold_job_for_paging(jobs_.back().id, mem_->page_penalty(t));
   }
+  return t;
 }
 
 void ServingSim::assign_guarantee_region(TenantId t) {
   const auto& vgpu = tenants_[t].vgpu;
   if (vgpu.guaranteed_tpcs == 0) return;
   const unsigned n = cfg_.spec.num_tpcs;
-  SGDRC_REQUIRE(vgpu.guaranteed_tpcs <= n,
-                "tenant guarantees more TPCs than the device has");
   const TpcMask free = gpusim::full_tpc_mask(n) & ~guaranteed_used_;
-  SGDRC_REQUIRE(gpusim::tpc_count(free) >= vgpu.guaranteed_tpcs,
-                "guaranteed TPCs overcommitted across tenants");
+  SGDRC_CHECK(gpusim::tpc_count(free) >= vgpu.guaranteed_tpcs,
+              "validate_vgpu let an overcommitted guarantee through");
   // LS regions grow down from the top of the mask (SGDRC keeps LS at the
   // high TPCs), BE regions up from the bottom — so the tidal top block
   // and hard LS reservations coincide and BE guarantees stay clear.
@@ -265,33 +275,40 @@ void ServingSim::release_guarantee_region(TenantId t) {
   guaranteed_mask_[t] = 0;
 }
 
-void ServingSim::validate_vgpu_budget() const {
-  double channel_share = 0.0;
-  // Bounded by active_: during init() the spec list is already full
-  // while the per-tenant state vectors grow one register_tenant at a
-  // time — validate what is registered so far.
-  for (TenantId t = 0; t < active_.size(); ++t) {
-    if (!active_[t]) continue;
-    const auto& v = tenants_[t].vgpu;
-    SGDRC_REQUIRE(v.channel_share >= 0.0 && v.channel_share < 1.0,
-                  "channel_share must be in [0,1)");
-    SGDRC_REQUIRE(v.weight > 0.0, "vGPU weight must be positive");
-    channel_share += v.channel_share;
+void ServingSim::validate_vgpu(const control::VgpuSpec& vgpu,
+                               TenantId self) const {
+  SGDRC_REQUIRE(vgpu.guaranteed_tpcs <= cfg_.spec.num_tpcs,
+                "tenant guarantees more TPCs than the device has");
+  SGDRC_REQUIRE(vgpu.channel_share >= 0.0 && vgpu.channel_share < 1.0,
+                "channel_share must be in [0,1)");
+  // Non-finite weights would turn SGDRC's weighted tide split into NaN.
+  SGDRC_REQUIRE(std::isfinite(vgpu.weight) && vgpu.weight > 0.0,
+                "vGPU weight must be positive and finite");
+  // The budgets hold across the live set, `self` excluded: its old
+  // region and shares are what this spec replaces.
+  const TpcMask own =
+      self < guaranteed_mask_.size() ? guaranteed_mask_[self] : 0;
+  const TpcMask free = gpusim::full_tpc_mask(cfg_.spec.num_tpcs) &
+                       ~(guaranteed_used_ & ~own);
+  SGDRC_REQUIRE(gpusim::tpc_count(free) >= vgpu.guaranteed_tpcs,
+                "guaranteed TPCs overcommitted across tenants");
+  double channel_share = vgpu.channel_share;
+  uint64_t others_memory = 0;
+  for (TenantId o = 0; o < active_.size(); ++o) {
+    if (o == self || !active_[o]) continue;
+    channel_share += tenants_[o].vgpu.channel_share;
+    others_memory += tenants_[o].vgpu.memory_bytes;
   }
   SGDRC_REQUIRE(channel_share <= 1.0 + 1e-9,
                 "guaranteed channel shares overcommitted across tenants");
   // Guaranteed memory quotas work like TPC budgets: the sum across
-  // active tenants must fit the device. Only on modeled devices —
-  // vram_bytes == 0 means capacity is unmodeled and quotas are inert.
+  // active tenants must fit the device (compared without forming the
+  // sum, which could wrap). Only on modeled devices — vram_bytes == 0
+  // means capacity is unmodeled and quotas are inert.
   const uint64_t vram = effective_vram();
-  if (vram > 0) {
-    uint64_t memory_quota = 0;
-    for (TenantId t = 0; t < active_.size(); ++t) {
-      if (active_[t]) memory_quota += tenants_[t].vgpu.memory_bytes;
-    }
-    SGDRC_REQUIRE(memory_quota <= vram,
-                  "guaranteed memory quotas overcommit device VRAM");
-  }
+  SGDRC_REQUIRE(vram == 0 || (others_memory <= vram &&
+                              vgpu.memory_bytes <= vram - others_memory),
+                "guaranteed memory quotas overcommit device VRAM");
 }
 
 gpusim::TpcMask ServingSim::guaranteed_union(QosClass qos) const {
@@ -310,30 +327,7 @@ void ServingSim::set_vgpu(TenantId t, const control::VgpuSpec& vgpu) {
   // rejected re-plan leaves the tenant's current guarantee intact
   // (strong exception safety — callers treat a throw as "change
   // rejected, old quota still holds").
-  SGDRC_REQUIRE(vgpu.guaranteed_tpcs <= cfg_.spec.num_tpcs,
-                "tenant guarantees more TPCs than the device has");
-  SGDRC_REQUIRE(vgpu.channel_share >= 0.0 && vgpu.channel_share < 1.0,
-                "channel_share must be in [0,1)");
-  SGDRC_REQUIRE(vgpu.weight > 0.0, "vGPU weight must be positive");
-  const TpcMask free_without_us = gpusim::full_tpc_mask(cfg_.spec.num_tpcs) &
-                                  ~(guaranteed_used_ & ~guaranteed_mask_[t]);
-  SGDRC_REQUIRE(gpusim::tpc_count(free_without_us) >= vgpu.guaranteed_tpcs,
-                "guaranteed TPCs overcommitted across tenants");
-  double channel_share = vgpu.channel_share;
-  for (TenantId o = 0; o < active_.size(); ++o) {
-    if (o != t && active_[o]) channel_share += tenants_[o].vgpu.channel_share;
-  }
-  SGDRC_REQUIRE(channel_share <= 1.0 + 1e-9,
-                "guaranteed channel shares overcommitted across tenants");
-  const uint64_t vram = effective_vram();
-  if (vram > 0) {
-    uint64_t memory_quota = vgpu.memory_bytes;
-    for (TenantId o = 0; o < active_.size(); ++o) {
-      if (o != t && active_[o]) memory_quota += tenants_[o].vgpu.memory_bytes;
-    }
-    SGDRC_REQUIRE(memory_quota <= vram,
-                  "guaranteed memory quotas overcommit device VRAM");
-  }
+  validate_vgpu(vgpu, t);
   // Commit: none of the steps below can fail.
   release_guarantee_region(t);
   tenants_[t].vgpu = vgpu;
@@ -344,10 +338,7 @@ void ServingSim::set_vgpu(TenantId t, const control::VgpuSpec& vgpu) {
 
 TenantId ServingSim::add_tenant(const TenantSpec& spec) {
   shard_guard_.assert_mutable("add_tenant");
-  validate_model(spec.model);
-  tenants_.push_back(spec);
-  const TenantId t = static_cast<TenantId>(tenants_.size() - 1);
-  register_tenant(t);
+  const TenantId t = register_tenant(spec);
   poke();  // a new BE loop starts now; a new LS tenant awaits injects
   return t;
 }
@@ -375,7 +366,7 @@ void ServingSim::remove_tenant(TenantId t) {
   // LS tenants drain: the *router* above us must stop sending new work
   // (see the header contract — inject() itself still admits stragglers
   // that were routed before the removal), and jobs stay visible until
-  // the backlog empties.
+  // the queued batches empty.
   if (batch_[t]) {
     // A half-assembled batch must not wait out a timer that may never
     // matter again: launch it now (partial) so the drain completes.
@@ -481,15 +472,11 @@ void ServingSim::inject(TenantId t, TimeNs arrival) {
   // the drain.
   SGDRC_REQUIRE(arrival <= now(), "injected request arrives in the future");
   ++metrics_.tenants[t].arrived;
-  if (batch_[t]) {
-    enqueue_for_batch(t, arrival);
-  } else {
-    admit_or_backlog(t, arrival);
-  }
+  enqueue_for_batch(t, arrival);
   poke();
 }
 
-// --------------------------------------------------- dynamic batching ----
+// ----------------------------------------------------- LS request path ----
 
 void ServingSim::enqueue_for_batch(TenantId t, TimeNs arrival) {
   auto& bs = *batch_[t];
@@ -527,8 +514,8 @@ void ServingSim::close_batch(TenantId t) {
   if (bs.assembly.empty()) return;
   std::vector<TimeNs> arrivals = std::move(bs.assembly);
   bs.assembly.clear();
-  if (free_instances_[t] > 0) {
-    --free_instances_[t];
+  if (bs.free_instances > 0) {
+    --bs.free_instances;
     admit_batch(t, std::move(arrivals));
   } else {
     bs.ready_requests += arrivals.size();
@@ -539,25 +526,33 @@ void ServingSim::close_batch(TenantId t) {
 void ServingSim::admit_batch(TenantId t, std::vector<TimeNs> arrivals) {
   auto& bs = *batch_[t];
   const size_t size = arrivals.size();
-  SGDRC_CHECK(size >= 1 && size <= bs.variants.size(),
+  SGDRC_CHECK(size >= 1 && size <= bs.variants.size() + 1,
               "batch size outside the tenant's variant range");
-  Job job = make_job(t, arrivals.front(), &bs.variants[size - 1]);
+  // A batch of one runs the tenant's own model (batched_variant(m, 1)
+  // would be an identical copy).
+  const models::ModelDesc* model =
+      size == 1 ? nullptr : &bs.variants[size - 2];
+  Job job = make_job(t, arrivals.front(), model);
   job.batch = std::move(arrivals);
   bs.admitted_requests += size;
-  ++bs.launched_batches;
-  bs.launched_requests += size;
-  bs.recent.push_back(static_cast<unsigned>(size));
-  if (bs.recent.size() > kOccupancyWindow) bs.recent.pop_front();
-  if (!stopped_) {
-    metrics_.tenants[t].batch_sizes.add(static_cast<double>(size));
+  if (tenants_[t].batching.enabled()) {
+    bs.recent.push_back(static_cast<unsigned>(size));
+    if (bs.recent.size() > kOccupancyWindow) bs.recent.pop_front();
+    if (!stopped_) {
+      metrics_.tenants[t].batch_sizes.add(static_cast<double>(size));
+    }
   }
   apply_memory_gates(job);
   jobs_.push_back(std::move(job));
 }
 
-void ServingSim::complete_ls_batch(TenantId t,
-                                   const std::vector<TimeNs>& arrivals,
-                                   bool cold) {
+void ServingSim::complete_ls(std::deque<Job>::iterator it) {
+  // Erase before re-admitting: admit_batch() push_backs into the deque,
+  // which would invalidate `it`.
+  const TenantId t = it->tenant;
+  const bool cold = it->cold;
+  const std::vector<TimeNs> arrivals = std::move(it->batch);
+  jobs_.erase(it);
   auto& bs = *batch_[t];
   // Every request in the batch gets its own latency sample — completion
   // minus its OWN arrival, so assembly/queueing wait counts against the
@@ -582,23 +577,8 @@ void ServingSim::complete_ls_batch(TenantId t,
     bs.ready_requests -= next.size();
     admit_batch(t, std::move(next));
   } else {
-    ++free_instances_[t];
+    ++bs.free_instances;
   }
-}
-
-void ServingSim::admit_or_backlog(TenantId t, TimeNs arrival) {
-  if (free_instances_[t] > 0) {
-    --free_instances_[t];
-    admit(t, arrival);
-  } else {
-    backlog_[t].push_back(arrival);
-  }
-}
-
-void ServingSim::admit(TenantId tenant, TimeNs arrival) {
-  Job job = make_job(tenant, arrival);
-  apply_memory_gates(job);
-  jobs_.push_back(std::move(job));
 }
 
 // ------------------------------------------------ memory virtualization ----
@@ -788,20 +768,6 @@ size_t ServingSim::inflight(QosClass qos) const {
   return inflight_[qos_index(qos)];
 }
 
-std::vector<const gpusim::KernelDesc*> ServingSim::upcoming_kernels(
-    QosClass qos, size_t window) const {
-  std::vector<const gpusim::KernelDesc*> out;
-  for (const auto& j : jobs_) {
-    if (out.size() >= window) break;
-    if (qos_of(j) != qos || !visible(j)) continue;
-    for (const int k : j.frontier.ready) {
-      if (out.size() >= window) break;
-      out.push_back(&model_of(j).kernels[k]);
-    }
-  }
-  return out;
-}
-
 size_t ServingSim::tenant_count(QosClass qos) const {
   // Active only, for both classes: controllers sizing per-class shares
   // must not reserve capacity for drained tenants. (The all-time slot
@@ -841,38 +807,9 @@ void ServingSim::note_inflight(QosClass qos, int delta) {
   }
 }
 
-bool ServingSim::trespasses(TenantId owner, TpcMask eff_tpcs) const {
+bool ServingSim::trespasses(TenantId owner, TpcMask tpcs) const {
   const TpcMask foreign = guaranteed_used_ & ~guaranteed_mask_[owner];
-  return (eff_tpcs & foreign) != 0;
-}
-
-ServingSim::LaunchSpec ServingSim::compile_allocation(
-    const control::Allocation& a) const {
-  SGDRC_REQUIRE(!a.empty(),
-                "plan carries an empty Allocation — a zero mask no longer "
-                "means \"all\"; use control::Allocation::all()");
-  const TpcMask full = gpusim::full_tpc_mask(cfg_.spec.num_tpcs);
-  const gpusim::ChannelSet allc =
-      gpusim::all_channels(cfg_.spec.num_channels);
-  const TpcMask tpcs = a.tpcs & full;
-  const gpusim::ChannelSet chans = a.channels & allc;
-  SGDRC_REQUIRE(tpcs != 0, "allocation names no TPC this device has");
-  SGDRC_REQUIRE(chans != 0, "allocation names no channel this device has");
-  // Out-of-range bits are only legal as part of the all() sentinel —
-  // a partial in-range mask with stray high bits is a controller bug.
-  SGDRC_REQUIRE((a.tpcs & ~full) == 0 || tpcs == full,
-                "allocation TPC mask exceeds the device");
-  SGDRC_REQUIRE((a.channels & ~allc) == 0 || chans == allc,
-                "allocation channel set exceeds the device");
-  // Canonical encodings. Channels: a device-covering set compiles to the
-  // executor's legacy 0 = "all" (physically identical, and the SGDRC
-  // monopolisation check keys on it). TPCs: only the all() *sentinel*
-  // compiles to 0 — an explicit device-covering mask stays explicit,
-  // because controllers read RunningInfo::tpc_mask back and the historic
-  // encoding distinguishes "packed onto every TPC" (explicit, counts as
-  // LS occupancy) from "monopolising BE" (0).
-  return {a.tpcs == ~TpcMask{0} ? TpcMask{0} : tpcs,
-          chans == allc ? gpusim::ChannelSet{0} : chans};
+  return (tpcs & foreign) != 0;
 }
 
 void ServingSim::apply(const control::ResourcePlan& plan) {
@@ -880,17 +817,14 @@ void ServingSim::apply(const control::ResourcePlan& plan) {
   for (const auto& d : plan.directives) {
     switch (d.kind) {
       case control::Directive::Kind::kLaunch: {
-        const LaunchSpec spec = compile_allocation(d.alloc);
+        const gpusim::Allocation grant = exec_->resolve(d.alloc);
         Job* job = job_ptr(d.job);
         SGDRC_REQUIRE(job != nullptr, "plan launches an unknown job");
-        const TpcMask eff =
-            spec.tpc_mask ? spec.tpc_mask
-                          : gpusim::full_tpc_mask(cfg_.spec.num_tpcs);
-        const bool trespass = trespasses(job->tenant, eff);
+        const bool trespass = trespasses(job->tenant, grant.tpcs);
         SGDRC_REQUIRE(!trespass || !controller_->guarantee_aware(),
                       "plan puts a kernel inside another tenant's "
                       "guaranteed TPC region");
-        launch(*job, spec);
+        launch(*job, grant);
         if (trespass) ++metrics_.guarantee_violations;
         break;
       }
@@ -907,7 +841,7 @@ void ServingSim::apply(const control::ResourcePlan& plan) {
   }
 }
 
-void ServingSim::launch(Job& job, LaunchSpec spec) {
+void ServingSim::launch(Job& job, const gpusim::Allocation& grant) {
   SGDRC_REQUIRE(visible(job),
                 "job is not resident (BE rotation or weights not loaded)");
   Frontier& f = job.frontier;
@@ -919,7 +853,9 @@ void ServingSim::launch(Job& job, LaunchSpec spec) {
   const gpusim::KernelDesc& k = model_of(job).kernels[kidx];
   // Only memory-bound kernels are channel-colored (§7.2); others keep the
   // default all-channel mapping.
-  const gpusim::ChannelSet ch = k.memory_bound ? spec.channels : 0;
+  const gpusim::Allocation alloc{
+      grant.tpcs,
+      k.memory_bound ? grant.channels : gpusim::Allocation::all().channels};
   note_inflight(qos_of(job), +1);
   f.ready.erase(f.ready.begin());
   f.running.push_back({kidx, 0, false});
@@ -927,7 +863,7 @@ void ServingSim::launch(Job& job, LaunchSpec spec) {
   // the launch id is recorded before any callback can look for it.
   const JobId id = job.id;
   f.running.back().launch_id =
-      exec_->launch({&k, spec.tpc_mask, ch, id},
+      exec_->launch({&k, alloc, id},
                     [this, id, kidx](GpuExecutor::LaunchId, TimeNs) {
                       finish_kernel(id, kidx);
                     });
@@ -956,41 +892,6 @@ void ServingSim::finish_kernel(JobId id, int kernel) {
     complete_ls(it);
   }
   poke();
-}
-
-void ServingSim::complete_ls(std::deque<Job>::iterator it) {
-  Job& job = *it;
-  const TenantId tenant = job.tenant;
-  // Erase before re-admitting: admit() push_backs into the deque,
-  // which would invalidate `it`.
-  const bool cold = job.cold;
-  if (!job.batch.empty()) {
-    const std::vector<TimeNs> arrivals = std::move(job.batch);
-    jobs_.erase(it);
-    complete_ls_batch(tenant, arrivals, cold);
-  } else {
-    const TimeNs arrival = job.arrival;
-    jobs_.erase(it);
-    complete_ls_job(tenant, arrival, cold);
-  }
-}
-
-void ServingSim::complete_ls_job(TenantId tenant, TimeNs arrival, bool cold) {
-  if (!stopped_) {
-    metrics_.record_latency(tenant, arrival, now());
-    if (cold) {
-      metrics_.tenants[tenant].cold_latency.add(
-          static_cast<double>(now() - arrival));
-    }
-  }
-  // Hand the instance to the next queued request.
-  if (!backlog_[tenant].empty()) {
-    const TimeNs queued = backlog_[tenant].front();
-    backlog_[tenant].pop_front();
-    admit(tenant, queued);
-  } else {
-    ++free_instances_[tenant];
-  }
 }
 
 void ServingSim::rotate_be(Job& job) {

@@ -10,7 +10,12 @@
 // run on exactly the same substrate and workload. Controllers see one
 // unified JobView API regardless of QoS class and answer with a
 // declarative ResourcePlan; apply() is the only path from plan to
-// mechanism (launches, eviction flags, wake-ups).
+// mechanism (launches, eviction flags, wake-ups), and it hands each
+// launch's gpusim::Allocation to the executor in the plan's own encoding.
+//
+// Every LS request takes one path: it joins its tenant's assembly queue,
+// which closes into a batch job (a batch of one when the tenant does not
+// batch, max_batch 1) or waits for a free instance as a closed batch.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,6 @@ namespace sgdrc::control {
 class Controller;
 class SimView;
 struct ResourcePlan;
-struct Allocation;
 }  // namespace sgdrc::control
 
 namespace sgdrc::core {
@@ -58,8 +62,8 @@ struct TenantSpec {
   /// priority. Default: no guarantees (pure tidal sharing).
   control::VgpuSpec vgpu;
   /// LS only: dynamic request batching (assembly queue + batched jobs).
-  /// Default OFF — each request is its own job, bit-for-bit the historic
-  /// behaviour.
+  /// Default max_batch 1 — each request is a batch of one, served on the
+  /// same path.
   workload::BatchPolicy batching;
 };
 
@@ -77,12 +81,6 @@ inline TenantSpec best_effort_tenant(models::ModelDesc model,
 /// Attach a vGPU guarantee to an existing tenant declaration.
 inline TenantSpec with_vgpu(TenantSpec spec, control::VgpuSpec vgpu) {
   spec.vgpu = vgpu;
-  return spec;
-}
-/// Attach a request-batching policy to an existing tenant declaration.
-inline TenantSpec with_batching(TenantSpec spec,
-                                workload::BatchPolicy batching) {
-  spec.batching = batching;
   return spec;
 }
 
@@ -171,9 +169,13 @@ class ServingSim {
   /// Register a new tenant mid-run. LS tenants get an instance pool and
   /// an SLO derived from the same multiplier the initial set used; BE
   /// tenants get a batch loop that the controller starts on its next
-  /// plan. Throws ConfigError for a malformed model (no kernels, or
-  /// kernel_deps that are not one ascending in-range list per kernel).
-  /// Returns the new dense TenantId (existing ids never shift).
+  /// plan. Throws ConfigError, leaving the sim unchanged, for a malformed
+  /// model (no kernels, or kernel_deps that are not one ascending
+  /// in-range list per kernel), a BatchPolicy on a BE tenant or outside
+  /// [1, 64], an empty instance pool, a vGPU guarantee that is invalid or
+  /// overcommits the live tenants' TPC, channel or memory budgets, or
+  /// weights that cannot fit the device's VRAM. Returns the new dense
+  /// TenantId (existing ids never shift).
   TenantId add_tenant(const TenantSpec& spec);
   /// Retire a tenant. LS tenants drain: routers must stop sending new
   /// work (stragglers already in a dispatch hop are still admitted), and
@@ -187,8 +189,10 @@ class ServingSim {
   void set_slo(TenantId t, TimeNs slo);
   TimeNs slo_of(TenantId t) const;
   /// Runtime vGPU re-plan (scenario set_quota): swap a tenant's
-  /// guarantees. The old TPC region is released, a new one is carved
-  /// (validated against overcommit), and the controller re-plans.
+  /// guarantees. The old TPC region is released, a new one is carved,
+  /// and the controller re-plans. The new spec passes the same check as
+  /// registration, with the tenant's own share excluded; a rejected
+  /// re-plan throws ConfigError and keeps the old guarantee.
   void set_vgpu(TenantId t, const control::VgpuSpec& vgpu);
   /// Fleet overload lever (the front door's BE-before-LS degradation
   /// order): while paused, every BE loop is invisible to the controller
@@ -231,11 +235,6 @@ class ServingSim {
   std::optional<JobView> find_job(JobId id) const;
   /// In-flight kernels of one class.
   size_t inflight(QosClass qos) const;
-  /// The next `window` kernels of waiting jobs of `qos` — the tidal
-  /// scheduler's sliding window (§7.1), over every ready kernel
-  /// (ascending), mirroring waiting_jobs.
-  std::vector<const gpusim::KernelDesc*> upcoming_kernels(
-      QosClass qos, size_t window) const;
 
   /// All tenant slots ever registered (metrics/TenantId space; removal
   /// never shrinks it).
@@ -244,29 +243,25 @@ class ServingSim {
   size_t tenant_count(QosClass qos) const;
   bool has_class(QosClass qos) const { return tenant_count(qos) > 0; }
   const TenantSpec& tenant(TenantId t) const { return tenants_.at(t); }
-  const models::ModelDesc& tenant_model(TenantId t) const {
-    return tenants_.at(t).model;
-  }
-  /// Instance-pool size of an LS tenant (0 for BE tenants).
-  unsigned instances_of(TenantId t) const { return instances_.at(t); }
-  /// Requests in the system for an LS tenant: admitted (holding an
-  /// instance) plus backlogged — counted in *requests*, so a batching
-  /// tenant's assembly queue and closed-but-waiting batches are visible
-  /// to routers, not hidden behind a single instance slot.
+  /// Requests in the system for an LS tenant (0 for BE tenants): admitted
+  /// (inside a job holding an instance) plus queued ahead of the GPU —
+  /// counted in *requests*, so a batching tenant's assembly queue and
+  /// closed-but-waiting batches are visible to routers, not hidden behind
+  /// a single instance slot.
   size_t outstanding(TenantId t) const {
-    if (batch_.at(t)) {
-      const auto& bs = *batch_[t];
-      return bs.admitted_requests + bs.ready_requests + bs.assembly.size();
-    }
-    return (instances_.at(t) - free_instances_.at(t)) + backlog_.at(t).size();
+    if (!batch_.at(t)) return 0;
+    return batch_[t]->admitted_requests + batch_queue_depth(t);
   }
 
   // ------------------------------------------------ batching read API ----
   /// True when the tenant runs under a BatchPolicy with max_batch > 1.
-  bool batching_enabled(TenantId t) const { return batch_.at(t) != nullptr; }
-  /// Requests queued ahead of the GPU: the assembly queue plus closed
-  /// batches waiting for a free instance (0 for non-batching tenants).
-  /// Routers and the batch-aware controller read this.
+  bool batching_enabled(TenantId t) const {
+    return tenants_.at(t).batching.enabled();
+  }
+  /// Requests of an LS tenant queued ahead of the GPU (0 for BE
+  /// tenants): the assembly queue plus closed batches waiting for a free
+  /// instance. For an unbatched tenant that is its requests waiting for
+  /// an instance. Routers and the batch-aware controller read this.
   size_t batch_queue_depth(TenantId t) const {
     if (!batch_.at(t)) return 0;
     return batch_[t]->assembly.size() + batch_[t]->ready_requests;
@@ -274,7 +269,8 @@ class ServingSim {
   /// Observed batch occupancy: mean requests per batch over the most
   /// recently launched batches (a sliding window, so the signal follows
   /// the workload — a surge of full batches raises it, a return to
-  /// singleton traffic decays it; 0 before the first batch launches).
+  /// singleton traffic decays it; 0 before the first batch launches, and
+  /// always 0 for a tenant that does not batch).
   /// The batch-aware controller widens and narrows the tenant's
   /// allocation from this.
   double batch_occupancy(TenantId t) const {
@@ -300,8 +296,6 @@ class ServingSim {
   memory::Residency residency_of(TenantId t) const {
     return mem_ ? mem_->residency(t) : memory::Residency::kUnmodeled;
   }
-  /// Null on unmodeled devices.
-  const memory::MemoryManager* memory_manager() const { return mem_.get(); }
 
   // ----------------------------------------- vGPU guarantee geometry ----
   /// The concrete TPC region backing tenant t's guarantee (0 when the
@@ -317,24 +311,17 @@ class ServingSim {
   // -------------------------------------------------------- enforcer ----
   /// Enforce a declarative plan: validate each directive and compile it
   /// into launches / eviction flags / wake-ups, strictly in emission
-  /// order. Launches need explicit allocations (no zero-means-all) and a
-  /// waiting job: one that is resident (BE rotation, loaded weights) with
-  /// a ready kernel — anything else throws ConfigError. A launch that
-  /// trespasses on another tenant's guaranteed region is rejected when
-  /// the controller is guarantee_aware(), and counted in
+  /// order. Launches need a grant GpuExecutor::resolve() accepts (no
+  /// zero-means-all) and a waiting job: one that is resident (BE
+  /// rotation, loaded weights) with a ready kernel — anything else throws
+  /// ConfigError. A launch whose resolved TPC mask trespasses on another
+  /// tenant's guaranteed region is rejected when the controller is
+  /// guarantee_aware(), and counted in
   /// ServingMetrics::guarantee_violations otherwise. This is the only
   /// path from plan to mechanism.
   void apply(const control::ResourcePlan& plan);
 
  private:
-  /// Resource allocation for one kernel launch, in the executor's
-  /// encoding: zero means "all" for both fields (monopolisation). Only
-  /// compile_allocation() produces one, from an explicit Allocation.
-  struct LaunchSpec {
-    gpusim::TpcMask tpc_mask = 0;
-    gpusim::ChannelSet channels = 0;
-  };
-
   /// A job's execution state: the frontier of its model's operator DAG
   /// — the dependency-satisfied kernels ready to launch and the ones in
   /// flight, any number at once (multi-launch into the executor's
@@ -373,11 +360,12 @@ class ServingSim {
     TenantId tenant = 0;
     TimeNs arrival = 0;  // batched jobs: the oldest request's arrival
     Frontier frontier;
-    /// Batched jobs run a batch-size-scaled kernel sequence (owned by the
-    /// tenant's BatchState; stable storage). Null = the tenant spec model.
+    /// Batches of two or more run a batch-size-scaled kernel sequence
+    /// (owned by the tenant's BatchState; stable storage). Null = the
+    /// tenant spec model (BE loops and batches of one).
     const models::ModelDesc* model = nullptr;
-    /// Arrival time of every request in the batch (empty for ordinary
-    /// single-request jobs); each gets its own latency sample.
+    /// Arrival time of every request in an LS batch (empty for BE
+    /// loops); each gets its own latency sample.
     std::vector<TimeNs> batch;
     /// The job found cold/paged weights when it entered the system: its
     /// request latencies are also recorded into TenantMetrics::
@@ -385,21 +373,24 @@ class ServingSim {
     bool cold = false;
   };
 
-  /// Per-tenant dynamic-batching state (only LS tenants with an enabled
-  /// BatchPolicy carry one).
+  /// Per-LS-tenant request state: the assembly queue, the closed batches
+  /// waiting for an instance, and the instance pool. Every LS tenant
+  /// carries one; an unbatched tenant (max_batch 1) closes a batch of one
+  /// per request.
   struct BatchState {
-    /// variants[b-1] = the batch-size-b model; built once at tenant
-    /// registration so kernel-descriptor pointers stay stable.
+    /// variants[b-2] = the batch-size-b model for b >= 2 (a batch of one
+    /// runs the tenant's own model); built once at tenant registration
+    /// so kernel-descriptor pointers stay stable.
     std::vector<models::ModelDesc> variants;
     std::vector<TimeNs> assembly;           // arrivals being assembled
     std::deque<std::vector<TimeNs>> ready;  // closed, awaiting an instance
     size_t ready_requests = 0;              // Σ sizes over `ready`
     size_t admitted_requests = 0;           // requests inside live jobs
+    unsigned free_instances = 0;            // idle slots of the pool
     EventId timer = 0;                      // assembly-timeout event
     bool timer_armed = false;
-    uint64_t launched_batches = 0;
-    uint64_t launched_requests = 0;
-    /// Sizes of the most recent launches (sliding occupancy window).
+    /// Sizes of the most recent launches (sliding occupancy window;
+    /// batching tenants only).
     std::deque<unsigned> recent;
   };
   /// Occupancy window length: long enough to smooth burst-to-burst
@@ -426,45 +417,48 @@ class ServingSim {
   const Job* job_ptr(JobId id) const;
 
   void init();
-  void register_tenant(TenantId t);
+  /// Validate `spec` against the live tenant set, then give it the next
+  /// TenantId. Throws ConfigError before changing any state.
+  TenantId register_tenant(TenantSpec spec);
+  /// Everything registration checks except the VRAM fit (which
+  /// MemoryManager::add_replica owns): the model, the batching class
+  /// and range, the instance pool and the vGPU guarantees.
+  void validate_tenant(const TenantSpec& spec) const;
   /// Reject a model the frontier cannot run (ConfigError).
   static void validate_model(const models::ModelDesc& m);
+  /// Reject a vGPU spec that is malformed or, together with every active
+  /// tenant other than `self`, overcommits the TPC, channel or memory
+  /// budget. Registration passes the id the new tenant will get;
+  /// set_vgpu passes the tenant whose guarantee it replaces.
+  void validate_vgpu(const control::VgpuSpec& vgpu, TenantId self) const;
   /// Carve (or release + re-carve) the TPC region backing a guarantee.
   void assign_guarantee_region(TenantId t);
   void release_guarantee_region(TenantId t);
-  void validate_vgpu_budget() const;
-  /// True when `eff_tpcs` trespasses on another active tenant's region.
-  bool trespasses(TenantId owner, gpusim::TpcMask eff_tpcs) const;
-  /// Compile an explicit Allocation into the canonical LaunchSpec
-  /// (the all() sentinel and device-covering channel sets → 0 = "all").
-  LaunchSpec compile_allocation(const control::Allocation& a) const;
+  /// True when `tpcs` trespasses on another active tenant's region.
+  bool trespasses(TenantId owner, gpusim::TpcMask tpcs) const;
   /// Launch the job's lowest-index ready kernel (the order
-  /// waiting_jobs() exposed). For non-memory-bound kernels the channel
-  /// restriction is ignored (only memory-bound tensors are colored,
+  /// waiting_jobs() exposed) on a resolve()d grant. Non-memory-bound
+  /// kernels keep every channel (only memory-bound tensors are colored,
   /// §7.2).
-  void launch(Job& job, LaunchSpec spec);
+  void launch(Job& job, const gpusim::Allocation& grant);
   /// Preempt the job's in-flight kernels via the eviction flag (§7.1).
   /// Restart-from-scratch semantics: progress is lost and each evicted
   /// kernel returns to the ready set. Kernels already evicting are left
   /// alone. Only preemptible (best-effort) kernels accept this.
   void evict(Job& job);
   void arrive(const workload::Request& r);
-  void admit(TenantId tenant, TimeNs arrival);
-  void admit_or_backlog(TenantId tenant, TimeNs arrival);
   /// Completion: retire `kernel` from the job's frontier, unlock its
   /// dependents, and finish the job when every kernel has run.
   void finish_kernel(JobId id, int kernel);
-  /// Shared LS completion tail (erase + record + instance hand-off).
-  void complete_ls(std::deque<Job>::iterator it);
-  void complete_ls_job(TenantId tenant, TimeNs arrival, bool cold);
-  // ---- dynamic batching ----
+  // ---- LS request path (assembly queue → batch job) ----
   void enqueue_for_batch(TenantId t, TimeNs arrival);
   /// Move the assembly queue into a batch job (or the ready queue when no
   /// instance is free); cancels the assembly timer. No-op when empty.
   void close_batch(TenantId t);
   void admit_batch(TenantId t, std::vector<TimeNs> arrivals);
-  void complete_ls_batch(TenantId t, const std::vector<TimeNs>& arrivals,
-                         bool cold);
+  /// LS completion tail: erase the job, record one latency sample per
+  /// request, and hand the instance to the next closed batch.
+  void complete_ls(std::deque<Job>::iterator it);
   void rotate_be(Job& job);
   void note_inflight(QosClass qos, int delta);
   void poke();
@@ -508,10 +502,7 @@ class ServingSim {
   std::vector<TenantId> ls_tenants_;     // trace service index → tenant
   std::vector<TenantId> be_tenants_;     // rotation order (active only)
   size_t be_resident_ = 0;               // round-robin position
-  std::vector<unsigned> instances_;      // per tenant pool size (LS only)
-  std::vector<unsigned> free_instances_; // per tenant (LS slots only)
-  std::vector<std::deque<TimeNs>> backlog_;  // queued arrivals per tenant
-  std::vector<std::unique_ptr<BatchState>> batch_;  // null unless batching
+  std::vector<std::unique_ptr<BatchState>> batch_;  // per tenant; null: BE
   std::vector<char> active_;             // per tenant; 0 after removal
   std::vector<gpusim::TpcMask> guaranteed_mask_;  // per tenant; 0 = none
   gpusim::TpcMask guaranteed_used_ = 0;  // union of carved regions

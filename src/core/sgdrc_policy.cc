@@ -12,6 +12,12 @@ using control::SimView;
 using gpusim::ChannelSet;
 using gpusim::TpcMask;
 
+namespace {
+/// How long LS must stay idle before a colocated BE kernel is restarted
+/// on the whole GPU (the promotion below).
+constexpr TimeNs kPromotionGrace = 200 * kNsPerUs;
+}  // namespace
+
 ChannelSet be_channel_partition(const gpusim::GpuSpec& spec, double ch_be) {
   SGDRC_REQUIRE(ch_be > 0.0 && ch_be < 1.0, "ChBE must be in (0,1)");
   const unsigned group = spec.channel_group_size;
@@ -108,13 +114,13 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
     const auto job = sim.find_job(info.tag);
     if (job) ++inflight_width[job->id];
     if (job && job->qos == QosClass::kBestEffort) {
-      const TpcMask mask = info.tpc_mask ? info.tpc_mask : full;
+      const TpcMask mask = info.tpc_mask;
       be_mask_running |= mask;
       be_memory_bound_in_flight |= info.kernel->memory_bound;
       // Only memory-bound BE kernels have a channel mode to fix; others
       // always run with default mapping and need no channel eviction.
       const bool monopolising =
-          info.channels == 0 && info.kernel->memory_bound;
+          info.channels == all_ch && info.kernel->memory_bound;
       const auto it =
           std::find_if(be_runs.begin(), be_runs.end(),
                        [&](const BeRun& r) { return r.job == job->id; });
@@ -259,16 +265,16 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // Promotion: when LS has drained but a BE kernel is still running in
   // colocation mode (narrow mask / ChBE channels), restart it with the
   // full GPU — the monopolisation transition of Fig. 14c→d. A short
-  // grace period avoids thrashing on sub-200us LS gaps.
+  // grace period avoids thrashing on short LS gaps.
   if (!ls_active && claimed_from_be == 0) {
     for (const auto& run : be_runs) {
       if (run.evicting) continue;
       const bool colocated_mode = run.mask != run.widest;
       if (!colocated_mode) continue;
-      if (sim.now() >= last_ls_activity_ + 200 * kNsPerUs) {
+      if (sim.now() >= last_ls_activity_ + kPromotionGrace) {
         plan.evict(run.job);
       } else {
-        plan.wake_at(last_ls_activity_ + 200 * kNsPerUs);
+        plan.wake_at(last_ls_activity_ + kPromotionGrace);
       }
     }
   }
@@ -278,9 +284,9 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // launch queue may consume more SMs than the currently allocated
   // ones"), so preemptions stay rare. The reserve tracks the peak of
   // recent concurrent LS usage: it rises instantly and decays one TPC
-  // per decay interval. (The legacy imperative path read
-  // upcoming_kernels() after its launches took effect; the plan path
-  // reproduces that view by skipping the jobs this plan just launched.)
+  // per decay interval. (The retired imperative path read the waiting
+  // LS kernels after its launches took effect; the plan path reproduces
+  // that view by skipping the jobs this plan just launched.)
   unsigned window_need = 1;
   {
     size_t seen = 0;

@@ -38,11 +38,6 @@ namespace sgdrc::core {
 struct SgdrcOptions {
   double ch_be = 1.0 / 3.0;    // §6's default BE channel share
   size_t sliding_window = 8;   // §7.1 sliding-window length
-  /// How long the LS reservation outlives the last LS activity. The
-  /// sliding window reserves SMs for kernels "waiting in the kernel
-  /// launch queue" (§7.1); holding the reservation across momentary idle
-  /// gaps prevents monopolise→preempt thrash that would waste BE work.
-  TimeNs reservation_window = 300 * kNsPerUs;
   /// The SM reservation decays one TPC per this interval when LS demand
   /// falls, so the BE mask follows the tide without flapping per event.
   TimeNs reserve_decay_interval = 100 * kNsPerUs;

@@ -266,8 +266,6 @@ class FleetSim {
   /// Device shards lag this inside a coalesced window and land on it at
   /// every barrier.
   TimeNs now() const { return std::max(control_.now(), dispatch_.now()); }
-  /// Events fired so far (shards + fleet queues) — bench observability.
-  uint64_t events_processed() const { return events_; }
   /// True when device shards execute on the thread pool.
   bool parallel() const { return pool_ != nullptr; }
   /// Requests a replica currently holds (admitted + backlogged).

@@ -21,6 +21,12 @@
 // Rates are recomputed at every launch / completion / eviction, so
 // progress between events is linear (fluid processor sharing).
 //
+// Grants. A launch carries an explicit gpusim::Allocation, the same type
+// a controller's plan emits; resolve() expands its all() sentinel to the
+// device masks and rejects empty or out-of-device grants, so the
+// executor stores, computes with and reports (RunningInfo) only device
+// masks.
+//
 // Hot path. Each recompute first rebuilds three occupancy tables from
 // scratch — per-TPC user counts, and per-channel user counts and summed
 // bandwidth demand over the kernels that move bytes — walking running
@@ -50,7 +56,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -77,9 +82,8 @@ struct ExecutorParams {
 
 struct KernelLaunch {
   const KernelDesc* kernel = nullptr;
-  TpcMask tpc_mask = 0;      // 0 ⇒ all TPCs
-  ChannelSet channels = 0;   // 0 ⇒ all channels
-  uint64_t tag = 0;          // scheduler cookie (task id, queue id, ...)
+  Allocation alloc = Allocation::all();  // GpuExecutor::resolve()d
+  uint64_t tag = 0;  // scheduler cookie (task id, queue id, ...)
 };
 
 class GpuExecutor {
@@ -93,8 +97,16 @@ class GpuExecutor {
   GpuExecutor(const GpuSpec& spec, EventQueue& queue,
               ExecutorParams params = {});
 
-  /// Start a kernel. The completion callback fires from the event queue.
+  /// Start a kernel on the resolve()d grant. The completion callback
+  /// fires from the event queue.
   LaunchId launch(const KernelLaunch& l, CompletionFn on_complete);
+
+  /// The device masks `a` grants: the all() sentinel of either field
+  /// expands to every TPC / channel this device has. Throws ConfigError
+  /// for an empty field, or for a mask naming a TPC or channel the device
+  /// lacks (out-of-range bits are legal only as the sentinel). The only
+  /// code that expands the sentinel.
+  Allocation resolve(const Allocation& a) const;
 
   /// Preempt a running kernel via the eviction flag. Only preemptible
   /// kernels accept this. No-op (returns false) if already finished.
@@ -111,7 +123,8 @@ class GpuExecutor {
   TimeNs solo_runtime(const KernelDesc& k, unsigned tpcs, unsigned channels,
                       bool spt_transformed) const;
 
-  /// Resource views for schedulers.
+  /// Resource view for schedulers: the resolved device masks of a
+  /// running kernel (never the all() sentinel).
   struct RunningInfo {
     const KernelDesc* kernel;
     TpcMask tpc_mask;
@@ -119,12 +132,8 @@ class GpuExecutor {
     uint64_t tag;
     TimeNs started;
   };
-  std::optional<RunningInfo> info(LaunchId id) const;
   /// Snapshot of every running kernel (scheduler admission checks).
   std::vector<RunningInfo> running_infos() const;
-  /// Union of TPC masks (channel sets) of running kernels.
-  TpcMask busy_tpcs() const;
-  ChannelSet busy_channels() const;
 
   uint64_t launches() const { return stats_launches_; }
   uint64_t completions() const { return stats_completions_; }
@@ -132,7 +141,7 @@ class GpuExecutor {
 
  private:
   struct Running {
-    KernelLaunch launch;
+    KernelLaunch launch;           // alloc holds device masks
     CompletionFn on_complete;
     double remaining = 1.0;        // fraction of work left
     double rate = 0.0;             // fraction per ns under current alloc

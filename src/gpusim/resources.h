@@ -1,6 +1,6 @@
 // Low-level resource-set types shared by the driver, the executor and the
-// schedulers: VRAM channel sets (cache coloring) and TPC masks (TMD-style
-// SM masking).
+// schedulers: VRAM channel sets (cache coloring), TPC masks (TMD-style
+// SM masking), and the Allocation that grants one kernel both.
 #pragma once
 
 #include <bit>
@@ -64,5 +64,31 @@ inline TpcMask tpc_range(unsigned first, unsigned count) {
       count >= 64 ? ~TpcMask{0} : (TpcMask{1} << count) - 1;
   return ones << first;
 }
+
+// ---------------------------------------------------------------------
+// Allocation: the explicit grant for one kernel launch, a TPC mask and a
+// channel set, from a controller's plan all the way into the executor.
+// There is no zero-means-"all" convention (the classic footgun: a
+// forgotten mask silently monopolised the GPU). An empty field is an
+// error; the sentinel all-ones masks of Allocation::all() mean "every
+// TPC / channel the device has" without the caller knowing the device
+// size. GpuExecutor::resolve() expands the sentinel to device masks and
+// rejects empty or out-of-device grants.
+// ---------------------------------------------------------------------
+struct Allocation {
+  TpcMask tpcs = 0;        // 0 is invalid — use all()
+  ChannelSet channels = 0; // 0 is invalid — use all()
+
+  /// The whole device (monopolisation), device-size agnostic.
+  static constexpr Allocation all() {
+    return {~TpcMask{0}, ~ChannelSet{0}};
+  }
+  /// A TPC slice with every channel (compute-bound colocation).
+  static constexpr Allocation on_tpcs(TpcMask m) {
+    return {m, ~ChannelSet{0}};
+  }
+  static constexpr Allocation on(TpcMask m, ChannelSet c) { return {m, c}; }
+  constexpr bool empty() const { return tpcs == 0 || channels == 0; }
+};
 
 }  // namespace sgdrc::gpusim

@@ -37,10 +37,11 @@ constexpr const char* qos_name(QosClass c) {
 /// of production inference servers. End-to-end latency of every request
 /// in the batch includes its own assembly wait.
 ///
-/// Defaults are OFF (max_batch = 1): a tenant without a policy serves
-/// each request as its own job, bit-for-bit as before batching existed.
+/// Defaults are OFF (max_batch = 1): a tenant without a policy takes the
+/// same path, and each request closes a batch of one that runs the
+/// tenant's own model, never waiting for companions.
 struct BatchPolicy {
-  /// Requests per batch at most; 1 disables batching entirely.
+  /// Requests per batch at most, in [1, 64]; 1 disables batching.
   unsigned max_batch = 1;
   /// How long a partial batch may wait for companions before launching
   /// anyway (measured from the first request in the assembly queue).

@@ -1,15 +1,17 @@
 // Dynamic request batching: the batch-size latency model
 // (models/batching.h), the assembly queue inside ServingSim (timeout
 // fires partial batches, the cap is respected, churned tenants drain,
-// per-request latency includes assembly wait), occupancy visibility to
-// controllers, router-facing queue depth, and bit-identical reruns with
-// batching enabled.
+// per-request latency includes assembly wait, an unbatched tenant is a
+// batch of one on the same path), occupancy visibility to controllers,
+// router-facing queue depth, and bit-identical reruns with batching
+// enabled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "baselines/registry.h"
 #include "control/batch_aware.h"
+#include "core/harness.h"
 #include "core/serving.h"
 #include "core/sgdrc_policy.h"
 #include "models/batching.h"
@@ -198,6 +200,55 @@ TEST(Batching, OutstandingCountsRequestsNotInstanceSlots) {
   // 4+4 closed (2 admitted jobs hold the 2 instances), 2 assembling.
   EXPECT_EQ(sim->batch_queue_depth(0), 2u);
   EXPECT_TRUE(sim->batching_enabled(0));
+  (void)sim->finish();
+}
+
+TEST(Batching, UnbatchedTenantIsABatchOfOne) {
+  // max_batch 1 closes a batch of one per request on the batching path;
+  // its assembly timeout never arms and it records no batch sizes, so
+  // the default policy, {1, 0} and {1, 5 ms} run identically on a
+  // fig17-like config (three LS services and two BE tasks, SGDRC).
+  HarnessOptions o;
+  o.spec = gpusim::rtx_a2000();
+  o.ls_letters = "ABC";
+  o.be_letters = "IJ";
+  o.utilization = 1.45;
+  o.burstiness = 0.35;
+  o.duration = 60 * kNsPerMs;
+  o.seed = 0xf17;
+  const ServingHarness h(o);
+  const auto digest = [&](BatchPolicy policy) {
+    ServingSimBuilder b;
+    b.gpu(o.spec).duration(o.duration).default_ls_instances(o.ls_instances);
+    for (size_t i = 0; i < h.ls_count(); ++i) {
+      b.add_latency_sensitive(h.ls_model_spt(i), h.isolated_latency(i))
+          .batching(policy);
+    }
+    for (size_t i = 0; i < h.be_count(); ++i) {
+      b.add_best_effort(h.be_model_spt(i));
+    }
+    SgdrcPolicy controller(o.spec);
+    const auto m = b.build(controller)->run(h.trace());
+    for (const auto* t : m.of_class(QosClass::kLatencySensitive)) {
+      EXPECT_GT(t->served, 0u) << t->name;
+      EXPECT_EQ(t->batch_sizes.count(), 0u) << t->name;
+    }
+    return workload::run_digest(m);
+  };
+  const std::string plain = digest(BatchPolicy{});
+  EXPECT_EQ(digest(batch_up_to(1, 0)), plain);
+  EXPECT_EQ(digest(batch_up_to(1, 5 * kNsPerMs)), plain);
+
+  // Router-facing counts: with two instances and nothing launching, five
+  // requests are two admitted batches of one plus three waiting ones.
+  FnController idle = tests::idle_controller();
+  auto sim = batched_builder(BatchPolicy{}).build(idle);
+  sim->begin();
+  for (int i = 0; i < 5; ++i) sim->inject(0, 0);
+  EXPECT_FALSE(sim->batching_enabled(0));
+  EXPECT_EQ(sim->outstanding(0), 5u);
+  EXPECT_EQ(sim->batch_queue_depth(0), 3u);
+  EXPECT_EQ(sim->batch_occupancy(0), 0.0);
   (void)sim->finish();
 }
 

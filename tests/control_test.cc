@@ -45,10 +45,9 @@ HarnessOptions fig17_like_options(double load_scale, BeMode be_mode) {
   return o;
 }
 
-/// The shared-queue fleet config: an LS kernel packed onto every TPC
-/// must stay an *explicit* mask through the enforcer (only
-/// Allocation::all() compiles to the executor's 0 = "all"), or the next
-/// plan's occupancy snapshot loses it and routing diverges.
+/// The shared-queue fleet config: LS kernels get packed onto every TPC,
+/// and the next plan's occupancy snapshot must read each one back from
+/// RunningInfo as LS occupancy, or routing diverges.
 fleet::FleetMetrics run_fleet_config(const std::string& system) {
   HarnessOptions o = fig17_like_options(1.0, BeMode::kRoundRobin);
   o.utilization = 0.8;
@@ -148,8 +147,8 @@ TEST(ResourcePlanApi, EmptyAllocationIsRejectedLoudly) {
 }
 
 TEST(ResourcePlanApi, AllocationAllBehavesLikeLegacyMonopolisation) {
-  // Allocation::all() compiles to the canonical whole-device launch: the
-  // executor sees the same encoding the legacy {0,0} produced.
+  // Allocation::all() reaches the executor as the whole device: the
+  // running kernel reports every TPC and channel of the 4-TPC test GPU.
   FnController c([&](const SimView& view) {
     ResourcePlan p;
     if (view.inflight(QosClass::kBestEffort) == 0) {
@@ -162,25 +161,29 @@ TEST(ResourcePlanApi, AllocationAllBehavesLikeLegacyMonopolisation) {
   sim->begin();  // the first plan launches a batch kernel at t = 0
   const auto infos = sim->exec().running_infos();
   ASSERT_EQ(infos.size(), 1u);
-  EXPECT_EQ(infos[0].tpc_mask, 0u);  // canonical "all TPCs"
-  EXPECT_EQ(infos[0].channels, 0u);  // canonical "all channels"
+  EXPECT_EQ(infos[0].tpc_mask, gpusim::full_tpc_mask(4));
+  EXPECT_EQ(infos[0].channels, gpusim::all_channels(4));
   const auto m = sim->finish();
   EXPECT_EQ(m.guarantee_violations, 0u);
 }
 
 TEST(ResourcePlanApi, OutOfDeviceMasksAreRejected) {
-  FnController c([&](const SimView& view) {
-    ResourcePlan p;
-    const auto waiting = view.waiting_jobs(QosClass::kBestEffort);
-    if (!waiting.empty()) {
-      // TPC 63 does not exist on the 4-TPC test GPU.
-      p.launch(waiting.front().id,
-               Allocation{gpusim::tpc_bit(63), ~ChannelSet{0}});
-    }
-    return p;
-  });
-  auto sim = two_be_builder().build(c);
-  EXPECT_THROW(sim->run({}), ConfigError);
+  // TPC 63 does not exist on the 4-TPC test GPU. Out-of-device bits are
+  // legal only as the all() sentinel itself, so a device-covering mask
+  // plus one stray bit is a controller bug too, not a spelling of "all".
+  for (const TpcMask tpcs :
+       {gpusim::tpc_bit(63), gpusim::full_tpc_mask(4) | gpusim::tpc_bit(63)}) {
+    FnController c([&](const SimView& view) {
+      ResourcePlan p;
+      const auto waiting = view.waiting_jobs(QosClass::kBestEffort);
+      if (!waiting.empty()) {
+        p.launch(waiting.front().id, Allocation{tpcs, ~ChannelSet{0}});
+      }
+      return p;
+    });
+    auto sim = two_be_builder().build(c);
+    EXPECT_THROW(sim->run({}), ConfigError) << tpcs;
+  }
 }
 
 TEST(ResourcePlanApi, WakeAtDirectiveReplansLater) {

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <ostream>
 #include <string>
 
 #include "baselines/baseline_policies.h"
@@ -525,6 +527,109 @@ TEST(TenantValidation, DuplicateEdgeIsRejected) {
 TEST(TenantValidation, ShortDependencyListsAreRejected) {
   expect_rejected(be_with_deps({{}, {0}}), "one list per kernel");
 }
+
+// Registration checks everything before it changes anything, so a
+// rejected tenant leaves no half-registered slot behind: the next valid
+// tenant gets the next id, its own metrics slot, and takes requests.
+TEST(TenantValidation, RejectedAddTenantLeavesSimUnchanged) {
+  FnController c(launch_all_waiting);
+  const TenantSpec ls =
+      latency_sensitive_tenant(models::make_model('A'), kNsPerMs);
+  {
+    // A BE tenant carrying a BatchPolicy.
+    auto sim = ServingSimBuilder().gpu(small_spec()).add_tenant(ls).build(c);
+    sim->begin();
+    TenantSpec bad = best_effort_tenant(tiny_be_model("batched-be", 'B'));
+    bad.batching = workload::batch_up_to(4, kNsPerMs);
+    EXPECT_THROW(sim->add_tenant(bad), ConfigError);
+    EXPECT_EQ(sim->tenant_count(), 1u);
+    ASSERT_EQ(sim->add_tenant(ls), 1u);
+    sim->inject(1, sim->now());
+    const auto m = sim->finish();
+    ASSERT_EQ(m.tenants.size(), 2u);
+    EXPECT_EQ(m.tenants[1].arrived, 1u);
+  }
+  {
+    // An LS tenant whose channel share overcommits the device.
+    const control::VgpuSpec share{.channel_share = 0.6};
+    auto sim = ServingSimBuilder()
+                   .gpu(small_spec())
+                   .add_tenant(with_vgpu(ls, share))
+                   .add_best_effort(tiny_be_model("be", 'X'))
+                   .build(c);
+    sim->begin();
+    EXPECT_THROW(sim->add_tenant(with_vgpu(ls, share)), ConfigError);
+    EXPECT_EQ(sim->tenant_count(), 2u);
+    ASSERT_EQ(sim->add_tenant(ls), 2u);  // no guarantee: fits
+    EXPECT_TRUE(sim->tenant_active(2));
+    sim->inject(2, sim->now());
+    const auto m = sim->finish();
+    ASSERT_EQ(m.tenants.size(), 3u);
+    EXPECT_EQ(m.tenants[2].arrived, 1u);
+  }
+}
+
+// One vGPU validator: registration and set_vgpu reject the same specs,
+// and a rejected set_vgpu keeps the tenant's old guarantee. The live set
+// on the 4-TPC, 512 MiB test GPU: an LS tenant holding 2 TPCs, half the
+// channels and 256 MiB; a BE tenant holding 1 TPC (the set_vgpu target).
+struct BadVgpu {
+  const char* name;
+  control::VgpuSpec vgpu;
+};
+
+// Test names print the case name, not a byte dump holding a pointer
+// that changes from run to run.
+void PrintTo(const BadVgpu& b, std::ostream* os) { *os << b.name; }
+
+class VgpuValidation : public ::testing::TestWithParam<BadVgpu> {};
+
+TEST_P(VgpuValidation, RegistrationAndSetVgpuRejectTheSameSpec) {
+  FnController idle = tests::idle_controller();
+  auto sim = ServingSimBuilder()
+                 .gpu(small_spec())
+                 .add_latency_sensitive(models::make_model('A'), kNsPerMs)
+                 .quota({.guaranteed_tpcs = 2,
+                         .channel_share = 0.5,
+                         .memory_bytes = 256ull << 20})
+                 .add_best_effort(tiny_be_model("be", 'X'))
+                 .quota({.guaranteed_tpcs = 1})
+                 .build(idle);
+  const control::VgpuSpec& bad = GetParam().vgpu;
+  EXPECT_THROW(sim->add_tenant(with_vgpu(
+                   best_effort_tenant(tiny_be_model("new", 'N')), bad)),
+               ConfigError);
+  EXPECT_EQ(sim->tenant_count(), 2u);
+  const gpusim::TpcMask region = sim->guaranteed_mask(1);
+  ASSERT_NE(region, 0u);
+  EXPECT_THROW(sim->set_vgpu(1, bad), ConfigError);
+  EXPECT_EQ(sim->guaranteed_mask(1), region);
+  EXPECT_EQ(sim->tenant(1).vgpu.guaranteed_tpcs, 1u);
+  EXPECT_EQ(sim->tenant(1).vgpu.weight, 1.0);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    BadSpecs, VgpuValidation,
+    ::testing::Values(
+        BadVgpu{"MoreTpcsThanTheDevice", {.guaranteed_tpcs = 5}},
+        BadVgpu{"TpcsOvercommitted", {.guaranteed_tpcs = 3}},
+        BadVgpu{"NegativeChannelShare", {.channel_share = -0.1}},
+        BadVgpu{"WholeChannelShare", {.channel_share = 1.0}},
+        BadVgpu{"NaNChannelShare", {.channel_share = kNaN}},
+        BadVgpu{"ChannelSharesOvercommitted", {.channel_share = 0.6}},
+        BadVgpu{"ZeroWeight", {.weight = 0.0}},
+        BadVgpu{"NegativeWeight", {.weight = -1.0}},
+        BadVgpu{"InfiniteWeight", {.weight = kInf}},
+        BadVgpu{"NaNWeight", {.weight = kNaN}},
+        BadVgpu{"MemoryOvercommitted", {.memory_bytes = 300ull << 20}},
+        BadVgpu{"MemoryBeyondAnyDevice",
+                {.memory_bytes = std::numeric_limits<uint64_t>::max()}}),
+    [](const ::testing::TestParamInfo<BadVgpu>& info) {
+      return std::string(info.param.name);
+    });
 
 // Regression: a tenant that served zero requests used to report 100%
 // attainment (and pulled class means toward a vacuous 1.0).

@@ -105,6 +105,20 @@ Script make_script(const GpuSpec& spec, uint64_t index) {
   return s;
 }
 
+/// An action's launch record for each executor. Scripts use the
+/// reference's encoding, where 0 means every TPC / channel; the library
+/// spells that Allocation::all().
+reference::KernelLaunch launch_record(const reference::GpuExecutor&,
+                                      const KernelDesc& k, const Action& a) {
+  return {&k, a.tpc_mask, a.channels};
+}
+KernelLaunch launch_record(const GpuExecutor&, const KernelDesc& k,
+                           const Action& a) {
+  constexpr Allocation kAll = Allocation::all();
+  return {&k, {a.tpc_mask ? a.tpc_mask : kAll.tpcs,
+               a.channels ? a.channels : kAll.channels}};
+}
+
 /// Runs a script on one executor and logs, in firing order:
 /// "C<id>@<t>" completions, "E<id>@<t>" evictions, "e<id>:<accepted>"
 /// evict calls, "L<id>@<t>" launches and "P<n>@<t>" probes.
@@ -171,7 +185,7 @@ class ScriptRunner {
     } else {
       const KernelDesc& k = script_.kernels[a.kernel];
       const uint64_t id = exec_.launch(
-          {&k, a.tpc_mask, a.channels},
+          launch_record(exec_, k, a),
           [this](uint64_t lid, TimeNs t) { on_event('C', lid, t); });
       note('L', id);
       if (k.preemptible) preemptible_.push_back(id);

@@ -136,9 +136,9 @@ TEST_F(ExecutorTest, DisjointPartitionsGivePerfectIsolation) {
   const TimeNs solo = exec_.solo_runtime(a, 2, 2, false);
 
   std::vector<TimeNs> done;
-  exec_.launch({&a, tpc_range(0, 2), 0b0011},
+  exec_.launch({&a, {tpc_range(0, 2), 0b0011}},
                [&](GpuExecutor::LaunchId, TimeNs t) { done.push_back(t); });
-  exec_.launch({&b, tpc_range(2, 2), 0b1100},
+  exec_.launch({&b, {tpc_range(2, 2), 0b1100}},
                [&](GpuExecutor::LaunchId, TimeNs t) { done.push_back(t); });
   q_.run_all();
   ASSERT_EQ(done.size(), 2u);
@@ -158,9 +158,9 @@ TEST_F(ExecutorTest, ChannelOverlapHurtsOnlyMemoryBound) {
     EventQueue q;
     GpuExecutor exec(test_gpu(), q);
     TimeNs victim_done = 0;
-    exec.launch({&aggressor, tpc_range(2, 2), 0},
+    exec.launch({&aggressor, Allocation::on_tpcs(tpc_range(2, 2))},
                 [](GpuExecutor::LaunchId, TimeNs) {});
-    exec.launch({&victim, tpc_range(0, 2), 0},
+    exec.launch({&victim, Allocation::on_tpcs(tpc_range(0, 2))},
                 [&](GpuExecutor::LaunchId, TimeNs t) { victim_done = t; });
     q.run_all();
     return victim_done;
@@ -187,11 +187,11 @@ TEST_F(ExecutorTest, InterferenceGrowsWithAggressorCount) {
     EventQueue q;
     GpuExecutor exec(test_gpu(), q);
     for (unsigned i = 0; i < n; ++i) {
-      exec.launch({&aggressor, tpc_bit(1 + i), 0},
+      exec.launch({&aggressor, Allocation::on_tpcs(tpc_bit(1 + i))},
                   [](GpuExecutor::LaunchId, TimeNs) {});
     }
     TimeNs done = 0;
-    exec.launch({&victim, tpc_bit(0), 0},
+    exec.launch({&victim, Allocation::on_tpcs(tpc_bit(0))},
                 [&](GpuExecutor::LaunchId, TimeNs t) { done = t; });
     q.run_all();
     EXPECT_GT(done, prev) << "aggressors=" << n;
@@ -265,14 +265,30 @@ TEST_F(ExecutorTest, EvictCompletionRaceFavoursCompletion) {
   EXPECT_FALSE(evicted);
 }
 
-TEST_F(ExecutorTest, BusyViewsTrackRunningKernels) {
+TEST_F(ExecutorTest, RunningInfoReportsResolvedDeviceMasks) {
+  // Running kernels report device masks, never the all() sentinel: an
+  // explicit grant comes back as given, all() (the KernelLaunch default)
+  // and a sentinel field come back as every TPC / channel of the device.
   const KernelDesc k = compute_kernel(1.0);
-  EXPECT_EQ(exec_.busy_tpcs(), 0u);
-  exec_.launch({&k, tpc_range(0, 2), 0b0011}, nullptr);
-  EXPECT_EQ(exec_.busy_tpcs(), tpc_range(0, 2));
-  EXPECT_EQ(exec_.busy_channels(), 0b0011u);
+  EXPECT_TRUE(exec_.running_infos().empty());
+  exec_.launch({&k, {tpc_range(0, 2), 0b0011}, 7}, nullptr);
+  exec_.launch({&k}, nullptr);
+  exec_.launch({&k, Allocation::on_tpcs(tpc_bit(3))}, nullptr);
+  const auto infos = exec_.running_infos();
+  ASSERT_EQ(infos.size(), 3u);
+  EXPECT_EQ(infos[0].tpc_mask, tpc_range(0, 2));
+  EXPECT_EQ(infos[0].channels, 0b0011u);
+  EXPECT_EQ(infos[0].tag, 7u);
+  EXPECT_EQ(infos[1].tpc_mask, full_tpc_mask(4));
+  EXPECT_EQ(infos[1].channels, all_channels(4));
+  EXPECT_EQ(infos[2].tpc_mask, tpc_bit(3));
+  EXPECT_EQ(infos[2].channels, all_channels(4));
+  // resolve() is the expansion the launches went through.
+  const Allocation all = exec_.resolve(Allocation::all());
+  EXPECT_EQ(all.tpcs, full_tpc_mask(4));
+  EXPECT_EQ(all.channels, all_channels(4));
   q_.run_all();
-  EXPECT_EQ(exec_.busy_tpcs(), 0u);
+  EXPECT_TRUE(exec_.running_infos().empty());
 }
 
 TEST_F(ExecutorTest, ManySequentialKernelsAllComplete) {
@@ -318,8 +334,10 @@ TEST_F(ExecutorTest, EventSlotsStayConstantThroughChurn) {
       [&](GpuExecutor::LaunchId, TimeNs) {
         if (launched < 20'000) {
           ++launched;
-          exec_.launch({&k, tpc_bit(static_cast<unsigned>(launched % 4)), 0},
-                       relaunch);
+          exec_.launch(
+              {&k, Allocation::on_tpcs(
+                       tpc_bit(static_cast<unsigned>(launched % 4)))},
+              relaunch);
         }
       };
   for (int i = 0; i < 8; ++i) relaunch(0, 0);
@@ -330,9 +348,23 @@ TEST_F(ExecutorTest, EventSlotsStayConstantThroughChurn) {
 
 TEST_F(ExecutorTest, RejectsInvalidLaunches) {
   const KernelDesc k = compute_kernel(1.0);
+  const TpcMask full = full_tpc_mask(4);
+  const ChannelSet all_ch = all_channels(4);
   EXPECT_THROW(exec_.launch({nullptr}, nullptr), ConfigError);
-  EXPECT_THROW(exec_.launch({&k, tpc_bit(60), 0}, nullptr), ConfigError);
-  EXPECT_THROW(exec_.launch({&k, 0, channel_bit(20)}, nullptr), ConfigError);
+  // An empty grant, or an empty field, is not "all".
+  EXPECT_THROW(exec_.launch({&k, Allocation{}}, nullptr), ConfigError);
+  EXPECT_THROW(exec_.launch({&k, {full, 0}}, nullptr), ConfigError);
+  EXPECT_THROW(exec_.launch({&k, {0, all_ch}}, nullptr), ConfigError);
+  // Out-of-device bits, with the other field valid and explicit.
+  EXPECT_THROW(exec_.launch({&k, {tpc_bit(60), all_ch}}, nullptr),
+               ConfigError);
+  EXPECT_THROW(exec_.launch({&k, {full, channel_bit(20)}}, nullptr),
+               ConfigError);
+  // Stray high bits on a full mask are not the all() sentinel.
+  EXPECT_THROW(exec_.launch({&k, {full | tpc_bit(63), all_ch}}, nullptr),
+               ConfigError);
+  EXPECT_EQ(exec_.running_count(), 0u);
+  EXPECT_EQ(exec_.launches(), 0u);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // channel, and recompute_rates() cancels and re-pushes one completion
 // event per running kernel. The class body is kept verbatim so
 // executor_crosscheck_test.cc can diff the library executor against the
-// behaviour it replaced; it reuses the library's ExecutorParams and
-// KernelLaunch, which did not change. Not part of the sgdrc library.
+// behaviour it replaced; it reuses the library's ExecutorParams, which
+// did not change, and keeps a verbatim copy of the launch record of that
+// time, where 0 means every TPC / channel. Not part of the sgdrc
+// library.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,13 @@
 #include "gpusim/resources.h"
 
 namespace sgdrc::gpusim::reference {
+
+struct KernelLaunch {
+  const KernelDesc* kernel = nullptr;
+  TpcMask tpc_mask = 0;      // 0 ⇒ all TPCs
+  ChannelSet channels = 0;   // 0 ⇒ all channels
+  uint64_t tag = 0;          // scheduler cookie (task id, queue id, ...)
+};
 
 class GpuExecutor {
  public:

@@ -14,6 +14,16 @@
 // left in place and skipped as a tombstone when it surfaces. Generations
 // start at 1 and skip 0 when they wrap, so the default EventId{} never
 // names a live event and cancelling it is a safe no-op.
+//
+// An event whose time is known only at the end of the current event can
+// still take the place in line of an earlier moment in it:
+// reserve_place() takes the sequence number a schedule_at() issued now
+// would take, and schedule_at(Place, ...) pushes at it later in the same
+// event. Events scheduled in between take later places, as they would
+// have if the push had happened at the reservation.
+//
+// Work counters (pushes, events fired, tombstones popped) are plain
+// integers that depend only on the event stream, never on the host.
 #pragma once
 
 #include <algorithm>
@@ -41,21 +51,28 @@ class EventQueue {
   /// Schedule `fn` to fire at absolute simulated time `when`.
   /// `when` must not be in the past relative to now().
   EventId schedule_at(TimeNs when, std::function<void()> fn) {
-    SGDRC_CHECK(when >= now_, "scheduling an event in the past");
-    uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.push_back({});
-    }
-    slots_[slot].pending = true;
-    const EventId id =
-        (static_cast<uint64_t>(slots_[slot].generation) << 32) | slot;
-    heap_.push(Entry{when, seq_++, id, std::move(fn)});
-    ++live_;
+    const EventId id = push(when, seq_, std::move(fn));
+    ++seq_;  // only once pushed: a rejected event takes no place
     return id;
+  }
+
+  /// A place in line held for a later schedule_at(Place, ...).
+  struct Place {
+    uint64_t seq = 0;    // the sequence number the event will carry
+    uint64_t fired = 0;  // fired() at the reservation
+  };
+
+  /// Reserve the place in line a schedule_at() issued now would take.
+  /// Each place is for one schedule_at(Place, ...) in the same event.
+  Place reserve_place() { return {seq_++, fired_}; }
+
+  /// Schedule `fn` at `when` in a place reserved earlier: among events at
+  /// `when` it fires as if scheduled at the reservation. Throws
+  /// InvariantError when an event has fired since the reservation.
+  EventId schedule_at(Place place, TimeNs when, std::function<void()> fn) {
+    SGDRC_CHECK(place.fired == fired_,
+                "an event fired since this place was reserved");
+    return push(when, place.seq, std::move(fn));
   }
 
   /// Schedule `fn` to fire `delay` after the current time.
@@ -86,6 +103,13 @@ class EventQueue {
 
   TimeNs now() const { return now_; }
 
+  /// Heap pushes (schedule_at calls) over the queue's lifetime.
+  uint64_t pushes() const { return pushes_; }
+  /// Events fired over the queue's lifetime.
+  uint64_t fired() const { return fired_; }
+  /// Cancelled heap entries dropped when they surfaced.
+  uint64_t tombstones_popped() const { return tombstones_popped_; }
+
   /// Manually advance the clock with no events (e.g. idle gaps driven by an
   /// outer simulation). Must not go backwards.
   void advance_to(TimeNs t) {
@@ -96,40 +120,16 @@ class EventQueue {
   /// Pop and run the earliest live event; advances now(). Returns false
   /// when the queue is empty.
   bool run_next() {
-    while (!heap_.empty()) {
-      if (!is_pending(heap_.top().id)) {  // cancelled tombstone
-        heap_.pop();
-        continue;
-      }
-      Entry e = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      now_ = e.when;
-      retire(static_cast<uint32_t>(e.id));
-      --live_;
-      e.fn();
-      return true;
-    }
-    return false;
+    if (!live_top()) return false;
+    fire_top();
+    return true;
   }
 
   /// Run events until the queue drains or `until` is reached (events at
   /// exactly `until` still fire). Returns the number of events fired.
   size_t run_until(TimeNs until) {
     size_t fired = 0;
-    while (!heap_.empty()) {
-      if (!is_pending(heap_.top().id)) {  // cancelled tombstone
-        heap_.pop();
-        continue;
-      }
-      if (heap_.top().when > until) break;
-      Entry e = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      now_ = e.when;
-      retire(static_cast<uint32_t>(e.id));
-      --live_;
-      e.fn();
-      ++fired;
-    }
+    for (; live_top() && heap_.top().when <= until; ++fired) fire_top();
     now_ = std::max(now_, until);
     return fired;
   }
@@ -139,11 +139,8 @@ class EventQueue {
   /// the answer reflects a *live* event. The sharded fleet engine peeks
   /// every shard to compute the next conservative time window.
   std::optional<TimeNs> peek_next_time() {
-    while (!heap_.empty()) {
-      if (is_pending(heap_.top().id)) return heap_.top().when;
-      heap_.pop();  // cancelled tombstone
-    }
-    return std::nullopt;
+    if (!live_top()) return std::nullopt;
+    return heap_.top().when;
   }
 
   /// Run events strictly before `until` (events at exactly `until` stay
@@ -154,20 +151,7 @@ class EventQueue {
   /// number of events fired.
   size_t run_until_before(TimeNs until) {
     size_t fired = 0;
-    while (!heap_.empty()) {
-      if (!is_pending(heap_.top().id)) {  // cancelled tombstone
-        heap_.pop();
-        continue;
-      }
-      if (heap_.top().when >= until) break;
-      Entry e = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      now_ = e.when;
-      retire(static_cast<uint32_t>(e.id));
-      --live_;
-      e.fn();
-      ++fired;
-    }
+    for (; live_top() && heap_.top().when < until; ++fired) fire_top();
     now_ = std::max(now_, until);
     return fired;
   }
@@ -196,6 +180,45 @@ class EventQueue {
     }
   };
 
+  EventId push(TimeNs when, uint64_t seq, std::function<void()> fn) {
+    SGDRC_CHECK(when >= now_, "scheduling an event in the past");
+    uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.push_back({});
+    }
+    slots_[slot].pending = true;
+    const EventId id =
+        (static_cast<uint64_t>(slots_[slot].generation) << 32) | slot;
+    heap_.push(Entry{when, seq, id, std::move(fn)});
+    ++live_;
+    ++pushes_;
+    return id;
+  }
+
+  /// Drop cancelled tombstones from the top; true when a live event is
+  /// left there.
+  bool live_top() {
+    for (; !heap_.empty(); heap_.pop(), ++tombstones_popped_) {
+      if (is_pending(heap_.top().id)) return true;
+    }
+    return false;
+  }
+
+  /// Pop and run the live event on top.
+  void fire_top() {
+    Entry e = std::move(const_cast<Entry&>(heap_.top()));
+    heap_.pop();
+    now_ = e.when;
+    retire(static_cast<uint32_t>(e.id));
+    --live_;
+    ++fired_;
+    e.fn();
+  }
+
   bool is_pending(EventId id) const {
     const uint32_t slot = static_cast<uint32_t>(id);
     return slot < slots_.size() && slots_[slot].pending &&
@@ -215,6 +238,9 @@ class EventQueue {
   TimeNs now_ = 0;
   uint64_t seq_ = 0;
   size_t live_ = 0;
+  uint64_t pushes_ = 0;
+  uint64_t fired_ = 0;
+  uint64_t tombstones_popped_ = 0;
 };
 
 }  // namespace sgdrc

@@ -121,6 +121,8 @@ double GpuExecutor::runtime_ns(const Running& r) const {
 
 void GpuExecutor::settle_progress() {
   const TimeNs now = queue_.now();
+  if (now == settled_at_) return;  // kernels launched since start at now
+  settled_at_ = now;
   for (auto& [id, r] : running_) {
     if (now > r.last_update && r.rate > 0.0) {
       r.remaining -= r.rate * static_cast<double>(now - r.last_update);
@@ -131,6 +133,7 @@ void GpuExecutor::settle_progress() {
 }
 
 void GpuExecutor::recompute_rates() {
+  ++stats_recomputes_;
   // Occupancy tables from scratch, in LaunchId order: channel c's demand
   // sum adds the same terms in the same order as a rescan of running_.
   std::fill_n(tpc_users_.begin(), spec_.num_tpcs, 0u);
@@ -151,12 +154,14 @@ void GpuExecutor::recompute_rates() {
   }
 
   // One completion event at the smallest (due, LaunchId), re-pushed even
-  // when unchanged so it keeps the place the earliest of one event per
-  // kernel would have had (see the header comment).
+  // when unchanged, at the place of the latest change, so it keeps the
+  // place the earliest of one event per kernel would have had (see the
+  // header comment).
   queue_.cancel(completion_event_);
   const TimeNs now = queue_.now();
   LaunchId first = 0;
   TimeNs first_due = 0;
+  stats_runtime_evals_ += running_.size();
   for (auto& [id, r] : running_) {
     const double t = runtime_ns(r);
     r.rate = 1.0 / t;
@@ -167,9 +172,32 @@ void GpuExecutor::recompute_rates() {
     }
   }
   if (first != 0) {
-    completion_event_ =
-        queue_.schedule_at(first_due, [this, first] { finish(first); });
+    SGDRC_CHECK(place_, "running kernels without a reserved place");
+    completion_event_ = queue_.schedule_at(*place_, first_due,
+                                           [this, first] { finish(first); });
   }
+  place_.reset();
+}
+
+void GpuExecutor::note_change() {
+  // The place a recompute right now would push at; a later change in the
+  // same held event replaces it.
+  if (!running_.empty()) place_ = queue_.reserve_place();
+}
+
+void GpuExecutor::call_held(const CompletionFn& fn, LaunchId id) {
+  SGDRC_CHECK(!held_, "a completion or eviction ran inside a callback");
+  note_change();
+  held_ = true;
+  try {
+    if (fn) fn(id, queue_.now());
+  } catch (...) {
+    held_ = false;
+    recompute_rates();
+    throw;
+  }
+  held_ = false;
+  recompute_rates();
 }
 
 Allocation GpuExecutor::resolve(const Allocation& a) const {
@@ -210,7 +238,8 @@ GpuExecutor::LaunchId GpuExecutor::launch(const KernelLaunch& l,
                       : 0.0;
   running_.emplace(id, std::move(r));
   ++stats_launches_;
-  recompute_rates();
+  note_change();
+  if (!held_) recompute_rates();
   return id;
 }
 
@@ -221,11 +250,10 @@ void GpuExecutor::finish(LaunchId id) {
   settle_progress();
   SGDRC_CHECK(it->second.remaining < 1e-6,
               "completion fired with work outstanding");
-  CompletionFn cb = std::move(it->second.on_complete);
+  const CompletionFn cb = std::move(it->second.on_complete);
   running_.erase(it);
   ++stats_completions_;
-  recompute_rates();
-  if (cb) cb(id, queue_.now());
+  call_held(cb, id);
 }
 
 bool GpuExecutor::evict(LaunchId id, EvictionFn on_evicted) {
@@ -249,8 +277,7 @@ void GpuExecutor::kill(LaunchId id, EvictionFn on_evicted) {
   settle_progress();
   running_.erase(it);
   ++stats_evictions_;
-  recompute_rates();
-  if (on_evicted) on_evicted(id, queue_.now());
+  call_held(on_evicted, id);
 }
 
 std::vector<GpuExecutor::RunningInfo> GpuExecutor::running_infos() const {

@@ -18,8 +18,11 @@
 //     shrunken channel set also shrinks usable L2 (λ factor) — FGPU's
 //     static-partitioning downside (§3.2).
 //
-// Rates are recomputed at every launch / completion / eviction, so
-// progress between events is linear (fluid processor sharing).
+// Rates are recomputed once per executor event and once per launch made
+// outside one, so progress between events is linear (fluid processor
+// sharing). A completion or eviction runs its callback with the executor
+// held: launches inside it only record their change, and one recompute
+// when the callback returns (or throws) covers them all.
 //
 // Grants. A launch carries an explicit gpusim::Allocation, the same type
 // a controller's plan emits; resolve() expands its all() sentinel to the
@@ -42,8 +45,18 @@
 // re-pushed the rest; the single event takes that earliest one's place
 // among same-timestamp events. Keeping an unchanged event instead would
 // let it fire ahead of events pushed at its time since it was scheduled.
+//
+// A held event's one recompute is exact too. No simulated time passes
+// inside a callback, so a recompute per change would only ever have
+// re-derived rates that no progress was made at before the next one
+// replaced them; the last, over the final running set, is the one that
+// counts. Each change reserves the place in line its own re-push would
+// have taken (EventQueue::reserve_place), and the event is pushed at the
+// latest, so every heap key (when, seq) is what a recompute per change
+// gives; only slot ids differ, and nothing reads them.
 // tests/executor_crosscheck_test.cc diffs this executor against the
-// per-kernel-event original on seeded launch/evict scripts.
+// per-kernel-event original on seeded launch/evict scripts, with
+// callbacks that launch and evict several times.
 //
 // Preemption (§7.1): BE kernels poll an eviction flag; evict() kills the
 // kernel after the microsecond-scale flag-check latency and all progress
@@ -56,6 +69,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -138,6 +152,10 @@ class GpuExecutor {
   uint64_t launches() const { return stats_launches_; }
   uint64_t completions() const { return stats_completions_; }
   uint64_t evictions() const { return stats_evictions_; }
+  /// Work counters: rate recomputes, and the runtime_ns() evaluations
+  /// they made (one per running kernel each).
+  uint64_t recomputes() const { return stats_recomputes_; }
+  uint64_t runtime_evals() const { return stats_runtime_evals_; }
 
  private:
   struct Running {
@@ -157,6 +175,9 @@ class GpuExecutor {
   double parallelism_cap(const KernelDesc& k) const;
   void finish(LaunchId id);
   void kill(LaunchId id, EvictionFn on_evicted);
+  void note_change();  // running set changed: reserve its event's place
+  /// Runs `fn(id, now)` held, then recomputes once (also on a throw).
+  void call_held(const CompletionFn& fn, LaunchId id);
 
   double per_tpc_flops_per_ns() const;
   double per_channel_bytes_per_ns() const;
@@ -173,10 +194,17 @@ class GpuExecutor {
   std::array<unsigned, kMaxChannels> channel_users_{};  // byte movers on c
   std::array<double, kMaxChannels> channel_demand_{};   // summed in id order
   EventId completion_event_{};  // EventId{} never names a live event
+  // The place the latest change reserved (none while nothing runs): the
+  // next recompute pushes the completion event there.
+  std::optional<EventQueue::Place> place_;
+  bool held_ = false;       // inside a completion / eviction callback
+  TimeNs settled_at_ = 0;   // last settle_progress() time
   LaunchId next_id_ = 1;
   uint64_t stats_launches_ = 0;
   uint64_t stats_completions_ = 0;
   uint64_t stats_evictions_ = 0;
+  uint64_t stats_recomputes_ = 0;
+  uint64_t stats_runtime_evals_ = 0;
 };
 
 }  // namespace sgdrc::gpusim

@@ -2,21 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 namespace sgdrc::workload {
 
+namespace {
+
+/// Rates, multipliers and base rates scale the trace generator's arrival
+/// rate: an infinite one would keep it pushing requests until memory
+/// runs out, and a negative one has no meaning.
+void require_finite_rate(double v, const char* what) {
+  SGDRC_REQUIRE(std::isfinite(v) && v >= 0.0,
+                std::string(what) + " must be finite and non-negative");
+}
+
+}  // namespace
+
 // ------------------------------------------------------------ builders ----
 
 Scenario& Scenario::rate(unsigned service, TimeNs at, double multiplier) {
-  SGDRC_REQUIRE(multiplier >= 0.0, "rate multiplier must be non-negative");
+  require_finite_rate(multiplier, "rate multiplier");
   SGDRC_REQUIRE(at < duration_, "rate step past the scenario end");
   rate_steps_.push_back({at, service, multiplier});
   return *this;
 }
 
 Scenario& Scenario::diurnal(double low, double high, unsigned steps) {
-  SGDRC_REQUIRE(steps >= 2 && low >= 0.0 && high >= low,
+  require_finite_rate(low, "diurnal low");
+  require_finite_rate(high, "diurnal high");
+  SGDRC_REQUIRE(steps >= 2 && high >= low,
                 "diurnal needs ≥2 steps and 0 ≤ low ≤ high");
   constexpr double kPi = 3.14159265358979323846;
   for (unsigned i = 0; i < steps; ++i) {
@@ -30,6 +45,9 @@ Scenario& Scenario::diurnal(double low, double high, unsigned steps) {
 
 Scenario& Scenario::arrive(TimeNs at, ScenarioTenant tenant) {
   SGDRC_REQUIRE(at < duration_, "arrival past the scenario end");
+  if (tenant.spec.qos == QosClass::kLatencySensitive) {
+    require_finite_rate(tenant.base_rate, "ScenarioTenant::base_rate");
+  }
   // Arrival order must equal time order: FleetSim assigns service
   // indices as arrivals fire, and the compiled trace assumes they match.
   SGDRC_REQUIRE(arrivals_.empty() || arrivals_.back().at <= at,
@@ -132,6 +150,7 @@ std::vector<ServiceWindow> service_windows(
   unsigned service = 0;
   for (size_t i = 0; i < initial.size(); ++i) {
     if (initial[i].spec.qos != QosClass::kLatencySensitive) continue;
+    require_finite_rate(initial[i].base_rate, "ScenarioTenant::base_rate");
     out.push_back({service++, initial[i].base_rate, 0,
                    departure_of(sc, static_cast<unsigned>(i))});
   }

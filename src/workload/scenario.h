@@ -53,7 +53,8 @@ class Scenario {
   /// and the two kinds compose multiplicatively: a service's effective
   /// multiplier is (kAllServices baseline) × (its own overlay), so a
   /// per-service flash crowd rides on top of a diurnal ramp instead of
-  /// being clobbered by its next step.
+  /// being clobbered by its next step. Multipliers, like every rate and
+  /// LS base rate here, must be finite and non-negative (ConfigError).
   Scenario& rate(unsigned service, TimeNs at, double multiplier);
   /// Diurnal ramp for every service: one sine period over the run,
   /// sampled as `steps` equal segments between `low` and `high`.

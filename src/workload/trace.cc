@@ -1,17 +1,33 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/error.h"
 
 namespace sgdrc::workload {
 
+namespace {
+
+/// An infinite rate makes every exponential gap 0, so the arrival loops
+/// below would never reach the end of the window; NaN fails `> 0`.
+void require_finite_positive(double v, const char* what) {
+  SGDRC_REQUIRE(std::isfinite(v) && v > 0.0,
+                std::string(what) + " must be finite and positive");
+}
+
+}  // namespace
+
 std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
   SGDRC_REQUIRE(opt.services > 0, "trace needs at least one service");
-  SGDRC_REQUIRE(opt.scale > 0.0 && opt.rate_per_service > 0.0,
-                "rates must be positive");
+  require_finite_positive(opt.scale, "TraceOptions::scale");
+  require_finite_positive(opt.rate_per_service,
+                          "TraceOptions::rate_per_service");
   SGDRC_REQUIRE(opt.burstiness >= 0.0 && opt.burstiness <= 1.0,
                 "burstiness is a fraction");
+  SGDRC_REQUIRE(opt.frame_interval > 0,
+                "TraceOptions::frame_interval must be positive");
   Rng rng(opt.seed);
   std::vector<Request> out;
 
@@ -19,8 +35,8 @@ std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
     const double base_rate = s < opt.per_service_rates.size()
                                  ? opt.per_service_rates[s]
                                  : opt.rate_per_service;
-    SGDRC_REQUIRE(base_rate > 0.0, "per-service rate must be positive");
     const double rate = base_rate * opt.scale;  // req/s
+    require_finite_positive(rate, "a service's rate × TraceOptions::scale");
     const double per_frame = rate * to_sec(opt.frame_interval);
     Rng srng = rng.fork();
     // Phase offset: services are not frame-synchronised with each other.

@@ -38,7 +38,9 @@ struct TraceOptions {
   uint64_t seed = 0xa110;
 };
 
-/// Generate an arrival-sorted request stream.
+/// Generate an arrival-sorted request stream. Throws ConfigError unless
+/// every rate, scale and their products are finite and positive and
+/// frame_interval is positive.
 std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt);
 
 }  // namespace sgdrc::workload

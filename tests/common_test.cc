@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -322,6 +323,45 @@ TEST(EventQueue, DefaultEventIdNeverCancelsALiveEvent) {
     q.run_all();
   }
   EXPECT_EQ(fired, 3);
+}
+
+TEST(EventQueue, ReservedPlaceFiresAheadOfLaterSameTimeEvents) {
+  // An event pushed at a reserved place orders among same-timestamp
+  // events as if scheduled at the reservation: after an event scheduled
+  // before it, ahead of one scheduled after it.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(10, [&] { order.push_back(0); });
+  q.schedule_at(5, [&] {
+    const EventQueue::Place place = q.reserve_place();
+    q.schedule_at(10, [&] { order.push_back(2); });
+    q.schedule_at(place, 10, [&] { order.push_back(1); });
+  });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, PlaceReservedBeforeAnEventFiredIsRejected) {
+  EventQueue q;
+  const EventQueue::Place place = q.reserve_place();
+  q.schedule_at(1, [] {});
+  q.run_all();
+  EXPECT_THROW(q.schedule_at(place, 2, [] {}), InvariantError);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, WorkCountersCountPushesFiresAndTombstones) {
+  EventQueue q;
+  const EventId a = q.schedule_at(1, [] {});
+  q.schedule_at(2, [] {});
+  const EventQueue::Place place = q.reserve_place();  // not a push
+  q.schedule_at(place, 3, [] {});
+  q.cancel(a);
+  EXPECT_EQ(q.peek_next_time(), std::optional<TimeNs>(2));  // drops `a`
+  q.run_all();
+  EXPECT_EQ(q.pushes(), 3u);
+  EXPECT_EQ(q.fired(), 2u);
+  EXPECT_EQ(q.tombstones_popped(), 1u);
 }
 
 // --------------------------------------------------------- ThreadPool ----

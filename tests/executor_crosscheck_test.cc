@@ -7,6 +7,10 @@
 // same completions and evictions at the same times, interleaved the same
 // way with the probes, so a completion event that fires at a different
 // point among same-timestamp events than the reference's fails here.
+// The burst scripts run 1–4 actions per step, so one completion or
+// eviction callback launches and evicts several times, with probe events
+// pushed between the changes: the library executor's one recompute per
+// callback must keep the place of the reference's last re-push.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,8 +28,10 @@
 namespace sgdrc::gpusim {
 namespace {
 
-/// Salt of the script generator's seed stream.
+/// Salts of the script generator's seed streams: one action per step,
+/// and bursts of 1–4 actions per step.
 constexpr uint64_t kExecutorCrossCheckSalt = 0xc7055c4ecull;
+constexpr uint64_t kExecutorCallbackBurstSalt = 0xca11b0257ull;
 
 constexpr size_t kScriptsPerGpu = 24;
 constexpr size_t kActionsPerScript = 160;
@@ -42,6 +48,8 @@ struct Action {
   TpcMask tpc_mask = 0;
   ChannelSet channels = 0;
   size_t victim = 0;  // evict: index (mod count) into preemptible launches
+  // Actions run in the same step: this one and the next burst - 1.
+  size_t burst = 1;
 };
 
 struct Script {
@@ -49,8 +57,10 @@ struct Script {
   std::vector<Action> actions;
 };
 
-Script make_script(const GpuSpec& spec, uint64_t index) {
-  Rng rng(splitmix64(kExecutorCrossCheckSalt + kGoldenSeedStride * index));
+Script make_script(const GpuSpec& spec, uint64_t index, bool bursts) {
+  const uint64_t salt =
+      bursts ? kExecutorCallbackBurstSalt : kExecutorCrossCheckSalt;
+  Rng rng(splitmix64(salt + kGoldenSeedStride * index));
   Script s;
   for (int i = 0; i < 12; ++i) {
     KernelDesc k;
@@ -100,6 +110,7 @@ Script make_script(const GpuSpec& spec, uint64_t index) {
           rng.uniform_u64(all_channels(spec.num_channels)) + 1);
     }  // else 0: every channel
     a.victim = rng.uniform_u64(1u << 16);
+    if (bursts) a.burst = rng.uniform_u64(4) + 1;
     s.actions.push_back(a);
   }
   return s;
@@ -137,6 +148,9 @@ class ScriptRunner {
     return log_;
   }
 
+  /// Callbacks whose step launched or evicted at least twice.
+  size_t multi_change_callbacks() const { return multi_change_callbacks_; }
+
   /// Completion and eviction times, sorted: the probe times for a run.
   std::vector<TimeNs> event_times() const {
     std::vector<TimeNs> out = event_times_;
@@ -156,7 +170,7 @@ class ScriptRunner {
     event_times_.push_back(t);
     if (armed_) {
       armed_ = false;
-      step();
+      multi_change_callbacks_ += step() >= 2;
     }
   }
 
@@ -169,34 +183,42 @@ class ScriptRunner {
     }
   }
 
-  void step() {
-    const Action& a = script_.actions[next_++];
-    push_probes();
-    if (a.evict) {
-      if (!preemptible_.empty()) {
-        const uint64_t id = preemptible_[a.victim % preemptible_.size()];
-        const bool accepted =
-            exec_.evict(id, [this](uint64_t lid, TimeNs t) {
-              on_event('E', lid, t);
-            });
-        log_.push_back("e" + std::to_string(id) + ":" +
-                       std::to_string(accepted));
-      }
-    } else {
-      const KernelDesc& k = script_.kernels[a.kernel];
-      const uint64_t id = exec_.launch(
-          launch_record(exec_, k, a),
-          [this](uint64_t lid, TimeNs t) { on_event('C', lid, t); });
-      note('L', id);
-      if (k.preemptible) preemptible_.push_back(id);
+  /// Runs the next action and the rest of its burst; returns how many
+  /// launched or had an eviction accepted.
+  size_t step() {
+    size_t changes = 0;
+    for (size_t i = script_.actions[next_].burst;
+         i > 0 && next_ < script_.actions.size(); --i) {
+      changes += act(script_.actions[next_++]);
     }
-    if (next_ == script_.actions.size()) return;
+    if (next_ == script_.actions.size()) return changes;
     const Action& b = script_.actions[next_];
     if (b.on_callback && exec_.running_count() > 0) {
       armed_ = true;
     } else {
       q_.schedule_after(b.gap, [this] { step(); });
     }
+    return changes;
+  }
+
+  bool act(const Action& a) {
+    push_probes();
+    if (a.evict) {
+      if (preemptible_.empty()) return false;
+      const uint64_t id = preemptible_[a.victim % preemptible_.size()];
+      const bool accepted = exec_.evict(
+          id, [this](uint64_t lid, TimeNs t) { on_event('E', lid, t); });
+      log_.push_back("e" + std::to_string(id) + ":" +
+                     std::to_string(accepted));
+      return accepted;
+    }
+    const KernelDesc& k = script_.kernels[a.kernel];
+    const uint64_t id = exec_.launch(
+        launch_record(exec_, k, a),
+        [this](uint64_t lid, TimeNs t) { on_event('C', lid, t); });
+    note('L', id);
+    if (k.preemptible) preemptible_.push_back(id);
+    return true;
   }
 
   EventQueue q_;
@@ -208,6 +230,7 @@ class ScriptRunner {
   std::vector<uint64_t> preemptible_;
   size_t next_ = 0;
   uint64_t probe_count_ = 0;
+  size_t multi_change_callbacks_ = 0;
   bool armed_ = false;
 };
 
@@ -215,20 +238,24 @@ struct Coverage {
   size_t completions = 0;
   size_t evictions = 0;
   size_t probe_ties = 0;  // completions at the latest probe's time
+  size_t multi_change_callbacks = 0;
 };
 
-void cross_check(const GpuSpec& spec, uint64_t salt_base) {
+void cross_check(const GpuSpec& spec, uint64_t salt_base,
+                 bool bursts = false) {
   Coverage cov;
   for (uint64_t i = 0; i < kScriptsPerGpu; ++i) {
-    const Script script = make_script(spec, salt_base + i);
+    const Script script = make_script(spec, salt_base + i, bursts);
     ScriptRunner<reference::GpuExecutor> pre(spec, script, {});
     pre.run();
     const std::vector<TimeNs> probes = pre.event_times();
 
     const auto want =
         ScriptRunner<reference::GpuExecutor>(spec, script, probes).run();
-    const auto got = ScriptRunner<GpuExecutor>(spec, script, probes).run();
+    ScriptRunner<GpuExecutor> lib(spec, script, probes);
+    const auto got = lib.run();
     ASSERT_EQ(got, want) << spec.name << " script " << i;
+    cov.multi_change_callbacks += lib.multi_change_callbacks();
 
     std::string last_time;
     for (const std::string& e : want) {
@@ -243,6 +270,9 @@ void cross_check(const GpuSpec& spec, uint64_t salt_base) {
   EXPECT_GT(cov.completions, kScriptsPerGpu * 50) << spec.name;
   EXPECT_GT(cov.evictions, kScriptsPerGpu * 2) << spec.name;
   EXPECT_GT(cov.probe_ties, kScriptsPerGpu * 10) << spec.name;
+  if (bursts) {
+    EXPECT_GT(cov.multi_change_callbacks, kScriptsPerGpu * 10) << spec.name;
+  }
 }
 
 TEST(ExecutorCrossCheck, MatchesReferenceOnTestGpu) {
@@ -255,6 +285,18 @@ TEST(ExecutorCrossCheck, MatchesReferenceOnRtxA2000) {
 
 TEST(ExecutorCrossCheck, MatchesReferenceOnA100) {
   cross_check(a100_sxm4(), 2000);
+}
+
+TEST(ExecutorCrossCheck, CallbackBurstsMatchReferenceOnTestGpu) {
+  cross_check(test_gpu(), 0, /*bursts=*/true);
+}
+
+TEST(ExecutorCrossCheck, CallbackBurstsMatchReferenceOnRtxA2000) {
+  cross_check(rtx_a2000(), 1000, /*bursts=*/true);
+}
+
+TEST(ExecutorCrossCheck, CallbackBurstsMatchReferenceOnA100) {
+  cross_check(a100_sxm4(), 2000, /*bursts=*/true);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -344,6 +345,77 @@ TEST_F(ExecutorTest, EventSlotsStayConstantThroughChurn) {
   q_.run_all();
   EXPECT_EQ(exec_.completions(), 20'000u);
   EXPECT_LE(q_.slot_count(), 2u);
+}
+
+TEST_F(ExecutorTest, CallbackChangesShareOneRecompute) {
+  // A completion whose callback launches three kernels and evicts a
+  // fourth costs one rate recompute (one per change would be four), over
+  // the four kernels left running; the flag-check eviction then costs
+  // one more, over the three launched.
+  const KernelDesc quick = compute_kernel(0.1);
+  KernelDesc be = compute_kernel(1.0);
+  be.preemptible = true;
+  const auto victim = exec_.launch({&be}, nullptr);
+  int launched = 0;
+  exec_.launch({&quick}, [&](GpuExecutor::LaunchId, TimeNs) {
+    for (; launched < 3; ++launched) exec_.launch({&quick}, nullptr);
+    EXPECT_TRUE(exec_.evict(victim, nullptr));
+  });
+  EXPECT_EQ(exec_.recomputes(), 2u);
+  EXPECT_EQ(exec_.runtime_evals(), 3u);
+
+  ASSERT_TRUE(q_.run_next());  // the quick kernel completes
+  EXPECT_EQ(launched, 3);
+  EXPECT_EQ(exec_.recomputes(), 3u);
+  EXPECT_EQ(exec_.runtime_evals(), 7u);
+  EXPECT_EQ(q_.pending(), 2u);  // the completion event and the flag check
+
+  ASSERT_TRUE(q_.run_next());  // the eviction lands
+  EXPECT_EQ(exec_.evictions(), 1u);
+  EXPECT_EQ(exec_.recomputes(), 4u);
+  EXPECT_EQ(exec_.runtime_evals(), 10u);
+  q_.run_all();
+  EXPECT_EQ(exec_.completions(), 4u);
+}
+
+TEST_F(ExecutorTest, ThrowingCallbackLeavesExecutorLive) {
+  // A completion callback launches a kernel and then throws. The
+  // exception reaches the caller of the queue, and the executor is left
+  // un-held and recomputed: the co-runner and the launched kernel
+  // complete exactly when they do after a callback that returns.
+  const KernelDesc quick = compute_kernel(0.1);
+  const KernelDesc slow = compute_kernel(1.0);
+  const auto script = [&](EventQueue& q, GpuExecutor& exec, bool throws) {
+    std::vector<TimeNs> done(2, 0);
+    exec.launch({&slow}, [&done](GpuExecutor::LaunchId, TimeNs t) {
+      done[0] = t;
+    });
+    exec.launch({&quick}, [&, throws](GpuExecutor::LaunchId, TimeNs) {
+      exec.launch({&quick}, [&done](GpuExecutor::LaunchId, TimeNs t) {
+        done[1] = t;
+      });
+      if (throws) throw std::runtime_error("callback failed");
+    });
+    if (throws) {
+      EXPECT_THROW(q.run_all(), std::runtime_error);
+      EXPECT_EQ(exec.running_count(), 2u);
+      EXPECT_EQ(q.pending(), 1u);  // the recompute pushed the next event
+    }
+    q.run_all();
+    return done;
+  };
+  EventQueue ref_q;
+  GpuExecutor ref_exec(test_gpu(), ref_q);
+  const std::vector<TimeNs> want = script(ref_q, ref_exec, false);
+  EXPECT_EQ(script(q_, exec_, true), want);
+  EXPECT_EQ(exec_.recomputes(), ref_exec.recomputes());
+
+  // Un-held: a launch outside any callback recomputes at once.
+  const uint64_t before = exec_.recomputes();
+  const TimeNs start = q_.now();
+  EXPECT_EQ(run_to_completion({&quick}) - start,
+            exec_.solo_runtime(quick, 4, 4, false));
+  EXPECT_EQ(exec_.recomputes(), before + 2);  // the launch, its completion
 }
 
 TEST_F(ExecutorTest, RejectsInvalidLaunches) {

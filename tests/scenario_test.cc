@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "core/profiler.h"
@@ -131,6 +132,43 @@ TEST(ScenarioTrace, PerServiceOverlayComposesWithAllServicesBaseline) {
   // replace it: the second half runs at 3x the first.
   EXPECT_GT(after / before, 2.2);
   EXPECT_LT(after / before, 4.0);
+}
+
+// Regression: the builders and the compiler checked rates only with
+// `>= 0.0` or not at all, so an infinite multiplier or base rate reached
+// the trace generator and made it allocate without bound, and a negative
+// base rate silently dropped the service's traffic.
+TEST(Scenario, RejectsNonFiniteRates) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto& z = zoo();
+  Scenario sc("bad-rates", "", 1 * kNsPerSec);
+  EXPECT_THROW(sc.rate(0, 0, kInf), ConfigError);
+  EXPECT_THROW(sc.rate(Scenario::kAllServices, 0, kNaN), ConfigError);
+  EXPECT_THROW(sc.rate(0, 0, -1.0), ConfigError);
+  EXPECT_THROW(sc.diurnal(0.5, kInf, 4), ConfigError);
+  EXPECT_THROW(sc.diurnal(kNaN, 1.0, 4), ConfigError);
+  EXPECT_TRUE(sc.rate_steps().empty());
+  EXPECT_THROW(
+      sc.arrive(0, {latency_sensitive_tenant(z.ls_a, z.iso_a), kInf, 1}),
+      ConfigError);
+  EXPECT_TRUE(sc.arrivals().empty());
+
+  // Initial tenants are checked where the trace is compiled.
+  for (const double bad : {kInf, kNaN, -100.0}) {
+    const std::vector<ScenarioTenant> initial{
+        {latency_sensitive_tenant(z.ls_a, z.iso_a), bad, 1}};
+    EXPECT_THROW(build_scenario_trace(sc, initial, engine_config()),
+                 ConfigError)
+        << bad;
+  }
+  // The engine's trace knobs reach the generator's checks.
+  const std::vector<ScenarioTenant> initial{
+      {latency_sensitive_tenant(z.ls_a, z.iso_a), 100.0, 1}};
+  ScenarioEngineConfig cfg = engine_config();
+  cfg.frame_interval = 0;
+  EXPECT_THROW(build_scenario_trace(sc, initial, cfg), ConfigError);
+  EXPECT_FALSE(build_scenario_trace(sc, initial, engine_config()).empty());
 }
 
 TEST(ScenarioTrace, SameSeedIsBitIdentical) {

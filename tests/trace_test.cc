@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "common/error.h"
 #include "workload/trace.h"
 
 namespace sgdrc::workload {
@@ -130,6 +132,40 @@ TEST(Trace, BurstinessPreservesTheMeanRate) {
   const double bursty = static_cast<double>(
       generate_apollo_like_trace(opt).size());
   EXPECT_NEAR(bursty / uniform, 1.0, 0.25);
+}
+
+// Regression: `> 0.0` let an infinite rate or scale through, every
+// exponential gap was then 0, and both arrival loops pushed requests
+// until memory ran out. frame_interval 0 failed inside the RNG as an
+// InvariantError.
+TEST(Trace, RejectsNonFiniteRates) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](const auto& set) {
+    TraceOptions opt;
+    opt.services = 2;
+    opt.duration = 10 * kNsPerMs;
+    set(opt);
+    EXPECT_THROW(generate_apollo_like_trace(opt), ConfigError);
+  };
+  rejects([](TraceOptions& o) { o.scale = kInf; });
+  rejects([](TraceOptions& o) { o.scale = kNaN; });
+  rejects([](TraceOptions& o) { o.scale = -1.0; });
+  rejects([](TraceOptions& o) { o.rate_per_service = kInf; });
+  rejects([](TraceOptions& o) { o.per_service_rates = {100.0, kInf}; });
+  rejects([](TraceOptions& o) { o.per_service_rates = {kNaN}; });
+  rejects([](TraceOptions& o) { o.per_service_rates = {-5.0}; });
+  rejects([](TraceOptions& o) {  // finite factors, infinite product
+    o.rate_per_service = 1e200;
+    o.scale = 1e200;
+  });
+  rejects([](TraceOptions& o) { o.frame_interval = 0; });
+
+  TraceOptions ok;
+  ok.services = 2;
+  ok.duration = 10 * kNsPerMs;
+  ok.per_service_rates = {100.0};
+  EXPECT_NO_THROW(generate_apollo_like_trace(ok));
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 // holds the LS p99 within its (fixed) SLO in every swept cell. Exit
 // status enforces the SGDRC-holds-SLO half, like vgpu_isolation.
 //
-//   ./batching_sweep [--quick] [--json BENCH_batching.json] [--seed N]
+//   ./batching_sweep [--json BENCH_batching.json] [--seed N]
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -88,14 +88,12 @@ double occupancy_of(const workload::TenantMetrics& ls, unsigned max_batch) {
 }
 
 void emit_json(const std::string& path, const std::vector<CellResult>& all,
-               TimeNs duration, bool quick, unsigned sgdrc_slo_ok,
-               unsigned sgdrc_cells) {
+               TimeNs duration, unsigned sgdrc_slo_ok, unsigned sgdrc_cells) {
   std::ofstream os(path);
   SGDRC_REQUIRE(os.good(), "cannot open JSON output path");
   JsonWriter j(os);
   j.begin_object();
   j.kv("bench", "batching_sweep");
-  j.kv("quick", quick);
   j.kv("duration_ms", to_ms(duration));
   j.kv("assembly_timeout_ms", to_ms(kAssemblyTimeout));
   j.kv("sgdrc_cells_within_slo", static_cast<uint64_t>(sgdrc_slo_ok));
@@ -132,10 +130,8 @@ void emit_json(const std::string& path, const std::vector<CellResult>& all,
 int main(int argc, char** argv) {
   const auto cli = sgdrc::bench::BenchCli::parse(argc, argv);
   const uint64_t seed = cli.seed_or(0xba7c);
-  const TimeNs duration = cli.quick ? 250 * kNsPerMs : 1 * kNsPerSec;
-  const std::vector<unsigned> batches =
-      cli.quick ? std::vector<unsigned>{1, 4, 16}
-                : std::vector<unsigned>{1, 2, 4, 8, 16, 32};
+  const TimeNs duration = 1 * kNsPerSec;
+  const std::vector<unsigned> batches = {1, 2, 4, 8, 16, 32};
   // Fixed SLO across every cell: batching must live inside the same
   // budget single-request serving gets (assembly wait included).
   const double slo_multiplier = 11.0;
@@ -202,8 +198,7 @@ int main(int argc, char** argv) {
               sgdrc_slo_ok, sgdrc_cells, be_at_1, be_best,
               be_at_1 > 0 ? 100.0 * (be_best / be_at_1 - 1.0) : 0.0);
   if (!cli.json_path.empty()) {
-    emit_json(cli.json_path, results, duration, cli.quick, sgdrc_slo_ok,
-              sgdrc_cells);
+    emit_json(cli.json_path, results, duration, sgdrc_slo_ok, sgdrc_cells);
   }
   return sgdrc_slo_ok == sgdrc_cells ? 0 : 1;
 }

@@ -17,7 +17,7 @@
 // non-zero unless SGDRC's DAG p99 < serialized p99 with attainment >=
 // the serialized run's.
 //
-//   ./dag_parallelism [--quick] [--json BENCH_dag.json] [--seed N]
+//   ./dag_parallelism [--json BENCH_dag.json] [--seed N]
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -98,15 +98,13 @@ CellResult run_cell(const gpusim::GpuSpec& spec, const ModelSet& models,
 }
 
 void emit_json(const std::string& path, const std::vector<CellResult>& all,
-               TimeNs duration, bool quick, double dag_p99,
-               double serial_p99, double dag_att, double serial_att,
-               bool gate_ok) {
+               TimeNs duration, double dag_p99, double serial_p99,
+               double dag_att, double serial_att, bool gate_ok) {
   std::ofstream os(path);
   SGDRC_REQUIRE(os.good(), "cannot open JSON output path");
   JsonWriter j(os);
   j.begin_object();
   j.kv("bench", "dag_parallelism");
-  j.kv("quick", quick);
   j.kv("duration_ms", to_ms(duration));
   j.key("gate").begin_object();
   j.kv("system", "SGDRC");
@@ -139,7 +137,7 @@ void emit_json(const std::string& path, const std::vector<CellResult>& all,
 int main(int argc, char** argv) {
   const auto cli = sgdrc::bench::BenchCli::parse(argc, argv);
   const uint64_t seed = cli.seed_or(0xda60);
-  const TimeNs duration = cli.quick ? 250 * kNsPerMs : 1 * kNsPerSec;
+  const TimeNs duration = 1 * kNsPerSec;
   // SLO and load match the end-to-end benches: moderate LS utilisation
   // against one always-on BE colocation partner.
   const double utilization = 0.30;
@@ -199,8 +197,8 @@ int main(int argc, char** argv) {
       gate_ok ? "DAG co-scheduling pays for itself"
               : "GATE FAILED (DAG must strictly beat serialized)");
   if (!cli.json_path.empty()) {
-    emit_json(cli.json_path, results, duration, cli.quick, dag_p99,
-              serial_p99, dag_att, serial_att, gate_ok);
+    emit_json(cli.json_path, results, duration, dag_p99, serial_p99,
+              dag_att, serial_att, gate_ok);
   }
   return gate_ok ? 0 : 1;
 }

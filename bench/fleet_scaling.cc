@@ -292,7 +292,8 @@ void emit_json(const std::string& path, const std::vector<RunResult>& all,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = sgdrc::bench::BenchCli::parse(argc, argv);
+  const auto cli =
+      sgdrc::bench::BenchCli::parse(argc, argv, /*accepts_quick=*/true);
   const bool quick = cli.quick;
   const uint64_t seed = cli.seed_or(0xf1ee7);
 

@@ -16,7 +16,7 @@
 // The headline: SGDRC's cold-start p99 beats the naive stack at every
 // pressure ratio >= 2x (no cold requests at all counts as a win).
 //
-//   ./memory_pressure [--quick] [--json BENCH_memory.json] [--seed N]
+//   ./memory_pressure [--json BENCH_memory.json] [--seed N]
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -141,13 +141,12 @@ CellResult run_cell(const core::ServingHarness& h, const Cell& cell,
 }
 
 void emit_json(const std::string& path, const std::vector<CellResult>& all,
-               TimeNs duration, bool quick, unsigned wins, unsigned compared) {
+               TimeNs duration, unsigned wins, unsigned compared) {
   std::ofstream os(path);
   SGDRC_REQUIRE(os.good(), "cannot open JSON output path");
   JsonWriter j(os);
   j.begin_object();
   j.kv("bench", "memory_pressure");
-  j.kv("quick", quick);
   j.kv("duration_ms", to_ms(duration));
   j.kv("sgdrc_cold_p99_wins", static_cast<uint64_t>(wins));
   j.kv("compared_pressures", static_cast<uint64_t>(compared));
@@ -189,9 +188,8 @@ void emit_json(const std::string& path, const std::vector<CellResult>& all,
 int main(int argc, char** argv) {
   const auto cli = sgdrc::bench::BenchCli::parse(argc, argv);
   const uint64_t seed = cli.seed_or(0x3e30);
-  const TimeNs duration = cli.quick ? 300 * kNsPerMs : 1 * kNsPerSec;
-  const std::vector<double> pressures =
-      cli.quick ? std::vector<double>{2, 4} : std::vector<double>{1, 2, 4, 6};
+  const TimeNs duration = 1 * kNsPerSec;
+  const std::vector<double> pressures = {1, 2, 4, 6};
 
   core::HarnessOptions ho;
   ho.spec = gpusim::rtx_a2000();
@@ -272,7 +270,7 @@ int main(int argc, char** argv) {
               wins, compared);
 
   if (!cli.json_path.empty()) {
-    emit_json(cli.json_path, results, duration, cli.quick, wins, compared);
+    emit_json(cli.json_path, results, duration, wins, compared);
   }
   return wins == compared ? 0 : 1;
 }

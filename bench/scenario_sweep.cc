@@ -15,7 +15,7 @@
 //      next, and the premium tier (priority 2) sheds least and keeps
 //      the highest attainment.
 //
-//   ./scenario_sweep [--quick] [--json BENCH_scenarios.json] [--seed N]
+//   ./scenario_sweep [--json BENCH_scenarios.json] [--seed N]
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -88,13 +88,12 @@ struct SweepRun {
 
 void emit_json(const std::string& path, const std::vector<Scenario>& catalog,
                const std::vector<SweepRun>& runs, TimeNs duration,
-               bool quick, unsigned wins, bool overload_order_ok) {
+               unsigned wins, bool overload_order_ok) {
   std::ofstream os(path);
   SGDRC_REQUIRE(os.good(), "cannot open JSON output path");
   JsonWriter j(os);
   j.begin_object();
   j.kv("bench", "scenario_sweep");
-  j.kv("quick", quick);
   j.kv("duration_ms", to_ms(duration));
   j.kv("sgdrc_wins_vs_best_static", static_cast<uint64_t>(wins));
   j.kv("overload_order_ok", overload_order_ok);
@@ -182,7 +181,7 @@ void emit_json(const std::string& path, const std::vector<Scenario>& catalog,
 int main(int argc, char** argv) {
   const auto cli = sgdrc::bench::BenchCli::parse(argc, argv);
   const uint64_t seed = cli.seed_or(0x5ce0);
-  const TimeNs duration = cli.quick ? 240 * kNsPerMs : 1 * kNsPerSec;
+  const TimeNs duration = 1 * kNsPerSec;
   const unsigned devices = 2;
 
   core::HarnessOptions ho;
@@ -411,7 +410,7 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.json_path.empty()) {
-    emit_json(cli.json_path, catalog_spt, runs, duration, cli.quick, wins,
+    emit_json(cli.json_path, catalog_spt, runs, duration, wins,
               overload_order_ok);
   }
   if (!overload_order_ok) {

@@ -15,7 +15,7 @@
 // SLO in *every* flood cell while best-effort soaks the residual TPCs;
 // without it, the flood drags the tail over the SLO as N grows.
 //
-//   ./vgpu_isolation [--quick] [--json BENCH_vgpu.json] [--seed N]
+//   ./vgpu_isolation [--json BENCH_vgpu.json] [--seed N]
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -83,14 +83,12 @@ CellResult run_cell(const ServingHarness& h, const Cell& cell,
 }
 
 void emit_json(const std::string& path, const std::vector<CellResult>& all,
-               TimeNs duration, bool quick, unsigned quota_slo_ok,
-               unsigned quota_cells) {
+               TimeNs duration, unsigned quota_slo_ok, unsigned quota_cells) {
   std::ofstream os(path);
   SGDRC_REQUIRE(os.good(), "cannot open JSON output path");
   JsonWriter j(os);
   j.begin_object();
   j.kv("bench", "vgpu_isolation");
-  j.kv("quick", quick);
   j.kv("duration_ms", to_ms(duration));
   j.kv("quota_cells_within_slo", static_cast<uint64_t>(quota_slo_ok));
   j.kv("quota_cells", static_cast<uint64_t>(quota_cells));
@@ -125,9 +123,8 @@ void emit_json(const std::string& path, const std::vector<CellResult>& all,
 int main(int argc, char** argv) {
   const auto cli = sgdrc::bench::BenchCli::parse(argc, argv);
   const uint64_t seed = cli.seed_or(0x96b0);
-  const TimeNs duration = cli.quick ? 250 * kNsPerMs : 1 * kNsPerSec;
-  const std::vector<unsigned> floods =
-      cli.quick ? std::vector<unsigned>{1, 4} : std::vector<unsigned>{1, 2, 4, 8};
+  const TimeNs duration = 1 * kNsPerSec;
+  const std::vector<unsigned> floods = {1, 2, 4, 8};
   // A fixed SLO that does NOT grow with the flood size — the adversarial
   // part: more BE tenants do not buy the LS tenant any slack.
   const double slo_multiplier = 6.5;
@@ -182,8 +179,7 @@ int main(int argc, char** argv) {
               "cells; best-effort soaks the residual in every one.\n",
               quota_slo_ok, quota_cells);
   if (!cli.json_path.empty()) {
-    emit_json(cli.json_path, results, duration, cli.quick, quota_slo_ok,
-              quota_cells);
+    emit_json(cli.json_path, results, duration, quota_slo_ok, quota_cells);
   }
   return quota_slo_ok == quota_cells ? 0 : 1;
 }

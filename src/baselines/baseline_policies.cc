@@ -96,18 +96,18 @@ ResourcePlan TgsPolicy::plan(const SimView& sim) {
   const bool be_present = sim.has_class(QosClass::kBestEffort);
 
   // Feedback-style switching: only reconsider the active container after
-  // `dwell`, then pay the switch cost.
-  const bool may_switch = now - last_switch_ >= opt_.dwell;
+  // kDwell, then pay the switch cost.
+  const bool may_switch = now - last_switch_ >= kDwell;
   const bool other_wants =
       active_ == Container::kLs ? !ls_wants && be_present : ls_wants;
   if (may_switch && other_wants) {
     active_ = active_ == Container::kLs ? Container::kBe : Container::kLs;
     last_switch_ = now;
-    frozen_until_ = now + opt_.switch_cost;
+    frozen_until_ = now + kSwitchCost;
     p.wake_at(frozen_until_);
     return p;
   }
-  if (!may_switch) p.wake_at(last_switch_ + opt_.dwell);
+  if (!may_switch) p.wake_at(last_switch_ + kDwell);
 
   if (active_ == Container::kLs) {
     if (sim.inflight(QosClass::kLatencySensitive) == 0 && !waiting.empty()) {
@@ -153,7 +153,7 @@ ResourcePlan OrionPolicy::plan(const SimView& sim) {
 
     // 1) LS pressure: too many LS kernels executing or queued ⇒ the
     //    scheduler cannot find a safe co-execution slot.
-    if (ls_pressure > opt_.ls_pressure_limit) {
+    if (ls_pressure > kLsPressureLimit) {
       ++rej_sm_;
       continue;
     }
@@ -163,7 +163,7 @@ ResourcePlan OrionPolicy::plan(const SimView& sim) {
     const double be_rt = static_cast<double>(sim.solo_runtime(*be_kernel));
     const auto outlives = [&](const gpusim::KernelDesc* ls) {
       return be_rt >
-             opt_.runtime_ratio * static_cast<double>(sim.solo_runtime(*ls));
+             kRuntimeRatio * static_cast<double>(sim.solo_runtime(*ls));
     };
     if (std::any_of(ls_running.begin(), ls_running.end(), outlives)) {
       ++rej_runtime_;

@@ -55,19 +55,17 @@ class MpsPolicy : public control::Controller {
 
 class TgsPolicy : public control::Controller {
  public:
-  struct Options {
-    TimeNs dwell = 2 * kNsPerMs;          // feedback-control reaction time
-    TimeNs switch_cost = 300 * kNsPerUs;  // CUDA context switch (§9.3)
-  };
-  TgsPolicy() = default;
-  explicit TgsPolicy(Options opt) : opt_(opt) {}
+  /// Feedback-control reaction time.
+  static constexpr TimeNs kDwell = 2 * kNsPerMs;
+  /// CUDA context switch (§9.3).
+  static constexpr TimeNs kSwitchCost = 300 * kNsPerUs;
+
   std::string name() const override { return "TGS"; }
   bool guarantee_aware() const override { return false; }
   control::ResourcePlan plan(const control::SimView& sim) override;
 
  private:
   enum class Container { kLs, kBe };
-  Options opt_;
   Container active_ = Container::kLs;
   TimeNs last_switch_ = 0;
   TimeNs frozen_until_ = 0;
@@ -75,17 +73,14 @@ class TgsPolicy : public control::Controller {
 
 class OrionPolicy : public control::Controller {
  public:
-  struct Options {
-    /// Max queued+running LS kernels for BE co-execution to be allowed.
-    size_t ls_pressure_limit = 1;
-    /// BE kernel runtime must not exceed this multiple of the shortest
-    /// running LS kernel's runtime. Orion's duration-based co-execution
-    /// vetting admits kernels a few times longer than the LS kernel —
-    /// throughput-oriented, at some cost to the LS tail under load.
-    double runtime_ratio = 3.0;
-  };
-  OrionPolicy() = default;
-  explicit OrionPolicy(Options opt) : opt_(opt) {}
+  /// Max queued+running LS kernels for BE co-execution to be allowed.
+  static constexpr size_t kLsPressureLimit = 1;
+  /// BE kernel runtime must not exceed this multiple of the shortest
+  /// running LS kernel's runtime. Orion's duration-based co-execution
+  /// vetting admits kernels a few times longer than the LS kernel —
+  /// throughput-oriented, at some cost to the LS tail under load.
+  static constexpr double kRuntimeRatio = 3.0;
+
   std::string name() const override { return "Orion"; }
   bool guarantee_aware() const override { return false; }
   control::ResourcePlan plan(const control::SimView& sim) override;
@@ -97,7 +92,6 @@ class OrionPolicy : public control::Controller {
   uint64_t admitted() const { return admitted_; }
 
  private:
-  Options opt_;
   uint64_t rej_resource_ = 0;
   uint64_t rej_sm_ = 0;
   uint64_t rej_runtime_ = 0;

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,6 @@ class SimView {
   const gpusim::GpuSpec& spec() const { return sim_->spec(); }
   const core::ServingConfig& config() const { return sim_->config(); }
 
-  std::vector<core::ServingSim::JobView> jobs() const { return sim_->jobs(); }
   std::vector<core::ServingSim::JobView> jobs(workload::QosClass q) const {
     return sim_->jobs(q);
   }

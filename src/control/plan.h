@@ -14,7 +14,6 @@
 // grants.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -66,15 +65,6 @@ struct ResourcePlan {
     size_t n = 0;
     for (const auto& d : directives) n += d.kind == k;
     return n;
-  }
-  /// Earliest requested wakeup, if any (observability / tests).
-  std::optional<TimeNs> next_wakeup() const {
-    std::optional<TimeNs> t;
-    for (const auto& d : directives) {
-      if (d.kind != Directive::Kind::kWakeAt) continue;
-      if (!t || d.at < *t) t = d.at;
-    }
-    return t;
   }
 };
 

@@ -734,13 +734,6 @@ std::vector<ServingSim::JobView> ServingSim::jobs(QosClass qos) const {
   return out;
 }
 
-std::vector<ServingSim::JobView> ServingSim::jobs() const {
-  auto out = jobs(QosClass::kLatencySensitive);
-  const auto be = jobs(QosClass::kBestEffort);
-  out.insert(out.end(), be.begin(), be.end());
-  return out;
-}
-
 std::vector<ServingSim::JobView> ServingSim::waiting_jobs(
     QosClass qos) const {
   std::vector<JobView> out;

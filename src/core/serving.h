@@ -217,13 +217,11 @@ class ServingSim {
     bool in_flight;
     bool evicting;
   };
-  /// Every visible job, LS before BE, each class in arrival order — one
-  /// view per job. In round-robin mode only the resident BE tenant's
-  /// job is visible. The view aggregates the job's frontier: next_kernel
-  /// is the lowest-index ready kernel (null, with in_flight set, when
-  /// every runnable kernel is already launched).
-  std::vector<JobView> jobs() const;
-  /// Visible jobs of one class, arrival order.
+  /// Visible jobs of one class, arrival order — one view per job. In
+  /// round-robin mode only the resident BE tenant's job is visible. The
+  /// view aggregates the job's frontier: next_kernel is the lowest-index
+  /// ready kernel (null, with in_flight set, when every runnable kernel
+  /// is already launched).
   std::vector<JobView> jobs(QosClass qos) const;
   /// Waiting work of one class: one view per launchable kernel, kernel
   /// index ascending within a job, each with next_kernel pointing at

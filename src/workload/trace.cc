@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "common/error.h"
@@ -9,6 +10,13 @@
 namespace sgdrc::workload {
 
 namespace {
+
+/// Cap on a trace's expected request count, Σ rate × scale × duration:
+/// about 52x the largest trace built in the tree (fleet_scaling's
+/// 1024-device throughput trace, 938 req/s per device × 1024 × 0.2 s ≈
+/// 1.9e5), so a typo in a rate or a duration fails here instead of
+/// exhausting memory in the arrival loops.
+constexpr double kMaxExpectedRequests = 1e7;
 
 /// An infinite rate makes every exponential gap 0, so the arrival loops
 /// below would never reach the end of the window; NaN fails `> 0`.
@@ -28,15 +36,33 @@ std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
                 "burstiness is a fraction");
   SGDRC_REQUIRE(opt.frame_interval > 0,
                 "TraceOptions::frame_interval must be positive");
-  Rng rng(opt.seed);
-  std::vector<Request> out;
-
+  // Every service's rate (req/s), checked before anything is generated.
+  std::vector<double> rates(opt.services);
+  double total_rate = 0.0;
   for (unsigned s = 0; s < opt.services; ++s) {
     const double base_rate = s < opt.per_service_rates.size()
                                  ? opt.per_service_rates[s]
                                  : opt.rate_per_service;
-    const double rate = base_rate * opt.scale;  // req/s
-    require_finite_positive(rate, "a service's rate × TraceOptions::scale");
+    rates[s] = base_rate * opt.scale;
+    require_finite_positive(rates[s],
+                            "a service's rate × TraceOptions::scale");
+    total_rate += rates[s];
+  }
+  const double expected = total_rate * to_sec(opt.duration);
+  SGDRC_REQUIRE(expected <= kMaxExpectedRequests, [&] {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "rates summing to %g req/s over a %g s duration expect "
+                  "%g requests, above the cap of %g (kMaxExpectedRequests)",
+                  total_rate, to_sec(opt.duration), expected,
+                  kMaxExpectedRequests);
+    return std::string(buf);
+  }());
+  Rng rng(opt.seed);
+  std::vector<Request> out;
+
+  for (unsigned s = 0; s < opt.services; ++s) {
+    const double rate = rates[s];
     const double per_frame = rate * to_sec(opt.frame_interval);
     Rng srng = rng.fork();
     // Phase offset: services are not frame-synchronised with each other.

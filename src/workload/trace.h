@@ -39,8 +39,9 @@ struct TraceOptions {
 };
 
 /// Generate an arrival-sorted request stream. Throws ConfigError unless
-/// every rate, scale and their products are finite and positive and
-/// frame_interval is positive.
+/// every rate, scale and their products are finite and positive,
+/// frame_interval is positive, and Σ rate × scale × duration expects at
+/// most 1e7 requests.
 std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt);
 
 }  // namespace sgdrc::workload

@@ -34,8 +34,11 @@ gpusim::GpuSpec spec() { return gpusim::test_gpu(); }
 /// device.
 ResourcePlan greedy_plan(const SimView& view) {
   ResourcePlan p;
-  for (const auto& job : view.jobs()) {
-    if (!job.in_flight) p.launch(job.id, Allocation::all());
+  for (const auto qos :
+       {QosClass::kLatencySensitive, QosClass::kBestEffort}) {
+    for (const auto& job : view.jobs(qos)) {
+      if (!job.in_flight) p.launch(job.id, Allocation::all());
+    }
   }
   return p;
 }

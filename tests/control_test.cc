@@ -192,7 +192,8 @@ TEST(ResourcePlanApi, WakeAtDirectiveReplansLater) {
     ++plans;
     ResourcePlan p;
     if (view.now() < 1 * kNsPerMs) p.wake_at(view.now() + 100 * kNsPerUs);
-    EXPECT_EQ(p.next_wakeup().has_value(), view.now() < 1 * kNsPerMs);
+    EXPECT_EQ(p.count(control::Directive::Kind::kWakeAt),
+              view.now() < 1 * kNsPerMs ? 1u : 0u);
     return p;
   });
   auto sim = two_be_builder().build(c);

@@ -328,34 +328,29 @@ TEST(TenantApi, EvictRestartsTheSameKernelFromScratch) {
 
 TEST(TenantApi, ViewsAreConsistentAcrossAccessors) {
   FnController c([&](const SimView& view) {
-    const auto all = view.jobs();
-    const auto ls = view.jobs(QosClass::kLatencySensitive);
-    const auto be = view.jobs(QosClass::kBestEffort);
-    EXPECT_EQ(all.size(), ls.size() + be.size());
-    size_t inflight_ls = 0, inflight_be = 0;
-    for (const auto& v : all) {
-      // find_job agrees field-for-field with the enumeration view.
-      const auto f = view.find_job(v.id);
-      EXPECT_TRUE(f.has_value());
-      if (!f) continue;
-      EXPECT_EQ(f->tenant, v.tenant);
-      EXPECT_EQ(f->qos, v.qos);
-      EXPECT_EQ(f->in_flight, v.in_flight);
-      EXPECT_EQ(f->next_kernel, v.next_kernel);
-      // in-flight ⇔ no next kernel.
-      EXPECT_EQ(v.next_kernel == nullptr, v.in_flight);
-      (v.qos == QosClass::kLatencySensitive ? inflight_ls : inflight_be) +=
-          v.in_flight;
-      // The view's tenant really is of the view's class.
-      EXPECT_EQ(view.tenant(v.tenant).qos, v.qos);
-    }
-    EXPECT_EQ(view.inflight(QosClass::kLatencySensitive), inflight_ls);
-    EXPECT_EQ(view.inflight(QosClass::kBestEffort), inflight_be);
-    // Waiting views are exactly the not-in-flight visible jobs.
     for (const auto qos :
          {QosClass::kLatencySensitive, QosClass::kBestEffort}) {
-      size_t waiting_expected = 0;
-      for (const auto& v : view.jobs(qos)) waiting_expected += !v.in_flight;
+      size_t inflight = 0, waiting_expected = 0;
+      for (const auto& v : view.jobs(qos)) {
+        // The enumeration holds jobs of the asked class only.
+        EXPECT_EQ(v.qos, qos);
+        // find_job agrees field-for-field with the enumeration view.
+        const auto f = view.find_job(v.id);
+        EXPECT_TRUE(f.has_value());
+        if (!f) continue;
+        EXPECT_EQ(f->tenant, v.tenant);
+        EXPECT_EQ(f->qos, v.qos);
+        EXPECT_EQ(f->in_flight, v.in_flight);
+        EXPECT_EQ(f->next_kernel, v.next_kernel);
+        // in-flight ⇔ no next kernel.
+        EXPECT_EQ(v.next_kernel == nullptr, v.in_flight);
+        inflight += v.in_flight;
+        waiting_expected += !v.in_flight;
+        // The view's tenant really is of the view's class.
+        EXPECT_EQ(view.tenant(v.tenant).qos, v.qos);
+      }
+      EXPECT_EQ(view.inflight(qos), inflight);
+      // Waiting views are exactly the not-in-flight visible jobs.
       EXPECT_EQ(view.waiting_jobs(qos).size(), waiting_expected);
     }
     // Keep the sim busy so views change between invocations.

@@ -168,5 +168,25 @@ TEST(Trace, RejectsNonFiniteRates) {
   EXPECT_NO_THROW(generate_apollo_like_trace(ok));
 }
 
+// Regression: a huge but finite rate or duration passed every check and
+// ran the arrival loops out of memory. Σ rate × scale × duration is now
+// capped at 1e7 expected requests before anything is allocated.
+TEST(Trace, RejectsTracesAboveTheExpectedRequestCap) {
+  TraceOptions rate;  // 8 services × 1e12 req/s over the default 2 s
+  rate.rate_per_service = 1e12;
+  try {
+    generate_apollo_like_trace(rate);
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("8e+12 req/s over a 2 s duration"),
+              std::string::npos)
+        << e.what();
+  }
+
+  TraceOptions duration;
+  duration.duration = 1ull << 62;
+  EXPECT_THROW(generate_apollo_like_trace(duration), ConfigError);
+}
+
 }  // namespace
 }  // namespace sgdrc::workload

@@ -32,6 +32,10 @@ constexpr TimeNs from_sec(double s) {
   return static_cast<TimeNs>(s * 1e9 + 0.5);
 }
 
+/// Whether a count of nanoseconds held in a double converts to TimeNs:
+/// casting NaN, a negative value, or 2^64 and above is undefined.
+constexpr bool fits_time_ns(double ns) { return ns >= 0.0 && ns < 0x1p64; }
+
 /// Human-readable rendering for logs: picks ns/us/ms/s automatically.
 inline std::string format_time(TimeNs t) {
   char buf[64];

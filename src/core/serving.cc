@@ -185,6 +185,9 @@ void ServingSim::validate_tenant(const TenantSpec& spec) const {
                   "max_batch above 64 is outside the latency model's range");
     SGDRC_REQUIRE((spec.instances ? spec.instances : cfg_.ls_instances) >= 1,
                   "need at least one instance");
+    SGDRC_REQUIRE(
+        fits_time_ns(slo_n_ * static_cast<double>(spec.isolated_latency)),
+        "the SLO (SLO multiplier × isolated latency) does not fit in TimeNs");
   } else {
     SGDRC_REQUIRE(!spec.batching.enabled(),
                   "BatchPolicy applies to LS tenants (BE tasks already "
@@ -225,8 +228,7 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
     }
     batch_.push_back(std::move(bs));
     m.isolated_p99 = spec.isolated_latency;
-    m.slo = static_cast<TimeNs>(slo_n_ *
-                                static_cast<double>(spec.isolated_latency));
+    m.slo = initial_slo(spec.isolated_latency);
   } else {
     batch_.push_back(nullptr);
     be_tenants_.push_back(t);
@@ -408,6 +410,10 @@ void ServingSim::set_slo(TenantId t, TimeNs slo) {
 
 TimeNs ServingSim::slo_of(TenantId t) const {
   return metrics_.tenants.at(t).slo;
+}
+
+TimeNs ServingSim::initial_slo(TimeNs isolated_latency) const {
+  return static_cast<TimeNs>(slo_n_ * static_cast<double>(isolated_latency));
 }
 
 workload::ServingMetrics ServingSim::run(

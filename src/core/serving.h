@@ -188,6 +188,9 @@ class ServingSim {
   /// Runtime SLO changes (scenario scripting, e.g. an SLO tighten).
   void set_slo(TenantId t, TimeNs slo);
   TimeNs slo_of(TenantId t) const;
+  /// The SLO add_tenant gives an LS tenant of this isolated latency: the
+  /// SLO multiplier frozen at init × the latency.
+  TimeNs initial_slo(TimeNs isolated_latency) const;
   /// Runtime vGPU re-plan (scenario set_quota): swap a tenant's
   /// guarantees. The old TPC region is released, a new one is carved,
   /// and the controller re-plans. The new spec passes the same check as

@@ -9,6 +9,17 @@
 
 namespace sgdrc::fleet {
 
+namespace {
+
+/// `factor × slo` as a TimeNs; a ConfigError when it does not fit.
+TimeNs scaled_slo(double factor, TimeNs slo) {
+  const double scaled = factor * static_cast<double>(slo);
+  SGDRC_REQUIRE(fits_time_ns(scaled), "a scaled SLO does not fit in TimeNs");
+  return static_cast<TimeNs>(scaled);
+}
+
+}  // namespace
+
 using workload::Request;
 using workload::TenantMetrics;
 
@@ -433,13 +444,16 @@ void FleetSim::add_replica(unsigned tenant, DeviceId device) {
                   "tenant already has an active replica on this device");
   }
   core::ServingSim& sim = ensure_device(device);
-  const workload::TenantId local = sim.add_tenant(tenants_[tenant].spec);
-  if (tenants_[tenant].spec.qos == QosClass::kLatencySensitive &&
-      slo_factor_ != 1.0) {
-    sim.set_slo(local, static_cast<TimeNs>(
-                           slo_factor_ *
-                           static_cast<double>(sim.slo_of(local))));
-  }
+  const core::TenantSpec& spec = tenants_[tenant].spec;
+  const bool scaled = spec.qos == QosClass::kLatencySensitive &&
+                      slo_factor_ != 1.0;
+  // Scaled before add_tenant, so a rejected replica leaves the sim as it
+  // was.
+  const TimeNs slo =
+      scaled ? scaled_slo(slo_factor_, sim.initial_slo(spec.isolated_latency))
+             : 0;
+  const workload::TenantId local = sim.add_tenant(spec);
+  if (scaled) sim.set_slo(local, slo);
   replicas_[tenant].push_back({device, local});
 }
 
@@ -463,16 +477,24 @@ void FleetSim::remove_fleet_tenant(unsigned tenant) {
 }
 
 void FleetSim::set_slo_factor(double factor) {
-  SGDRC_REQUIRE(factor > 0.0, "SLO factor must be positive");
-  slo_factor_ *= factor;
-  for (auto& dev : devices_) {
-    if (!dev) continue;
-    for (workload::TenantId t = 0; t < dev->tenant_count(); ++t) {
-      if (dev->tenant(t).qos != QosClass::kLatencySensitive) continue;
-      dev->set_slo(t, static_cast<TimeNs>(
-                          factor * static_cast<double>(dev->slo_of(t))));
+  SGDRC_REQUIRE(std::isfinite(factor) && factor > 0.0,
+                "SLO factor must be finite and positive");
+  const double accumulated = slo_factor_ * factor;
+  SGDRC_REQUIRE(std::isfinite(accumulated),
+                "the accumulated SLO factor overflows");
+  // The first pass only scales, so a scaled SLO that does not fit throws
+  // before any SLO changes; the second applies.
+  for (const bool apply : {false, true}) {
+    for (auto& dev : devices_) {
+      if (!dev) continue;
+      for (workload::TenantId t = 0; t < dev->tenant_count(); ++t) {
+        if (dev->tenant(t).qos != QosClass::kLatencySensitive) continue;
+        const TimeNs slo = scaled_slo(factor, dev->slo_of(t));
+        if (apply) dev->set_slo(t, slo);
+      }
     }
   }
+  slo_factor_ = accumulated;
 }
 
 void FleetSim::set_fleet_vgpu(unsigned tenant, const control::VgpuSpec& vgpu) {

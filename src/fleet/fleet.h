@@ -201,6 +201,9 @@ class FleetSim {
                             const PlacementPolicy& placement);
   /// Grow a tenant by one replica on `device` (autoscaler scale-up).
   /// The device sim is created lazily if pack placement left it idle.
+  /// An LS replica's SLO is scaled by the accumulated set_slo_factor();
+  /// if that does not fit in TimeNs, throws ConfigError before the
+  /// tenant is added.
   void add_replica(unsigned tenant, DeviceId device);
   /// Retire the replica on `device`: routing stops immediately, admitted
   /// work drains, metrics survive (autoscaler scale-down).
@@ -208,7 +211,9 @@ class FleetSim {
   /// Retire every replica (tenant departure).
   void remove_fleet_tenant(unsigned tenant);
   /// Scale every LS SLO fleet-wide (factor < 1 tightens). Replicas added
-  /// later inherit the accumulated factor.
+  /// later inherit the accumulated factor. Throws ConfigError, changing
+  /// nothing, unless the factor and the accumulated factor are finite
+  /// and positive and every scaled SLO fits in TimeNs.
   void set_slo_factor(double factor);
   /// Re-plan a fleet tenant's vGPU guarantees (scenario set_quota): the
   /// spec is updated so future replicas inherit it, and every active

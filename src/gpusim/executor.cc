@@ -1,7 +1,9 @@
 #include "gpusim/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -64,24 +66,21 @@ TimeNs GpuExecutor::solo_runtime(const KernelDesc& k, unsigned tpcs,
       std::ceil(t + static_cast<double>(params_.launch_overhead)));
 }
 
-double GpuExecutor::runtime_ns(const Running& r) const {
+double GpuExecutor::shared_tpcs(TpcMask mask) const {
+  double sum = 0.0;
+  for (TpcMask m = mask; m != 0; m &= m - 1) {
+    const unsigned t = static_cast<unsigned>(std::countr_zero(m));
+    SGDRC_CHECK(tpc_users_[t] >= 1, "mask accounting lost the kernel itself");
+    sum += tpc_share_[t];
+  }
+  return sum;
+}
+
+double GpuExecutor::runtime_ns(const Running& r, double tpcs) const {
   const KernelDesc& k = *r.launch.kernel;
-  const TpcMask my_mask = r.launch.alloc.tpcs;
-  const ChannelSet my_ch = r.launch.alloc.channels;
 
   // ---- Compute: time-shared TPCs with intra-SM penalty (Fig. 3a). ----
-  double eff_tpcs = 0.0;
-  for (unsigned t = 0; t < spec_.num_tpcs; ++t) {
-    if (!(my_mask & tpc_bit(t))) continue;
-    const unsigned users = tpc_users_[t];
-    SGDRC_CHECK(users >= 1, "mask accounting lost the kernel itself");
-    const double intra =
-        std::min(1.0 + params_.intra_sm_gamma *
-                           static_cast<double>(users - 1),
-                 params_.max_intra_penalty);
-    eff_tpcs += 1.0 / (static_cast<double>(users) * intra);
-  }
-  eff_tpcs = std::min(eff_tpcs, parallelism_cap(k));
+  const double eff_tpcs = std::min(tpcs, r.cap);
   const double t_comp =
       static_cast<double>(k.flops) / (eff_tpcs * per_tpc_flops_per_ns());
 
@@ -90,27 +89,21 @@ double GpuExecutor::runtime_ns(const Running& r) const {
   if (k.bytes > 0) {
     const double my_demand = r.demand_gbps;
     double bw = 0.0;
-    for (unsigned c = 0; c < spec_.num_channels; ++c) {
-      if (!(my_ch & channel_bit(c))) continue;
+    for (ChannelSet m = r.launch.alloc.channels; m != 0; m &= m - 1) {
+      const unsigned c = static_cast<unsigned>(std::countr_zero(m));
       const double total_demand = channel_demand_[c];
-      const unsigned users = channel_users_[c];
-      SGDRC_CHECK(users >= 1 && total_demand > 0.0,
+      SGDRC_CHECK(channel_users_[c] >= 1 && total_demand > 0.0,
                   "channel accounting lost the kernel itself");
       // Demand-proportional sharing with an equal-split floor: the memory
       // controller arbitrates per requester, so a flow asking for less
       // than 1/users of the channel is not throttled below that slice.
-      const double share = std::max(my_demand / total_demand,
-                                    1.0 / static_cast<double>(users));
-      const double contention =
-          std::min(1.0 + params_.inter_channel_beta *
-                             static_cast<double>(users - 1),
-                   params_.max_inter_penalty);
-      bw += per_channel_bytes_per_ns() * share / contention;
+      // The floor's bandwidth is precomputed with the same operations.
+      const double share = my_demand / total_demand;
+      bw += share < channel_inv_users_[c]
+                ? channel_floor_bw_[c]
+                : per_channel_bytes_per_ns() * share / channel_penalty_[c];
     }
-    const double frac = static_cast<double>(channel_count(my_ch)) /
-                        static_cast<double>(spec_.num_channels);
-    const double l2_factor = 1.0 + params_.l2_shrink_lambda * (1.0 - frac);
-    t_mem = static_cast<double>(k.bytes) * l2_factor / bw;
+    t_mem = r.mem_work / bw;
   }
 
   double t = std::max(t_comp, t_mem);
@@ -119,11 +112,54 @@ double GpuExecutor::runtime_ns(const Running& r) const {
                           1.0);
 }
 
+GpuExecutor::RunningList::const_iterator GpuExecutor::find(
+    LaunchId id) const {
+  const auto it = std::lower_bound(
+      running_.begin(), running_.end(), id,
+      [](const Running& r, LaunchId key) { return r.id < key; });
+  return it != running_.end() && it->id == id ? it : running_.end();
+}
+
+GpuExecutor::RunningList::iterator GpuExecutor::find(LaunchId id) {
+  return running_.begin() + (std::as_const(*this).find(id) - running_.cbegin());
+}
+
+void GpuExecutor::occupy(const Running& r, bool add) {
+  for (TpcMask m = r.launch.alloc.tpcs; m != 0; m &= m - 1) {
+    const unsigned t = static_cast<unsigned>(std::countr_zero(m));
+    const unsigned users = add ? ++tpc_users_[t] : --tpc_users_[t];
+    if (users == 0) continue;
+    const double intra =
+        std::min(1.0 + params_.intra_sm_gamma *
+                           static_cast<double>(users - 1),
+                 params_.max_intra_penalty);
+    tpc_share_[t] = 1.0 / (static_cast<double>(users) * intra);
+  }
+  if (r.launch.kernel->bytes == 0) return;
+  const ChannelSet ch = r.launch.alloc.channels;
+  for (ChannelSet m = ch; m != 0; m &= m - 1) {
+    const unsigned c = static_cast<unsigned>(std::countr_zero(m));
+    const unsigned users = add ? ++channel_users_[c] : --channel_users_[c];
+    // The new kernel has the largest LaunchId, so adding its demand last
+    // keeps the sum in LaunchId order; a stale sum is rebuilt anyway.
+    if (add) channel_demand_[c] += r.demand_gbps;
+    if (users == 0) continue;
+    channel_inv_users_[c] = 1.0 / static_cast<double>(users);
+    channel_penalty_[c] =
+        std::min(1.0 + params_.inter_channel_beta *
+                           static_cast<double>(users - 1),
+                 params_.max_inter_penalty);
+    channel_floor_bw_[c] = per_channel_bytes_per_ns() *
+                           channel_inv_users_[c] / channel_penalty_[c];
+  }
+  if (!add) stale_demand_ |= ch;
+}
+
 void GpuExecutor::settle_progress() {
   const TimeNs now = queue_.now();
   if (now == settled_at_) return;  // kernels launched since start at now
   settled_at_ = now;
-  for (auto& [id, r] : running_) {
+  for (Running& r : running_) {
     if (now > r.last_update && r.rate > 0.0) {
       r.remaining -= r.rate * static_cast<double>(now - r.last_update);
       r.remaining = std::max(r.remaining, 0.0);
@@ -134,23 +170,21 @@ void GpuExecutor::settle_progress() {
 
 void GpuExecutor::recompute_rates() {
   ++stats_recomputes_;
-  // Occupancy tables from scratch, in LaunchId order: channel c's demand
-  // sum adds the same terms in the same order as a rescan of running_.
-  std::fill_n(tpc_users_.begin(), spec_.num_tpcs, 0u);
-  std::fill_n(channel_users_.begin(), spec_.num_channels, 0u);
-  std::fill_n(channel_demand_.begin(), spec_.num_channels, 0.0);
-  for (const auto& [id, r] : running_) {
-    const TpcMask mask = r.launch.alloc.tpcs;
-    for (unsigned t = 0; t < spec_.num_tpcs; ++t) {
-      tpc_users_[t] += (mask & tpc_bit(t)) != 0;
+  // A removal's channels get their demand sums from scratch, in LaunchId
+  // order: the same terms in the same order as a rescan of running_.
+  if (stale_demand_ != 0) {
+    for (ChannelSet m = stale_demand_; m != 0; m &= m - 1) {
+      channel_demand_[static_cast<unsigned>(std::countr_zero(m))] = 0.0;
     }
-    if (r.launch.kernel->bytes == 0) continue;
-    const ChannelSet ch = r.launch.alloc.channels;
-    for (unsigned c = 0; c < spec_.num_channels; ++c) {
-      if (!(ch & channel_bit(c))) continue;
-      channel_demand_[c] += r.demand_gbps;
-      ++channel_users_[c];
+    for (const Running& r : running_) {
+      if (r.launch.kernel->bytes == 0) continue;
+      for (ChannelSet m = r.launch.alloc.channels & stale_demand_; m != 0;
+           m &= m - 1) {
+        channel_demand_[static_cast<unsigned>(std::countr_zero(m))] +=
+            r.demand_gbps;
+      }
     }
+    stale_demand_ = 0;
   }
 
   // One completion event at the smallest (due, LaunchId), re-pushed even
@@ -162,12 +196,20 @@ void GpuExecutor::recompute_rates() {
   LaunchId first = 0;
   TimeNs first_due = 0;
   stats_runtime_evals_ += running_.size();
-  for (auto& [id, r] : running_) {
-    const double t = runtime_ns(r);
+  // Neighbours on the same TPC mask share one sum: the same terms, added
+  // in the same order. No kernel runs on an empty mask.
+  TpcMask mask = 0;
+  double tpcs = 0.0;
+  for (Running& r : running_) {
+    if (r.launch.alloc.tpcs != mask) {
+      mask = r.launch.alloc.tpcs;
+      tpcs = shared_tpcs(mask);
+    }
+    const double t = runtime_ns(r, tpcs);
     r.rate = 1.0 / t;
     const TimeNs due = now + static_cast<TimeNs>(std::ceil(r.remaining * t));
     if (first == 0 || due < first_due) {
-      first = id;
+      first = r.id;
       first_due = due;
     }
   }
@@ -222,6 +264,7 @@ GpuExecutor::LaunchId GpuExecutor::launch(const KernelLaunch& l,
   settle_progress();
   const LaunchId id = next_id_++;
   Running r;
+  r.id = id;
   r.launch = {l.kernel, grant, l.tag};
   r.on_complete = std::move(on_complete);
   r.remaining = 1.0;
@@ -236,7 +279,15 @@ GpuExecutor::LaunchId GpuExecutor::launch(const KernelLaunch& l,
                       ? static_cast<double>(l.kernel->bytes) /
                             static_cast<double>(solo)
                       : 0.0;
-  running_.emplace(id, std::move(r));
+  r.cap = parallelism_cap(*l.kernel);
+  if (l.kernel->bytes > 0) {
+    const double frac = static_cast<double>(channel_count(grant.channels)) /
+                        static_cast<double>(spec_.num_channels);
+    const double l2_factor = 1.0 + params_.l2_shrink_lambda * (1.0 - frac);
+    r.mem_work = static_cast<double>(l.kernel->bytes) * l2_factor;
+  }
+  occupy(r, /*add=*/true);
+  running_.push_back(std::move(r));
   ++stats_launches_;
   note_change();
   if (!held_) recompute_rates();
@@ -244,25 +295,25 @@ GpuExecutor::LaunchId GpuExecutor::launch(const KernelLaunch& l,
 }
 
 void GpuExecutor::finish(LaunchId id) {
-  auto it = running_.find(id);
+  const auto it = find(id);
   SGDRC_CHECK(it != running_.end(),
               "the completion event outlived its kernel");
   settle_progress();
-  SGDRC_CHECK(it->second.remaining < 1e-6,
-              "completion fired with work outstanding");
-  const CompletionFn cb = std::move(it->second.on_complete);
+  SGDRC_CHECK(it->remaining < 1e-6, "completion fired with work outstanding");
+  const CompletionFn cb = std::move(it->on_complete);
+  occupy(*it, /*add=*/false);
   running_.erase(it);
   ++stats_completions_;
   call_held(cb, id);
 }
 
 bool GpuExecutor::evict(LaunchId id, EvictionFn on_evicted) {
-  auto it = running_.find(id);
+  const auto it = find(id);
   if (it == running_.end()) return false;
-  SGDRC_REQUIRE(it->second.launch.kernel->preemptible,
+  SGDRC_REQUIRE(it->launch.kernel->preemptible,
                 "evicting a kernel compiled without the eviction flag");
-  if (it->second.eviction_pending) return true;
-  it->second.eviction_pending = true;
+  if (it->eviction_pending) return true;
+  it->eviction_pending = true;
   queue_.schedule_after(
       params_.evict_latency,
       [this, id, fn = std::move(on_evicted)]() mutable {
@@ -272,9 +323,10 @@ bool GpuExecutor::evict(LaunchId id, EvictionFn on_evicted) {
 }
 
 void GpuExecutor::kill(LaunchId id, EvictionFn on_evicted) {
-  auto it = running_.find(id);
+  const auto it = find(id);
   if (it == running_.end()) return;  // completed during the flag check
   settle_progress();
+  occupy(*it, /*add=*/false);
   running_.erase(it);
   ++stats_evictions_;
   call_held(on_evicted, id);
@@ -283,9 +335,10 @@ void GpuExecutor::kill(LaunchId id, EvictionFn on_evicted) {
 std::vector<GpuExecutor::RunningInfo> GpuExecutor::running_infos() const {
   std::vector<RunningInfo> out;
   out.reserve(running_.size());
-  for (const auto& [id, r] : running_) {
+  for (const Running& r : running_) {
     out.push_back({r.launch.kernel, r.launch.alloc.tpcs,
-                   r.launch.alloc.channels, r.launch.tag, r.started});
+                   r.launch.alloc.channels, r.launch.tag, r.started,
+                   r.rate});
   }
   return out;
 }

@@ -30,21 +30,33 @@
 // executor stores, computes with and reports (RunningInfo) only device
 // masks.
 //
-// Hot path. Each recompute first rebuilds three occupancy tables from
-// scratch — per-TPC user counts, and per-channel user counts and summed
-// bandwidth demand over the kernels that move bytes — walking running
-// kernels in LaunchId order. runtime_ns() then reads a kernel's TPCs and
-// channels from the tables instead of rescanning every co-runner, and
-// because each demand sum adds the same terms in the same order as that
-// rescan did, every rate is bit-identical to it. The executor keeps ONE
-// pending completion event, at the smallest (due, LaunchId) over its
-// running kernels, and cancels and re-pushes it on every recompute, even
-// when its due time did not change. That is exact: one event per kernel,
-// all re-pushed with consecutive sequence numbers at every recompute,
-// could only ever fire at the earliest of them, whose own recompute then
-// re-pushed the rest; the single event takes that earliest one's place
-// among same-timestamp events. Keeping an unchanged event instead would
-// let it fire ahead of events pushed at its time since it was scheduled.
+// Hot path. Fixed-size occupancy tables follow every change instead of
+// being rebuilt per recompute. A launch, completion or kill adds or
+// removes its kernel's claim through one helper: per-TPC user counts and
+// the share term 1 / (users × intra-SM penalty), and, for kernels that
+// move bytes, per-channel user counts, 1 / users, the inter-SM penalty,
+// the bandwidth at the equal-split floor and the summed bandwidth
+// demand. A launch adds its demand to each channel's sum, which is then
+// still the LaunchId-ordered sum because the new kernel has the largest
+// id; a removal only marks its channels stale, and the next recompute
+// rebuilds each stale sum from scratch in LaunchId order (never by
+// subtraction, which would change bits). Rates walk only the set bits
+// of a kernel's masks, in ascending order, so every sum adds the same
+// terms in the same order as a rescan of every co-runner would, and
+// every rate is bit-identical to it; kernels next to each other in
+// LaunchId order with the same TPC mask share one sum per recompute.
+// The running kernels are a vector in ascending LaunchId order, each
+// with its parallelism cap and L2-scaled byte count computed at launch.
+//
+// The executor keeps ONE pending completion event, at the smallest (due,
+// LaunchId) over its running kernels, and cancels and re-pushes it on
+// every recompute, even when its due time did not change. That is exact:
+// one event per kernel, all re-pushed with consecutive sequence numbers
+// at every recompute, could only ever fire at the earliest of them, whose
+// own recompute then re-pushed the rest; the single event takes that
+// earliest one's place among same-timestamp events. Keeping an unchanged
+// event instead would let it fire ahead of events pushed at its time
+// since it was scheduled.
 //
 // A held event's one recompute is exact too. No simulated time passes
 // inside a callback, so a recompute per change would only ever have
@@ -56,7 +68,8 @@
 // gives; only slot ids differ, and nothing reads them.
 // tests/executor_crosscheck_test.cc diffs this executor against the
 // per-kernel-event original on seeded launch/evict scripts, with
-// callbacks that launch and evict several times.
+// callbacks that launch and evict several times, and compares every
+// running kernel's rate bit for bit at each probe.
 //
 // Preemption (§7.1): BE kernels poll an eviction flag; evict() kills the
 // kernel after the microsecond-scale flag-check latency and all progress
@@ -68,7 +81,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -126,7 +138,7 @@ class GpuExecutor {
   /// kernels accept this. No-op (returns false) if already finished.
   bool evict(LaunchId id, EvictionFn on_evicted);
 
-  bool running(LaunchId id) const { return running_.count(id) != 0; }
+  bool running(LaunchId id) const { return find(id) != running_.end(); }
   size_t running_count() const { return running_.size(); }
   TimeNs now() const { return queue_.now(); }
   const GpuSpec& spec() const { return spec_; }
@@ -138,13 +150,17 @@ class GpuExecutor {
                       bool spt_transformed) const;
 
   /// Resource view for schedulers: the resolved device masks of a
-  /// running kernel (never the all() sentinel).
+  /// running kernel (never the all() sentinel), and its rate as of the
+  /// last recompute: the fraction of its work done per ns. Inside a
+  /// completion or eviction callback that is the rate before the event
+  /// (0 for a kernel the callback launched) until the callback returns.
   struct RunningInfo {
     const KernelDesc* kernel;
     TpcMask tpc_mask;
     ChannelSet channels;
     uint64_t tag;
     TimeNs started;
+    double rate;
   };
   /// Snapshot of every running kernel (scheduler admission checks).
   std::vector<RunningInfo> running_infos() const;
@@ -159,20 +175,32 @@ class GpuExecutor {
 
  private:
   struct Running {
+    LaunchId id = 0;
     KernelLaunch launch;           // alloc holds device masks
     CompletionFn on_complete;
     double remaining = 1.0;        // fraction of work left
     double rate = 0.0;             // fraction per ns under current alloc
     double demand_gbps = 0.0;      // natural bandwidth demand (bytes/ns)
+    double cap = 0.0;              // parallelism_cap(*launch.kernel)
+    double mem_work = 0.0;         // bytes × L2-shrink factor of its set
     TimeNs last_update = 0;
     TimeNs started = 0;
     bool eviction_pending = false;
   };
+  using RunningList = std::vector<Running>;  // ascending LaunchId
 
+  RunningList::iterator find(LaunchId id);  // end() when not running
+  RunningList::const_iterator find(LaunchId id) const;
   void settle_progress();      // apply rates up to now
-  void recompute_rates();      // re-derive tables, rates + completion event
-  double runtime_ns(const Running& r) const;  // t from the tables
+  void recompute_rates();      // rebuild stale demands, rates + event
+  /// Σ of the share term over `mask`'s TPCs: the TPCs a kernel on the
+  /// mask gets, before its parallelism cap.
+  double shared_tpcs(TpcMask mask) const;
+  /// t from the tables, given shared_tpcs(r's TPC mask).
+  double runtime_ns(const Running& r, double tpcs) const;
   double parallelism_cap(const KernelDesc& k) const;
+  /// Adds (`add`) or removes r's claim on the occupancy tables.
+  void occupy(const Running& r, bool add);
   void finish(LaunchId id);
   void kill(LaunchId id, EvictionFn on_evicted);
   void note_change();  // running set changed: reserve its event's place
@@ -185,14 +213,21 @@ class GpuExecutor {
   GpuSpec spec_;
   EventQueue& queue_;
   ExecutorParams params_;
-  std::map<LaunchId, Running> running_;
-  // Occupancy tables, rebuilt by every recompute_rates(); sized by the
-  // TpcMask and ChannelSet widths, so an executor allocates none.
+  RunningList running_;
+  // Occupancy tables, updated by occupy() on every change; sized by the
+  // TpcMask and ChannelSet widths, so an executor allocates none. An
+  // entry whose user count is 0 holds a stale share term or penalty
+  // that nothing reads.
   static constexpr size_t kMaxTpcs = 64;
   static constexpr size_t kMaxChannels = 32;
   std::array<unsigned, kMaxTpcs> tpc_users_{};  // kernels covering TPC t
+  std::array<double, kMaxTpcs> tpc_share_{};    // 1 / (users × intra)
   std::array<unsigned, kMaxChannels> channel_users_{};  // byte movers on c
+  std::array<double, kMaxChannels> channel_inv_users_{};  // 1 / users
+  std::array<double, kMaxChannels> channel_penalty_{};    // inter-SM
+  std::array<double, kMaxChannels> channel_floor_bw_{};   // at 1 / users
   std::array<double, kMaxChannels> channel_demand_{};   // summed in id order
+  ChannelSet stale_demand_ = 0;  // channels a removal left to rebuild
   EventId completion_event_{};  // EventId{} never names a live event
   // The place the latest change reserved (none while nothing runs): the
   // next recompute pushes the completion event there.

@@ -63,7 +63,8 @@ Scenario& Scenario::depart(TimeNs at, unsigned tenant_index) {
 }
 
 Scenario& Scenario::slo_factor(TimeNs at, double factor) {
-  SGDRC_REQUIRE(factor > 0.0, "SLO factor must be positive");
+  SGDRC_REQUIRE(std::isfinite(factor) && factor > 0.0,
+                "SLO factor must be finite and positive");
   SGDRC_REQUIRE(at < duration_, "SLO change past the scenario end");
   slo_changes_.push_back({at, factor});
   return *this;

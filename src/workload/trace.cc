@@ -18,6 +18,14 @@ namespace {
 /// exhausting memory in the arrival loops.
 constexpr double kMaxExpectedRequests = 1e7;
 
+/// Cap on a bursty window's frame ticks, duration / frame_interval: the
+/// burst loop draws at least one random number per tick whatever the
+/// rate, so a tiny rate over a huge window passes the request cap and
+/// then visits every tick (4.6e11 for 1e-6 req/s over 2^62 ns). 1e7
+/// ticks of the default 10 ms frame is about 28 hours of simulated time,
+/// far beyond any trace built in the tree.
+constexpr double kMaxFrameTicks = 1e7;
+
 /// An infinite rate makes every exponential gap 0, so the arrival loops
 /// below would never reach the end of the window; NaN fails `> 0`.
 void require_finite_positive(double v, const char* what) {
@@ -39,6 +47,7 @@ std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
   // Every service's rate (req/s), checked before anything is generated.
   std::vector<double> rates(opt.services);
   double total_rate = 0.0;
+  bool bursty = false;  // some service has a burst component
   for (unsigned s = 0; s < opt.services; ++s) {
     const double base_rate = s < opt.per_service_rates.size()
                                  ? opt.per_service_rates[s]
@@ -47,6 +56,7 @@ std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
     require_finite_positive(rates[s],
                             "a service's rate × TraceOptions::scale");
     total_rate += rates[s];
+    bursty |= rates[s] * to_sec(opt.frame_interval) * opt.burstiness > 0.0;
   }
   const double expected = total_rate * to_sec(opt.duration);
   SGDRC_REQUIRE(expected <= kMaxExpectedRequests, [&] {
@@ -56,6 +66,17 @@ std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
                   "%g requests, above the cap of %g (kMaxExpectedRequests)",
                   total_rate, to_sec(opt.duration), expected,
                   kMaxExpectedRequests);
+    return std::string(buf);
+  }());
+  const double frame_ticks = static_cast<double>(opt.duration) /
+                             static_cast<double>(opt.frame_interval);
+  SGDRC_REQUIRE(!bursty || frame_ticks <= kMaxFrameTicks, [&] {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "a %g s duration of %g s frames has %g frame ticks, "
+                  "above the cap of %g (kMaxFrameTicks)",
+                  to_sec(opt.duration), to_sec(opt.frame_interval),
+                  frame_ticks, kMaxFrameTicks);
     return std::string(buf);
   }());
   Rng rng(opt.seed);

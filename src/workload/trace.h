@@ -40,8 +40,9 @@ struct TraceOptions {
 
 /// Generate an arrival-sorted request stream. Throws ConfigError unless
 /// every rate, scale and their products are finite and positive,
-/// frame_interval is positive, and Σ rate × scale × duration expects at
-/// most 1e7 requests.
+/// frame_interval is positive, Σ rate × scale × duration expects at
+/// most 1e7 requests, and, when burstiness is positive, duration /
+/// frame_interval is at most 1e7 frame ticks.
 std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt);
 
 }  // namespace sgdrc::workload

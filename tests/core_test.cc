@@ -523,6 +523,14 @@ TEST(TenantValidation, ShortDependencyListsAreRejected) {
   expect_rejected(be_with_deps({{}, {0}}), "one list per kernel");
 }
 
+TEST(TenantValidation, SloPastTimeNsIsRejected) {
+  // The SLO multiplier is at least 1, and 2^64 - 1 ns rounds up to 2^64
+  // as a double, so this SLO has no TimeNs value.
+  expect_rejected(
+      latency_sensitive_tenant(models::make_model('A'), ~TimeNs{0}),
+      "does not fit in TimeNs");
+}
+
 // Registration checks everything before it changes anything, so a
 // rejected tenant leaves no half-registered slot behind: the next valid
 // tenant gets the next id, its own metrics slot, and takes requests.

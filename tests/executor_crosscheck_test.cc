@@ -7,6 +7,9 @@
 // same completions and evictions at the same times, interleaved the same
 // way with the probes, so a completion event that fires at a different
 // point among same-timestamp events than the reference's fails here.
+// Each probe also logs every running kernel's rate bit for bit, so a
+// table that drifts by one ulp fails even where rounding to whole
+// nanoseconds hides it from the due times.
 // The burst scripts run 1–4 actions per step, so one completion or
 // eviction callback launches and evicts several times, with probe events
 // pushed between the changes: the library executor's one recompute per
@@ -14,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,7 +137,9 @@ KernelLaunch launch_record(const GpuExecutor&, const KernelDesc& k,
 
 /// Runs a script on one executor and logs, in firing order:
 /// "C<id>@<t>" completions, "E<id>@<t>" evictions, "e<id>:<accepted>"
-/// evict calls, "L<id>@<t>" launches and "P<n>@<t>" probes.
+/// evict calls, "L<id>@<t>" launches, and "P<n>@<t>" probes, each
+/// followed by one "r<bits>" per running kernel in LaunchId order: the
+/// hex bit pattern of its rate.
 template <class Executor>
 class ScriptRunner {
  public:
@@ -150,6 +157,9 @@ class ScriptRunner {
 
   /// Callbacks whose step launched or evicted at least twice.
   size_t multi_change_callbacks() const { return multi_change_callbacks_; }
+
+  /// Rates logged by probes.
+  size_t rates_compared() const { return rates_compared_; }
 
   /// Completion and eviction times, sorted: the probe times for a run.
   std::vector<TimeNs> event_times() const {
@@ -174,12 +184,24 @@ class ScriptRunner {
     }
   }
 
+  void probe(uint64_t n) {
+    note('P', n);
+    for (const auto& info : exec_.running_infos()) {
+      char bits[20];
+      std::snprintf(bits, sizeof bits, "r%016llx",
+                    static_cast<unsigned long long>(
+                        std::bit_cast<uint64_t>(info.rate)));
+      log_.push_back(bits);
+      ++rates_compared_;
+    }
+  }
+
   void push_probes() {
     auto it = std::lower_bound(probes_.begin(), probes_.end(), q_.now());
     for (size_t i = 0; i < kProbesPerAction && it != probes_.end();
          ++i, ++it) {
       const uint64_t n = probe_count_++;
-      q_.schedule_at(*it, [this, n] { note('P', n); });
+      q_.schedule_at(*it, [this, n] { probe(n); });
     }
   }
 
@@ -231,6 +253,7 @@ class ScriptRunner {
   size_t next_ = 0;
   uint64_t probe_count_ = 0;
   size_t multi_change_callbacks_ = 0;
+  size_t rates_compared_ = 0;
   bool armed_ = false;
 };
 
@@ -239,6 +262,7 @@ struct Coverage {
   size_t evictions = 0;
   size_t probe_ties = 0;  // completions at the latest probe's time
   size_t multi_change_callbacks = 0;
+  size_t rates = 0;  // running kernels' rates logged by probes
 };
 
 void cross_check(const GpuSpec& spec, uint64_t salt_base,
@@ -256,6 +280,7 @@ void cross_check(const GpuSpec& spec, uint64_t salt_base,
     const auto got = lib.run();
     ASSERT_EQ(got, want) << spec.name << " script " << i;
     cov.multi_change_callbacks += lib.multi_change_callbacks();
+    cov.rates += lib.rates_compared();
 
     std::string last_time;
     for (const std::string& e : want) {
@@ -270,6 +295,7 @@ void cross_check(const GpuSpec& spec, uint64_t salt_base,
   EXPECT_GT(cov.completions, kScriptsPerGpu * 50) << spec.name;
   EXPECT_GT(cov.evictions, kScriptsPerGpu * 2) << spec.name;
   EXPECT_GT(cov.probe_ties, kScriptsPerGpu * 10) << spec.name;
+  EXPECT_GT(cov.rates, kScriptsPerGpu * 5000) << spec.name;
   if (bursts) {
     EXPECT_GT(cov.multi_change_callbacks, kScriptsPerGpu * 10) << spec.name;
   }

@@ -4,6 +4,7 @@
 // bit-for-bit determinism of whole fleet runs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "baselines/baseline_policies.h"
@@ -437,6 +438,47 @@ TEST(Fleet, AddFleetTenantReusesThePlacementPolicy) {
   const auto m = fleet.finish();
   EXPECT_EQ(m.tenants[1].arrived, 1u);
   EXPECT_EQ(m.tenants[1].served, 1u);
+}
+
+TEST(Fleet, SloFactorsPastTimeNsAreRejectedBeforeAnyChange) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 2)};
+  FleetConfig cfg = small_fleet(2, 10 * kNsPerMs);
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(cfg, tenants, spread, rr, sgdrc_factory());
+  const TimeNs slo = fleet.device(0).slo_of(0);
+  EXPECT_THROW(fleet.set_slo_factor(kInf), ConfigError);
+  EXPECT_THROW(fleet.set_slo_factor(0.0), ConfigError);
+  // Finite, but every scaled SLO is past 2^64 ns.
+  EXPECT_THROW(fleet.set_slo_factor(1e300), ConfigError);
+  EXPECT_EQ(fleet.device(0).slo_of(0), slo);
+  EXPECT_EQ(fleet.device(1).slo_of(0), slo);
+
+  fleet.set_slo_factor(8.0);
+  EXPECT_EQ(fleet.device(0).slo_of(0),
+            static_cast<TimeNs>(8.0 * static_cast<double>(slo)));
+  // A later replica inherits the accumulated factor: its initial SLO of
+  // 4 × 2^60 ns fits in TimeNs, 8 times that does not, so the replica is
+  // refused before its device registers it.
+  const size_t counts[] = {fleet.device(0).tenant_count(),
+                           fleet.device(1).tenant_count()};
+  EXPECT_THROW(
+      fleet.add_fleet_tenant(
+          replicated(latency_sensitive_tenant(z.ls_b, TimeNs{1} << 60), 1),
+          spread),
+      ConfigError);
+  EXPECT_EQ(fleet.device(0).tenant_count(), counts[0]);
+  EXPECT_EQ(fleet.device(1).tenant_count(), counts[1]);
+
+  // With no LS SLO to scale, only the accumulated factor can overflow.
+  std::vector<FleetTenantSpec> be_only{
+      replicated(best_effort_tenant(z.be_i), 1)};
+  FleetSim be_fleet(cfg, be_only, spread, rr, sgdrc_factory());
+  be_fleet.set_slo_factor(1e300);
+  EXPECT_THROW(be_fleet.set_slo_factor(1e300), ConfigError);
 }
 
 // -------------------------------------------------- vGPU quota layer ----

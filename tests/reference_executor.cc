@@ -237,7 +237,7 @@ std::optional<GpuExecutor::RunningInfo> GpuExecutor::info(
   if (it == running_.end()) return std::nullopt;
   const Running& r = it->second;
   return RunningInfo{r.launch.kernel, r.launch.tpc_mask, r.launch.channels,
-                     r.launch.tag, r.started};
+                     r.launch.tag, r.started, r.rate};
 }
 
 std::vector<GpuExecutor::RunningInfo> GpuExecutor::running_infos() const {
@@ -245,7 +245,7 @@ std::vector<GpuExecutor::RunningInfo> GpuExecutor::running_infos() const {
   out.reserve(running_.size());
   for (const auto& [id, r] : running_) {
     out.push_back({r.launch.kernel, r.launch.tpc_mask, r.launch.channels,
-                   r.launch.tag, r.started});
+                   r.launch.tag, r.started, r.rate});
   }
   return out;
 }

@@ -6,7 +6,9 @@
 // executor_crosscheck_test.cc can diff the library executor against the
 // behaviour it replaced; it reuses the library's ExecutorParams, which
 // did not change, and keeps a verbatim copy of the launch record of that
-// time, where 0 means every TPC / channel. Not part of the sgdrc
+// time, where 0 means every TPC / channel. One addition: RunningInfo
+// carries each kernel's current rate, as the library's does, so the
+// cross-check can compare rates bit for bit. Not part of the sgdrc
 // library.
 #pragma once
 
@@ -68,6 +70,7 @@ class GpuExecutor {
     ChannelSet channels;
     uint64_t tag;
     TimeNs started;
+    double rate;  // fraction of its work per ns under the current sharing
   };
   std::optional<RunningInfo> info(LaunchId id) const;
   /// Snapshot of every running kernel (scheduler admission checks).

@@ -171,6 +171,18 @@ TEST(Scenario, RejectsNonFiniteRates) {
   EXPECT_FALSE(build_scenario_trace(sc, initial, engine_config()).empty());
 }
 
+TEST(Scenario, RejectsNonFiniteSloFactors) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Scenario sc("bad-slo", "", 1 * kNsPerSec);
+  EXPECT_THROW(sc.slo_factor(0, kInf), ConfigError);
+  EXPECT_THROW(sc.slo_factor(0, kNaN), ConfigError);
+  EXPECT_THROW(sc.slo_factor(0, 0.0), ConfigError);
+  EXPECT_TRUE(sc.slo_changes().empty());
+  sc.slo_factor(0, 0.5);
+  EXPECT_EQ(sc.slo_changes().size(), 1u);
+}
+
 TEST(ScenarioTrace, SameSeedIsBitIdentical) {
   const auto& z = zoo();
   Scenario sc("det", "", 500 * kNsPerMs);

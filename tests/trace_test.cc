@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -186,6 +187,28 @@ TEST(Trace, RejectsTracesAboveTheExpectedRequestCap) {
   TraceOptions duration;
   duration.duration = 1ull << 62;
   EXPECT_THROW(generate_apollo_like_trace(duration), ConfigError);
+}
+
+TEST(Trace, RejectsBurstyWindowsAboveTheFrameTickCap) {
+  // About 4.6e3 expected requests, under the request cap, but 4.6e11
+  // frame ticks for the burst loop to visit.
+  TraceOptions o;
+  o.services = 1;
+  o.rate_per_service = 1e-6;
+  o.duration = 1ull << 62;
+  try {
+    generate_apollo_like_trace(o);
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxFrameTicks"),
+              std::string::npos)
+        << e.what();
+  }
+  // Without a burst component nothing visits the frame ticks.
+  o.burstiness = 0.0;
+  const auto trace = generate_apollo_like_trace(o);
+  EXPECT_GT(trace.size(), 4000u);
+  EXPECT_LT(trace.size(), 5300u);
 }
 
 }  // namespace

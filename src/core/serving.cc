@@ -185,9 +185,7 @@ void ServingSim::validate_tenant(const TenantSpec& spec) const {
                   "max_batch above 64 is outside the latency model's range");
     SGDRC_REQUIRE((spec.instances ? spec.instances : cfg_.ls_instances) >= 1,
                   "need at least one instance");
-    SGDRC_REQUIRE(
-        fits_time_ns(slo_n_ * static_cast<double>(spec.isolated_latency)),
-        "the SLO (SLO multiplier × isolated latency) does not fit in TimeNs");
+    initial_slo(spec.isolated_latency);  // throws when it does not fit
   } else {
     SGDRC_REQUIRE(!spec.batching.enabled(),
                   "BatchPolicy applies to LS tenants (BE tasks already "
@@ -251,23 +249,17 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
 void ServingSim::assign_guarantee_region(TenantId t) {
   const auto& vgpu = tenants_[t].vgpu;
   if (vgpu.guaranteed_tpcs == 0) return;
-  const unsigned n = cfg_.spec.num_tpcs;
-  const TpcMask free = gpusim::full_tpc_mask(n) & ~guaranteed_used_;
+  const TpcMask free =
+      gpusim::full_tpc_mask(cfg_.spec.num_tpcs) & ~guaranteed_used_;
   SGDRC_CHECK(gpusim::tpc_count(free) >= vgpu.guaranteed_tpcs,
               "validate_vgpu let an overcommitted guarantee through");
   // LS regions grow down from the top of the mask (SGDRC keeps LS at the
   // high TPCs), BE regions up from the bottom — so the tidal top block
   // and hard LS reservations coincide and BE guarantees stay clear.
-  TpcMask region = 0;
-  unsigned got = 0;
-  const bool ls = tenants_[t].qos == QosClass::kLatencySensitive;
-  for (unsigned i = 0; i < n && got < vgpu.guaranteed_tpcs; ++i) {
-    const unsigned tpc = ls ? n - 1 - i : i;
-    const TpcMask bit = gpusim::tpc_bit(tpc);
-    if (!(free & bit)) continue;
-    region |= bit;
-    ++got;
-  }
+  const TpcMask region =
+      tenants_[t].qos == QosClass::kLatencySensitive
+          ? gpusim::highest_tpcs(free, vgpu.guaranteed_tpcs)
+          : gpusim::lowest_tpcs(free, vgpu.guaranteed_tpcs);
   guaranteed_used_ |= region;
   guaranteed_mask_[t] = region;
 }
@@ -413,7 +405,11 @@ TimeNs ServingSim::slo_of(TenantId t) const {
 }
 
 TimeNs ServingSim::initial_slo(TimeNs isolated_latency) const {
-  return static_cast<TimeNs>(slo_n_ * static_cast<double>(isolated_latency));
+  const double slo = slo_n_ * static_cast<double>(isolated_latency);
+  SGDRC_REQUIRE(fits_time_ns(slo),
+                "the SLO (SLO multiplier × isolated latency) does not fit in "
+                "TimeNs");
+  return static_cast<TimeNs>(slo);
 }
 
 workload::ServingMetrics ServingSim::run(

@@ -189,7 +189,8 @@ class ServingSim {
   void set_slo(TenantId t, TimeNs slo);
   TimeNs slo_of(TenantId t) const;
   /// The SLO add_tenant gives an LS tenant of this isolated latency: the
-  /// SLO multiplier frozen at init × the latency.
+  /// SLO multiplier frozen at init × the latency. Throws ConfigError
+  /// when it does not fit in TimeNs.
   TimeNs initial_slo(TimeNs isolated_latency) const;
   /// Runtime vGPU re-plan (scenario set_quota): swap a tenant's
   /// guarantees. The old TPC region is released, a new one is carved,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
 
 namespace sgdrc::core {
 
@@ -70,7 +71,7 @@ void SgdrcPolicy::channel_split(const SimView& sim, ChannelSet& ls,
 ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   ResourcePlan plan;
   const TpcMask full = gpusim::full_tpc_mask(num_tpcs_);
-  auto waiting = sim.waiting_jobs(QosClass::kLatencySensitive);
+  const auto waiting = sim.waiting_jobs(QosClass::kLatencySensitive);
   const auto waiting_be = sim.waiting_jobs(QosClass::kBestEffort);
   const bool ls_active =
       !waiting.empty() || sim.inflight(QosClass::kLatencySensitive) > 0;
@@ -147,9 +148,8 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // Higher-priority tenants launch first (equal priorities keep the
   // arrival order, so the default is the legacy order exactly).
   TpcMask claimed_from_be = 0;
-  // One entry per kernel launched this plan (window bookkeeping): a DAG
-  // job launching several frontier kernels appears once per launch.
-  std::vector<JobId> planned_ls;
+  // Flags the `waiting` entries this plan launches (window bookkeeping).
+  std::vector<char> launched(waiting.size(), 0);
   // Kernels launched per job this plan, both classes (width accounting).
   std::map<JobId, unsigned> planned_width;
   const auto width_capped = [&](JobId id) {
@@ -157,18 +157,20 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
     return inflight_width[id] + planned_width[id] >= opt_.intra_tenant_width;
   };
   if (!waiting.empty()) {
-    std::stable_sort(waiting.begin(), waiting.end(),
-                     [&](const auto& a, const auto& b) {
-                       return sim.vgpu(a.tenant).priority >
-                              sim.vgpu(b.tenant).priority;
-                     });
+    std::vector<size_t> order(waiting.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return sim.vgpu(waiting[a].tenant).priority >
+             sim.vgpu(waiting[b].tenant).priority;
+    });
     // Bimodal tensors (Fig. 14): LS memory-bound kernels shift to the
     // (1−ChBE) channel partition only while a memory-bound BE kernel
     // shares the GPU; compute-bound BE kernels pose no channel conflict.
     const bool colocated = be_memory_bound_in_flight;
-    size_t launched = 0;
-    for (const auto& job : waiting) {
-      if (launched >= opt_.sliding_window) break;
+    size_t launches = 0;
+    for (const size_t i : order) {
+      const auto& job = waiting[i];
+      if (launches >= opt_.sliding_window) break;
       if (ls_used == full) break;
       // A DAG job's extra frontier entries wait once the job hits the
       // intra-tenant width cap (never binds for chains: one kernel in
@@ -177,56 +179,27 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
       const unsigned need = std::max(1u, job.next_kernel->min_tpcs);
       const TpcMask own = sim.guaranteed_mask(job.tenant);
       const TpcMask foreign = any_guar & ~own;
+      const TpcMask idle = full & ~(ls_used | be_mask_running);
+      const TpcMask be_held = be_mask_running & ~ls_used;
+      // Top-down, in order: the tenant's own guaranteed region, idle
+      // TPCs first, then BE-held ones (a stale BE kernel inside a fresh
+      // guarantee is claimed, which evicts it below; both are empty
+      // without guarantees); then idle TPCs outside foreign guarantees;
+      // then, under pressure, BE-held TPCs outside them (preempting BE).
       TpcMask mask = 0;
-      unsigned got = 0;
-      // Pass 0: the tenant's own guaranteed region — idle TPCs first,
-      // then BE-held ones (a stale BE kernel inside a fresh guarantee is
-      // claimed, which evicts it below). Empty without guarantees.
-      for (int t = static_cast<int>(num_tpcs_) - 1; t >= 0 && got < need;
-           --t) {
-        const TpcMask bit = gpusim::tpc_bit(static_cast<unsigned>(t));
-        if (!(own & bit) || ((ls_used | be_mask_running) & bit)) continue;
-        mask |= bit;
-        ++got;
+      for (const TpcMask candidates : {own & idle, own & be_held,
+                                       idle & ~foreign, be_held & ~foreign}) {
+        mask |= gpusim::highest_tpcs(candidates & ~mask,
+                                     need - gpusim::tpc_count(mask));
       }
-      for (int t = static_cast<int>(num_tpcs_) - 1; t >= 0 && got < need;
-           --t) {
-        const TpcMask bit = gpusim::tpc_bit(static_cast<unsigned>(t));
-        if (!(own & bit) || (ls_used & bit) || !(be_mask_running & bit)) {
-          continue;
-        }
-        mask |= bit;
-        ++got;
-        claimed_from_be |= bit;
-      }
-      // Pass 1: idle TPCs (not LS, not BE, not someone else's
-      // guarantee), top-down.
-      for (int t = static_cast<int>(num_tpcs_) - 1; t >= 0 && got < need;
-           --t) {
-        const TpcMask bit = gpusim::tpc_bit(static_cast<unsigned>(t));
-        if ((ls_used | be_mask_running | foreign) & bit) continue;
-        mask |= bit;
-        ++got;
-      }
-      // Pass 2: under pressure, take BE-held TPCs (preempting BE) —
-      // never out of a foreign guaranteed region.
-      for (int t = static_cast<int>(num_tpcs_) - 1; t >= 0 && got < need;
-           --t) {
-        const TpcMask bit = gpusim::tpc_bit(static_cast<unsigned>(t));
-        if ((ls_used & bit) || !(be_mask_running & bit) || (foreign & bit)) {
-          continue;
-        }
-        mask |= bit;
-        ++got;
-        claimed_from_be |= bit;
-      }
-      if (got == 0) break;  // everything is held by other LS kernels
+      if (mask == 0) break;  // everything is held by other LS kernels
+      claimed_from_be |= mask & be_mask_running;
       ls_used |= mask;
       plan.launch(job.id,
                   {mask, colocated ? eff_ls_channels : all_ch});
-      planned_ls.push_back(job.id);
+      launched[i] = 1;
       ++planned_width[job.id];
-      ++launched;
+      ++launches;
     }
   }
 
@@ -286,26 +259,14 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // recent concurrent LS usage: it rises instantly and decays one TPC
   // per decay interval. (The retired imperative path read the waiting
   // LS kernels after its launches took effect; the plan path reproduces
-  // that view by skipping the jobs this plan just launched.)
+  // that view by skipping the entries this plan just launched.)
   unsigned window_need = 1;
-  {
-    size_t seen = 0;
-    // planned_ls holds one entry per *kernel* launched: consume one skip
-    // per match so a DAG job's still-waiting frontier entries (beyond
-    // the ones this plan launched) keep counting toward the window.
-    // Chains have unique ids, so this is the historic skip exactly.
-    std::vector<JobId> skip = planned_ls;
-    for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
-      if (seen >= opt_.sliding_window) break;
-      const auto it = std::find(skip.begin(), skip.end(), job.id);
-      if (it != skip.end()) {
-        skip.erase(it);
-        continue;
-      }
-      window_need =
-          std::max(window_need, std::max(1u, job.next_kernel->min_tpcs));
-      ++seen;
-    }
+  for (size_t i = 0, seen = 0;
+       i < waiting.size() && seen < opt_.sliding_window; ++i) {
+    if (launched[i]) continue;
+    window_need = std::max(window_need,
+                           std::max(1u, waiting[i].next_kernel->min_tpcs));
+    ++seen;
   }
   window_need = std::max(window_need, gpusim::tpc_count(ls_used));
   if (window_need >= ls_reserve_) {
@@ -419,15 +380,8 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
               static_cast<double>(weighted_pool_bits) *
               sim.vgpu(job.tenant).weight / total_weight);
           const bool last = job.id == be_order.back();
-          TpcMask slice = 0;
-          unsigned got = 0;
-          for (unsigned t = 0; t < num_tpcs_; ++t) {
-            if (!last && got >= std::max(1u, share)) break;
-            const TpcMask bit = gpusim::tpc_bit(t);
-            if (!(pool & bit)) continue;
-            slice |= bit;
-            ++got;
-          }
+          const TpcMask slice =
+              last ? pool : gpusim::lowest_tpcs(pool, std::max(1u, share));
           weighted_pool_left &= ~slice;
           sit = job_slice.emplace(job.id, slice).first;
         }
@@ -473,15 +427,8 @@ control::ResourcePlan SgdrcStaticPolicy::plan(const SimView& sim) {
   for (const auto& job : sim.waiting_jobs(QosClass::kLatencySensitive)) {
     const TpcMask free = ls_mask & ~ls_used;
     if (!free) break;
-    const unsigned need = std::max(1u, job.next_kernel->min_tpcs);
-    TpcMask mask = 0;
-    unsigned got = 0;
-    for (int t = 63; t >= 0 && got < need; --t) {
-      const TpcMask bit = TpcMask{1} << t;
-      if (!(free & bit)) continue;
-      mask |= bit;
-      ++got;
-    }
+    const TpcMask mask =
+        gpusim::highest_tpcs(free, std::max(1u, job.next_kernel->min_tpcs));
     ls_used |= mask;
     plan.launch(job.id, {mask, ls_channels_});
   }

@@ -82,10 +82,6 @@ class UvmMemoryPool {
   uint64_t free_chunks(ChannelSet allowed) const;
   uint64_t total_chunks() const { return total_chunks_; }
   uint64_t quarantined_sectors() const { return quarantined_; }
-  /// Free bytes obtainable for a color set right now.
-  uint64_t free_bytes(ChannelSet allowed) const {
-    return free_chunks(allowed) * sector_bytes();
-  }
 
  private:
   struct ChunkKey {

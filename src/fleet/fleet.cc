@@ -107,16 +107,31 @@ core::ServingConfig FleetSim::device_config(DeviceId d) const {
   return scfg;
 }
 
-core::ServingSim& FleetSim::ensure_device(DeviceId d) {
+void FleetSim::check_placeable(DeviceId d) const {
   SGDRC_REQUIRE(d < devices_.size(), "device out of range");
   SGDRC_REQUIRE(!failed_[d], "cannot place replicas on a failed device");
+  // A zero-tenant sim cannot derive the SLO multiplier from its
+  // co-residency (there is none yet); without an explicit n its replicas
+  // would get far tighter SLOs than their siblings.
+  SGDRC_REQUIRE(devices_[d] || cfg_.slo_multiplier > 0.0,
+                "placing replicas on an idle device needs an explicit "
+                "FleetConfig::slo_multiplier");
+}
+
+std::optional<TimeNs> FleetSim::replica_slo(const core::TenantSpec& spec,
+                                            DeviceId d) const {
+  if (spec.qos != QosClass::kLatencySensitive || slo_factor_ == 1.0) {
+    return std::nullopt;
+  }
+  // An idle device's sim is built with the explicit multiplier.
+  const TimeNs initial =
+      devices_[d] ? devices_[d]->initial_slo(spec.isolated_latency)
+                  : scaled_slo(cfg_.slo_multiplier, spec.isolated_latency);
+  return scaled_slo(slo_factor_, initial);
+}
+
+core::ServingSim& FleetSim::ensure_device(DeviceId d) {
   if (!devices_[d]) {
-    // A zero-tenant sim cannot derive the SLO multiplier from its
-    // co-residency (there is none yet); without an explicit n its
-    // replicas would get far tighter SLOs than their siblings.
-    SGDRC_REQUIRE(cfg_.slo_multiplier > 0.0,
-                  "placing replicas on an idle device needs an explicit "
-                  "FleetConfig::slo_multiplier");
     // Brought up mid-run (pack placement idled it at construction). Its
     // shard already exists and sits on the fleet frontier — barriers
     // advance every shard's clock, sims or not — so the new sim's first
@@ -420,17 +435,27 @@ FleetMetrics FleetSim::finish() {
 
 unsigned FleetSim::add_fleet_tenant(FleetTenantSpec spec,
                                     const PlacementPolicy& placement) {
-  tenants_.push_back(std::move(spec));
+  // Re-place the full list, on a copy; only the newcomer's row takes
+  // effect — existing replicas never migrate. The row is checked before
+  // the first change, so a rejected tenant leaves the fleet as it was.
+  std::vector<FleetTenantSpec> all = tenants_;
+  all.push_back(std::move(spec));
+  const Assignment a = placement.place(all, cfg_.devices);
+  SGDRC_CHECK(a.size() == all.size(), "placement skipped a tenant");
+  const std::vector<DeviceId>& row = a.back();
+  SGDRC_REQUIRE(!row.empty(), "new tenant placed no replicas");
+  for (auto d = row.begin(); d != row.end(); ++d) {
+    check_placeable(*d);
+    SGDRC_REQUIRE(std::find(row.begin(), d, *d) == d,
+                  "two replicas of one tenant share a device");
+    replica_slo(all.back().spec, *d);  // throws when it does not fit
+  }
+  const auto t = static_cast<unsigned>(tenants_.size());
+  tenants_.push_back(std::move(all.back()));
   replicas_.emplace_back();
   retired_.emplace_back();
-  const unsigned t = static_cast<unsigned>(tenants_.size() - 1);
-  // Re-place the full list; only the newcomer's row takes effect —
-  // existing replicas never migrate.
-  const Assignment a = placement.place(tenants_, cfg_.devices);
-  SGDRC_CHECK(a.size() == tenants_.size(), "placement skipped a tenant");
-  for (const DeviceId d : a[t]) add_replica(t, d);
-  SGDRC_REQUIRE(!replicas_[t].empty(), "new tenant placed no replicas");
-  assignment_.push_back(a[t]);  // keep assignment() covering every tenant
+  for (const DeviceId d : row) add_replica(t, d);
+  assignment_.push_back(row);  // keep assignment() covering every tenant
   if (tenants_[t].spec.qos == QosClass::kLatencySensitive) {
     ls_fleet_tenants_.push_back(t);
   }
@@ -443,17 +468,14 @@ void FleetSim::add_replica(unsigned tenant, DeviceId device) {
     SGDRC_REQUIRE(r.device != device,
                   "tenant already has an active replica on this device");
   }
-  core::ServingSim& sim = ensure_device(device);
   const core::TenantSpec& spec = tenants_[tenant].spec;
-  const bool scaled = spec.qos == QosClass::kLatencySensitive &&
-                      slo_factor_ != 1.0;
-  // Scaled before add_tenant, so a rejected replica leaves the sim as it
-  // was.
-  const TimeNs slo =
-      scaled ? scaled_slo(slo_factor_, sim.initial_slo(spec.isolated_latency))
-             : 0;
+  // Checked and scaled before the device comes up or registers the
+  // replica, so a rejected replica leaves the fleet as it was.
+  check_placeable(device);
+  const std::optional<TimeNs> slo = replica_slo(spec, device);
+  core::ServingSim& sim = ensure_device(device);
   const workload::TenantId local = sim.add_tenant(spec);
-  if (scaled) sim.set_slo(local, slo);
+  if (slo) sim.set_slo(local, *slo);
   replicas_[tenant].push_back({device, local});
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,7 +197,11 @@ class FleetSim {
   /// Admit a new fleet tenant mid-run: the placement policy re-places the
   /// full tenant list and the new tenant's replicas land on its row
   /// (existing replicas never move). Returns the fleet tenant index; LS
-  /// tenants also get the next service index.
+  /// tenants also get the next service index. The row is placed on a
+  /// copy of the tenant list and checked before anything changes (an
+  /// empty row, a device out of range, failed, or idle without an
+  /// explicit slo_multiplier, a replica SLO past TimeNs); a rejected
+  /// tenant throws ConfigError and leaves the fleet as it was.
   unsigned add_fleet_tenant(FleetTenantSpec spec,
                             const PlacementPolicy& placement);
   /// Grow a tenant by one replica on `device` (autoscaler scale-up).
@@ -301,6 +306,17 @@ class FleetSim {
                       TimeNs first_arrival);
   void front_door_tick(TimeNs t);
   core::ServingConfig device_config(DeviceId d) const;
+  /// Throws ConfigError unless a replica may go on `d`: in range, not
+  /// failed, and, when idle, with an explicit slo_multiplier.
+  void check_placeable(DeviceId d) const;
+  /// The SLO add_replica gives a replica of `spec` on a placeable `d`:
+  /// its device's initial SLO scaled by the accumulated SLO factor, or
+  /// nullopt when the initial SLO stands (BE, or a factor of 1). Throws
+  /// ConfigError when it does not fit in TimeNs.
+  std::optional<TimeNs> replica_slo(const core::TenantSpec& spec,
+                                    DeviceId d) const;
+  /// The sim of a placeable device, brought up if pack placement left it
+  /// idle.
   core::ServingSim& ensure_device(DeviceId d);
   /// The conservative barrier: every device shard fires its events
   /// before `t` (exclusive) or up to `t` (inclusive) and lands its

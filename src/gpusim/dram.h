@@ -28,23 +28,10 @@ class Dram {
     const uint64_t row = mapping_.row_of(pa);
     const bool hit = open_row_[idx] == row;
     open_row_[idx] = row;
-    if (hit) {
-      ++row_hits_;
-    } else {
-      ++row_misses_;
-    }
     return hit;
   }
 
-  /// Would `pa` hit its bank's open row right now? (no state change)
-  bool would_row_hit(PhysAddr pa) const {
-    return open_row_[bank_index(pa)] == mapping_.row_of(pa);
-  }
-
   void reset() { std::fill(open_row_.begin(), open_row_.end(), kNoRow); }
-
-  uint64_t row_hits() const { return row_hits_; }
-  uint64_t row_misses() const { return row_misses_; }
 
  private:
   static constexpr uint64_t kNoRow = ~uint64_t{0};
@@ -57,8 +44,6 @@ class Dram {
 
   const AddressMapping& mapping_;
   std::vector<uint64_t> open_row_;
-  uint64_t row_hits_ = 0;
-  uint64_t row_misses_ = 0;
 };
 
 }  // namespace sgdrc::gpusim

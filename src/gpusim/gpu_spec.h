@@ -61,8 +61,6 @@ struct GpuSpec {
   TimeNs channel_serial_ns = 40;   // extra when two requests share a channel
 
   // Derived quantities -----------------------------------------------------
-  unsigned num_sms() const { return num_tpcs * sms_per_tpc; }
-  unsigned num_groups() const { return num_channels / channel_group_size; }
   uint64_t l2_slice_bytes() const { return l2_bytes / num_channels; }
   uint64_t partitions() const { return vram_bytes >> 10; }
   /// Fig. 10: maximum coloring granularity in KiB equals the number of
@@ -71,9 +69,6 @@ struct GpuSpec {
   unsigned min_coloring_granularity_kib() const { return 1; }
   double per_channel_gbps() const {
     return vram_gbps / static_cast<double>(num_channels);
-  }
-  double per_tpc_tflops() const {
-    return peak_tflops / static_cast<double>(num_tpcs);
   }
 };
 

@@ -55,11 +55,6 @@ class AddressMapping {
   unsigned l2_sets() const { return l2_sets_; }
   unsigned l2_ways() const { return l2_ways_; }
   unsigned dram_banks() const { return dram_banks_; }
-  bool is_linear() const { return linear_; }
-
-  /// The XOR masks of the linear family (test-only introspection; the
-  /// FGPU bench uses this to verify its recovered masks).
-  const std::vector<uint64_t>& linear_masks() const { return linear_masks_; }
 
   /// Channel-group membership helpers (Tab. 4 structure).
   unsigned group_of_channel(unsigned channel) const {

@@ -31,7 +31,6 @@ class MemSystem {
   /// Read one word at `pa`. UMA: latency is independent of which SM issues
   /// the read (the crossbar gives every SM the same path to every slice).
   ReadResult read(PhysAddr pa) {
-    ++reads_;
     if (l2_.read(pa)) {
       return {spec_.l2_hit_ns, true};
     }
@@ -75,14 +74,12 @@ class MemSystem {
 
   const L2Cache& l2() const { return l2_; }
   const Dram& dram() const { return dram_; }
-  uint64_t total_reads() const { return reads_; }
 
  private:
   GpuSpec spec_;
   AddressMapping mapping_;
   L2Cache l2_;
   Dram dram_;
-  uint64_t reads_ = 0;
 };
 
 }  // namespace sgdrc::gpusim

@@ -80,11 +80,6 @@ class PageTable {
     }
   }
 
-  bool is_mapped(VirtAddr va) const {
-    const uint64_t vpn = vpn_of(va);
-    return vpn < pfn_.size() && pfn_[vpn] != kUnmapped;
-  }
-
   /// Page walk — the equivalent of parsing the PTEs stored in VRAM
   /// (the practice of Zhang et al. [60] the paper follows).
   PhysAddr translate(VirtAddr va) const {

@@ -64,6 +64,29 @@ inline TpcMask tpc_range(unsigned first, unsigned count) {
       count >= 64 ? ~TpcMask{0} : (TpcMask{1} << count) - 1;
   return ones << first;
 }
+/// The `n` highest set bits of `from`, or all of them when `from` has
+/// fewer. LS partitions and LS guarantee regions are carved from the top
+/// of the mask (SGDRC's tidal convention, Fig. 13).
+constexpr TpcMask highest_tpcs(TpcMask from, unsigned n) {
+  TpcMask out = 0;
+  for (; n > 0 && from != 0; --n) {
+    const TpcMask top = TpcMask{1} << (63 - std::countl_zero(from));
+    out |= top;
+    from &= ~top;
+  }
+  return out;
+}
+/// The `n` lowest set bits of `from`, or all of them when `from` has
+/// fewer. BE slices and BE guarantee regions are carved from the bottom.
+constexpr TpcMask lowest_tpcs(TpcMask from, unsigned n) {
+  TpcMask out = 0;
+  for (; n > 0 && from != 0; --n) {
+    const TpcMask low = from & ~(from - 1);
+    out |= low;
+    from &= ~low;
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------
 // Allocation: the explicit grant for one kernel launch, a TPC mask and a

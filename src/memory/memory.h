@@ -54,16 +54,6 @@ enum class Residency : uint8_t {
   kPaged,
 };
 
-constexpr const char* residency_name(Residency r) {
-  switch (r) {
-    case Residency::kUnmodeled: return "unmodeled";
-    case Residency::kCold:      return "cold";
-    case Residency::kLoading:   return "loading";
-    case Residency::kWarm:      return "warm";
-    case Residency::kPaged:     return "paged";
-  }
-  return "?";
-}
 
 /// How the evictor picks victims under pressure.
 enum class EvictPolicy : uint8_t {
@@ -172,7 +162,6 @@ class MemoryManager {
 
   Residency residency(TenantId t) const;
   uint64_t weight_bytes(TenantId t) const;
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
   /// Bytes currently allocated to resident (warm/loading/cold-allocated)
   /// weights.
   uint64_t resident_bytes() const { return resident_bytes_; }

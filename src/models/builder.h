@@ -69,8 +69,6 @@ class ModelBuilder {
   /// with no branches still yields a DAG equivalent to its chain.
   ModelDesc build_dag();
 
-  const ModelDesc& peek() const { return m_; }
-
  private:
   int add_tensor(std::string name, uint64_t bytes, TensorKind kind,
                  int produced_by);

@@ -71,13 +71,6 @@ struct ModelDesc {
     }
     return b;
   }
-  uint64_t intermediate_bytes() const {
-    uint64_t b = 0;
-    for (const auto& t : tensors) {
-      if (t.kind == TensorKind::kIntermediate) b += t.bytes;
-    }
-    return b;
-  }
 
   const TensorDesc& tensor(int idx) const {
     SGDRC_REQUIRE(idx >= 0 && static_cast<size_t>(idx) < tensors.size(),

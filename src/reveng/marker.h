@@ -63,10 +63,6 @@ class ChannelMarker {
   /// One un-denoised probe — what FGPU-style single-shot sampling sees.
   std::optional<unsigned> label_single_trial(gpusim::PhysAddr addr);
 
-  const std::vector<std::vector<gpusim::PhysAddr>>& fill_sets() const {
-    return fill_sets_;
-  }
-
  private:
   ProbeArena& arena_;
   ConflictProber& prober_;

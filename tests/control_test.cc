@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "baselines/baseline_policies.h"
 #include "baselines/registry.h"
@@ -339,6 +340,41 @@ TEST(VgpuQuota, UnequalBeWeightsPartitionTheTideProportionally) {
   ASSERT_NE(slice[1], 0u);
   EXPECT_EQ(slice[0] & slice[1], 0u);  // disjoint partition
   EXPECT_GE(gpusim::tpc_count(slice[1]), 2 * gpusim::tpc_count(slice[0]));
+  sim->finish();
+}
+
+TEST(VgpuQuota, GuaranteedLsLaunchesGetTheirMinTpcs) {
+  // Two requests of a one-kernel LS model needing 2 TPCs, against a
+  // 3-TPC guarantee: the first launch takes the region's top two TPCs,
+  // the second the region's last TPC and the idle TPC below it. A region
+  // TPC taken from the guarantee must not count again as an idle one, or
+  // the second kernel launches on 1 TPC.
+  models::ModelDesc model = tiny_be_model("tiny-ls", 'L');
+  model.service = models::ServiceClass::kLatencySensitive;
+  model.kernels.resize(1);
+  model.kernels[0].min_tpcs = 2;
+  FnController idle = idle_controller();
+  auto sim = ServingSimBuilder()
+                 .gpu(gpusim::rtx_a2000())  // 13 TPCs
+                 .duration(20 * kNsPerMs)
+                 .add_latency_sensitive(model, 1 * kNsPerMs, 2)
+                 .quota({.guaranteed_tpcs = 3})
+                 .build(idle);
+  ASSERT_EQ(sim->guaranteed_mask(0), TpcMask{0x1C00});
+  sim->begin();
+  sim->inject(0, 0);
+  sim->inject(0, 0);
+  SgdrcPolicy sgdrc(gpusim::rtx_a2000());
+  const auto plan = sgdrc.plan(SimView(*sim));
+  std::vector<TpcMask> masks;
+  for (const auto& d : plan.directives) {
+    if (d.kind == control::Directive::Kind::kLaunch) {
+      masks.push_back(d.alloc.tpcs);
+    }
+  }
+  ASSERT_EQ(masks.size(), 2u);
+  EXPECT_EQ(masks[0], TpcMask{0x1800});
+  EXPECT_EQ(masks[1], TpcMask{0x600});
   sim->finish();
 }
 

@@ -1,7 +1,10 @@
-// Tests for the driver layer (UVM colored pool, SPT writes, smctrl masks)
-// and the coloring layer (translate arithmetic, granularity rules, kernel
-// transformer). The end-to-end property here is the paper's §6 claim:
-// a colored buffer's every access lands on its assigned channels.
+// Tests for the driver layer (UVM colored pool, SPT writes) and the
+// coloring layer (translate arithmetic, granularity rules, kernel
+// transformer). TPC masks are carved by gpusim::highest_tpcs and
+// lowest_tpcs (tests/gpusim_test.cc) and validated by
+// GpuExecutor::resolve() (tests/executor_test.cc). The end-to-end
+// property here is the paper's §6 claim: a colored buffer's every access
+// lands on its assigned channels.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +12,6 @@
 #include "coloring/rules.h"
 #include "coloring/transformer.h"
 #include "coloring/translate.h"
-#include "driver/smctrl.h"
 #include "driver/uvm_pool.h"
 #include "gpusim/device.h"
 #include "gpusim/gpu_spec.h"
@@ -180,31 +182,6 @@ TEST(Rules, PowerOfTwoAllocationRule) {
   const GpuSpec a2000 = gpusim::rtx_a2000();
   EXPECT_EQ(coloring::granularity_for(a2000, 2), 2u);
   EXPECT_EQ(coloring::granularity_for(a2000, 4), 2u);  // capped
-}
-
-// -------------------------------------------------------------- SmCtrl ----
-
-TEST(SmCtrl, MaskHelpers) {
-  driver::SmCtrl ctl(gpusim::rtx_a2000());  // 13 TPCs
-  EXPECT_EQ(gpusim::tpc_count(ctl.full()), 13u);
-  EXPECT_EQ(gpusim::tpc_count(ctl.top(4)), 4u);
-  EXPECT_EQ(gpusim::tpc_count(ctl.bottom(9)), 9u);
-  EXPECT_EQ(ctl.top(4) & ctl.bottom(9), 0u);  // tidal ends are disjoint
-  EXPECT_EQ((ctl.top(4) | ctl.bottom(9)), ctl.full());
-}
-
-TEST(SmCtrl, RejectsBadMasks) {
-  driver::SmCtrl ctl(gpusim::test_gpu());  // 4 TPCs
-  EXPECT_THROW(ctl.validate(0), ConfigError);
-  EXPECT_THROW(ctl.validate(1ull << 10), ConfigError);
-  EXPECT_THROW(ctl.top(5), ConfigError);
-}
-
-TEST(SmCtrl, GlobalMaskFallback) {
-  driver::SmCtrl ctl(gpusim::test_gpu());
-  ctl.set_global_mask(gpusim::tpc_range(0, 2));
-  EXPECT_EQ(ctl.effective(0), gpusim::tpc_range(0, 2));
-  EXPECT_EQ(ctl.effective(gpusim::tpc_bit(3)), gpusim::tpc_bit(3));
 }
 
 // -------------------------------------------------------- Transformer ----

@@ -461,8 +461,8 @@ TEST(Fleet, SloFactorsPastTimeNsAreRejectedBeforeAnyChange) {
   EXPECT_EQ(fleet.device(0).slo_of(0),
             static_cast<TimeNs>(8.0 * static_cast<double>(slo)));
   // A later replica inherits the accumulated factor: its initial SLO of
-  // 4 × 2^60 ns fits in TimeNs, 8 times that does not, so the replica is
-  // refused before its device registers it.
+  // 4 × 2^60 ns fits in TimeNs, 8 times that does not, so the tenant is
+  // refused before the fleet or any device registers it.
   const size_t counts[] = {fleet.device(0).tenant_count(),
                            fleet.device(1).tenant_count()};
   EXPECT_THROW(
@@ -472,6 +472,10 @@ TEST(Fleet, SloFactorsPastTimeNsAreRejectedBeforeAnyChange) {
       ConfigError);
   EXPECT_EQ(fleet.device(0).tenant_count(), counts[0]);
   EXPECT_EQ(fleet.device(1).tenant_count(), counts[1]);
+  EXPECT_EQ(fleet.tenant_count(), 1u);
+  EXPECT_EQ(fleet.ls_service_count(), 1u);
+  EXPECT_EQ(fleet.assignment().size(), 1u);
+  EXPECT_NO_THROW(fleet.finish());
 
   // With no LS SLO to scale, only the accumulated factor can overflow.
   std::vector<FleetTenantSpec> be_only{
@@ -479,6 +483,29 @@ TEST(Fleet, SloFactorsPastTimeNsAreRejectedBeforeAnyChange) {
   FleetSim be_fleet(cfg, be_only, spread, rr, sgdrc_factory());
   be_fleet.set_slo_factor(1e300);
   EXPECT_THROW(be_fleet.set_slo_factor(1e300), ConfigError);
+}
+
+TEST(Fleet, TenantPlacedOnAFailedDeviceIsRejectedBeforeAnyChange) {
+  // Spread places a 2-replica tenant on both devices, one of them
+  // cordoned: the tenant is refused before its healthy replica lands.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 2)};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(small_fleet(2, 10 * kNsPerMs), tenants, spread, rr,
+                 sgdrc_factory());
+  fleet.fail_device(1);
+  const size_t on_device0 = fleet.device(0).tenant_count();
+  EXPECT_THROW(
+      fleet.add_fleet_tenant(
+          replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 2), spread),
+      ConfigError);
+  EXPECT_EQ(fleet.device(0).tenant_count(), on_device0);
+  EXPECT_EQ(fleet.tenant_count(), 1u);
+  EXPECT_EQ(fleet.ls_service_count(), 1u);
+  EXPECT_EQ(fleet.assignment().size(), 1u);
+  EXPECT_NO_THROW(fleet.finish());
 }
 
 // -------------------------------------------------- vGPU quota layer ----

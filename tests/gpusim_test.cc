@@ -421,5 +421,32 @@ TEST(Resources, FullWidthMasksAreAllOnes) {
   EXPECT_THROW(tpc_range(60, 5), ConfigError);
 }
 
+TEST(Resources, HighestAndLowestTpcsCarveFromEachEnd) {
+  const TpcMask from = 0b1011'0110;
+  EXPECT_EQ(highest_tpcs(from, 0), 0u);
+  EXPECT_EQ(lowest_tpcs(from, 0), 0u);
+  EXPECT_EQ(highest_tpcs(from, 2), TpcMask{0b1010'0000});
+  EXPECT_EQ(lowest_tpcs(from, 2), TpcMask{0b0000'0110});
+  // Fewer set bits than asked for: all of them.
+  EXPECT_EQ(highest_tpcs(from, 9), from);
+  EXPECT_EQ(lowest_tpcs(from, 64), from);
+  EXPECT_EQ(highest_tpcs(0, 3), 0u);
+  // Bit 63 is the highest TPC, and the lowest of a mask holding only it.
+  const TpcMask top = TpcMask{1} << 63;
+  EXPECT_EQ(highest_tpcs(~TpcMask{0}, 1), top);
+  EXPECT_EQ(lowest_tpcs(top, 1), top);
+  EXPECT_EQ(lowest_tpcs(top | 0b1000, 1), TpcMask{0b1000});
+  EXPECT_EQ(lowest_tpcs(~TpcMask{0}, 64), ~TpcMask{0});
+  // The tidal ends of a device are disjoint and cover it.
+  const TpcMask full = full_tpc_mask(13);  // RTX A2000
+  for (unsigned k = 0; k <= 13; ++k) {
+    const TpcMask ls = highest_tpcs(full, k);
+    const TpcMask be = lowest_tpcs(full, 13 - k);
+    EXPECT_EQ(ls, tpc_range(13 - k, k)) << k;
+    EXPECT_EQ(ls & be, 0u) << k;
+    EXPECT_EQ(ls | be, full) << k;
+  }
+}
+
 }  // namespace
 }  // namespace sgdrc::gpusim

@@ -20,7 +20,14 @@ in CURRENT_DIR and fails (exit 1) when
         requests (arrived == admitted + dropped + pending_retries);
       - dag_parallelism: gate.ok is true;
       - fig17_end_to_end: in every (GPU, load) cell SGDRC's
-        slo_attainment is a number at least every other system's.
+        slo_attainment is a number at least every other system's;
+      - vgpu_isolation: every quota cell has slo_ok true;
+      - batching_sweep: every SGDRC cell has slo_ok true;
+      - memory_pressure: at every pressure >= 2 the memory-quota
+        stack's cold-start p99 beats resident-FIFO's (a null SGDRC p99
+        wins, a null naive p99 against SGDRC data loses);
+    the last three are the benches' exit gates, recomputed from the
+    cells, and also fail when the envelope's counts disagree with them.
 
 The simulation is deterministic (fixed seeds, integer-ns clocks), so an
 unchanged program reproduces every baseline exactly; see
@@ -136,11 +143,82 @@ def validate_fig17(doc):
     return failures
 
 
+def envelope_counts(doc, **recomputed):
+    """The envelope's summary counts equal the ones recomputed from the
+    cells."""
+    return [f"envelope {key} is {doc.get(key)!r}, the cells give {value}"
+            for key, value in recomputed.items() if doc.get(key) != value]
+
+
+def slo_cells(doc, selected, label, within_key, total_key):
+    """Every selected cell has slo_ok true, and the envelope's
+    `within_key` and `total_key` count those cells."""
+    cells = [c for c in doc.get("cells", []) if selected(c)]
+    failures = [f"{label(c)}: LS p99 misses the SLO (slo_ok is "
+                f"{c.get('slo_ok')!r})"
+                for c in cells if c.get("slo_ok") is not True]
+    return failures + envelope_counts(doc, **{
+        within_key: len(cells) - len(failures), total_key: len(cells)})
+
+
+def validate_vgpu(doc):
+    """The guaranteed-quota LS tenant holds its SLO in every flood cell
+    (the bench's exit gate)."""
+    return slo_cells(
+        doc, lambda c: c.get("quota") is True,
+        lambda c: f"{c.get('be_tenants')} BE/{c.get('system')}",
+        "quota_cells_within_slo", "quota_cells")
+
+
+def validate_batching(doc):
+    """SGDRC holds the LS SLO at every batch cap (the bench's exit
+    gate)."""
+    return slo_cells(
+        doc, lambda c: c.get("system") == "SGDRC",
+        lambda c: f"max_batch {c.get('max_batch')}/SGDRC",
+        "sgdrc_cells_within_slo", "sgdrc_cells")
+
+
+MEMORY_QUOTA = "SGDRC (memory-quota)"
+RESIDENT_FIFO = "Naive (resident-FIFO)"
+
+
+def validate_memory(doc):
+    """At every pressure >= 2 the memory-quota stack's cold-start p99
+    beats resident-FIFO's (the bench's exit gate). A side with no cold
+    requests has a null p99: a null SGDRC p99 wins outright, a null
+    naive p99 against SGDRC data is a loss."""
+    cold = {}
+    for c in doc.get("cells", []):
+        cold.setdefault(c.get("pressure"), {})[c.get("system")] = (
+            c.get("cold_start_p99_ms"))
+    failures, wins, compared = [], 0, 0
+    for pressure in sorted(p for p in cold
+                           if isinstance(p, (int, float)) and p >= 2):
+        by_system = cold[pressure]
+        if MEMORY_QUOTA not in by_system or RESIDENT_FIFO not in by_system:
+            failures.append(f"pressure {pressure}: missing a system")
+            continue
+        a, b = by_system[MEMORY_QUOTA], by_system[RESIDENT_FIFO]
+        win = a is None or (b is not None and a < b)
+        compared += 1
+        wins += win
+        if not win:
+            failures.append(f"pressure {pressure}: {MEMORY_QUOTA}'s "
+                            f"cold-start p99 {a} does not beat "
+                            f"{RESIDENT_FIFO}'s {b}")
+    return failures + envelope_counts(doc, sgdrc_cold_p99_wins=wins,
+                                      compared_pressures=compared)
+
+
 VALIDATORS = {
     "fleet_scaling": validate_fleet,
     "scenario_sweep": validate_scenarios,
     "dag_parallelism": validate_dag,
     "fig17_end_to_end": validate_fig17,
+    "vgpu_isolation": validate_vgpu,
+    "batching_sweep": validate_batching,
+    "memory_pressure": validate_memory,
 }
 
 

@@ -6,10 +6,10 @@ it must: any change to a non-host field fails, however small (a 5% p99
 change, an `slo_ok` turning null, a dropped record, an int turning into
 a float); a change to host fields only passes; and every validator fails
 a violating current file even when the baseline holds the same value.
-The Fig. 17 validator runs on the committed baseline, with SGDRC
-(Static)'s P40-heavy attainment moved into SGDRC's row. Registered as a
-ctest so the gate's own behaviour is regression-tested alongside the
-C++ suite.
+The Fig. 17, vGPU, batching and memory validators run on the committed
+baselines, mutated (e.g. SGDRC (Static)'s P40-heavy attainment moved
+into SGDRC's row). Registered as a ctest so the gate's own behaviour is
+regression-tested alongside the C++ suite.
 
 Usage: tools/bench_compare_selftest.py   (exit 0 = all checks hold)
 """
@@ -23,11 +23,13 @@ import tempfile
 
 TOOLS = pathlib.Path(__file__).resolve().parent
 GATE = TOOLS / "bench_compare.py"
-FIG17_BASELINE = TOOLS.parent / "bench" / "baselines" / "BENCH_fig17.json"
+BASELINES = TOOLS.parent / "bench" / "baselines"
 
 BASELINE_VGPU = {
     "bench": "vgpu_isolation",
     "duration_ms": 1000,
+    "quota_cells_within_slo": 1,
+    "quota_cells": 1,
     "cells": [
         {"be_tenants": 4, "system": "SGDRC + quota", "quota": True,
          "p99_ms": 3.2, "slo_ms": 5.9, "slo_ok": True, "attainment": 1.0,
@@ -148,6 +150,27 @@ def sgdrc_no_data(doc):
             s["slo_attainment"] = None
 
 
+def memory_cell(doc, pressure, sgdrc):
+    return next(c for c in doc["cells"] if c["pressure"] == pressure and
+                c["system"].startswith("SGDRC") == sgdrc)
+
+
+def sgdrc_cold_loses(doc):
+    """Memory: the quota stack's pressure-4 cold p99 above naive's."""
+    memory_cell(doc, 4, True)["cold_start_p99_ms"] = (
+        memory_cell(doc, 4, False)["cold_start_p99_ms"] + 1.0)
+
+
+def naive_cold_null(doc):
+    """Memory: no naive cold request at pressure 2 against SGDRC data."""
+    memory_cell(doc, 2, False)["cold_start_p99_ms"] = None
+
+
+def sgdrc_cold_null(doc):
+    """Memory: no SGDRC cold request at pressure 6 wins outright."""
+    memory_cell(doc, 6, True)["cold_start_p99_ms"] = None
+
+
 def main():
     checks = []
 
@@ -213,10 +236,17 @@ def main():
 
     # ---- validators: absolute invariants of the current file ----
     scn, dag = "BENCH_scenarios.json", "BENCH_dag.json"
-    fig = "BENCH_fig17.json"
-    fig17 = json.loads(FIG17_BASELINE.read_text())
-    expect(checks, "committed Fig. 17 baseline passes",
-           run_gate(fig17, fig17, fig), False)
+    fig, vgpu = "BENCH_fig17.json", "BENCH_vgpu.json"
+    bat, mem = "BENCH_batching.json", "BENCH_memory.json"
+    committed = {name: json.loads((BASELINES / name).read_text())
+                 for name in (fig, vgpu, bat, mem)}
+    for name, doc in committed.items():
+        expect(checks, f"committed {name} passes", run_gate(doc, doc, name),
+               False)
+    fig17 = committed[fig]
+
+    expect(checks, "memory: null SGDRC cold p99 wins outright",
+           gate_mutated(committed[mem], sgdrc_cold_null, mem), False)
 
     # Speedup measures the code only on a wide machine.
     expect(checks, "fleet: low speedup on a narrow machine passes",
@@ -243,7 +273,23 @@ def main():
              "Tesla P40/heavy: SGDRC's SLO attainment 0.152499916 is below "
              "Orion's"),
             ("fig17: null SGDRC attainment fails", fig17, fig, sgdrc_no_data,
-             "SGDRC has no SLO attainment")):
+             "SGDRC has no SLO attainment"),
+            ("vgpu: a quota cell over its SLO fails", committed[vgpu], vgpu,
+             lambda d: d["cells"][0].update(slo_ok=False),
+             "1 BE/SGDRC + quota: LS p99 misses the SLO"),
+            ("vgpu: envelope count disagreeing with the cells fails",
+             committed[vgpu], vgpu,
+             lambda d: d.update(quota_cells=5),
+             "envelope quota_cells is 5, the cells give 4"),
+            ("batching: an SGDRC cell without latency data fails",
+             committed[bat], bat,
+             lambda d: d["cells"][0].update(slo_ok=None),
+             "max_batch 1/SGDRC: LS p99 misses the SLO (slo_ok is None)"),
+            ("memory: SGDRC's cold p99 above naive's fails", committed[mem],
+             mem, sgdrc_cold_loses, "pressure 4: SGDRC (memory-quota)'s"),
+            ("memory: a null naive cold p99 against SGDRC data fails",
+             committed[mem], mem, naive_cold_null,
+             "does not beat Naive (resident-FIFO)'s None")):
         expect(checks, name, gate_mutated(baseline, mutate, fname), True,
                needle)
 

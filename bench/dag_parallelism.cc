@@ -13,7 +13,7 @@
 // form on LS p99 without giving up SLO attainment — the branches of one
 // request co-execute on disjoint slices of the tidal LS region while
 // §4's spatial-temporal rule keeps counting the tenant as ONE co-runner
-// (SgdrcOptions::intra_tenant_width). The exit code gates exactly that:
+// (SgdrcPolicy::kIntraTenantWidth). The exit code gates exactly that:
 // non-zero unless SGDRC's DAG p99 < serialized p99 with attainment >=
 // the serialized run's.
 //

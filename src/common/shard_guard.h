@@ -21,13 +21,13 @@
 //
 // Arming: checks are compiled in unconditionally but dormant (one
 // relaxed atomic load per entry point) until armed, either
-//   * at build time  — compile with -DSGDRC_DEBUG_OWNERSHIP (the CMake
-//     option of the same name), or
 //   * at run time    — set the SGDRC_DEBUG_OWNERSHIP environment
 //     variable to anything but "0" (how the `fleet_parallel_guarded`
 //     ctest arms the stock test matrix), or
 //   * programmatically — ShardGuard::arm_process() (the deliberate-
 //     violation death tests).
+// Arming only adds aborts; it never changes a result, which is why this
+// is the one environment read the library makes.
 //
 // TSan-friendliness: the guard's atomics use memory_order_relaxed
 // throughout, deliberately. Acquire/release ordering here would create
@@ -109,13 +109,10 @@ class ShardGuard {
  private:
   static std::atomic<bool>& armed_flag() {
     static std::atomic<bool> armed{[] {
-#ifdef SGDRC_DEBUG_OWNERSHIP
-      return true;
-#else
+      // sgdrc-lint: allow(env-read) — arming only adds aborts.
       const char* env = std::getenv("SGDRC_DEBUG_OWNERSHIP");
       return env != nullptr && *env != '\0' &&
              !(env[0] == '0' && env[1] == '\0');
-#endif
     }()};
     return armed;
   }

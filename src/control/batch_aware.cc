@@ -9,9 +9,8 @@ namespace sgdrc::control {
 using workload::QosClass;
 using workload::TenantId;
 
-BatchAwareSgdrc::BatchAwareSgdrc(const gpusim::GpuSpec& spec,
-                                 BatchAwareOptions opt)
-    : opt_(opt), inner_(spec, opt.sgdrc), num_tpcs_(spec.num_tpcs) {}
+BatchAwareSgdrc::BatchAwareSgdrc(const gpusim::GpuSpec& spec)
+    : inner_(spec), num_tpcs_(spec.num_tpcs) {}
 
 ResourcePlan BatchAwareSgdrc::plan(const SimView& view) {
   // Which tenants have live LS work right now (queued or in flight) —
@@ -35,7 +34,7 @@ ResourcePlan BatchAwareSgdrc::plan(const SimView& view) {
     // is already queued. Clamped to the policy's cap.
     const double expected =
         std::min<double>(spec.batching.max_batch, std::max(occupancy, depth));
-    if (expected < opt_.min_occupancy) continue;  // not really batching
+    if (expected < kMinOccupancy) continue;  // not really batching
     // Widest latency-optimal footprint among the tenant's base kernels,
     // scaled the same ~√B way models::batched_variant widens min_tpcs.
     // Cached per tenant: the model is frozen at registration.

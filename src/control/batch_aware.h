@@ -18,18 +18,13 @@
 
 namespace sgdrc::control {
 
-struct BatchAwareOptions {
-  /// Options forwarded to the inner SGDRC controller.
-  core::SgdrcOptions sgdrc;
-  /// Occupancy below this never widens the reserve (a tenant batching in
-  /// ones is not batching).
-  double min_occupancy = 1.5;
-};
-
 class BatchAwareSgdrc : public Controller {
  public:
-  explicit BatchAwareSgdrc(const gpusim::GpuSpec& spec,
-                           BatchAwareOptions opt = {});
+  /// Occupancy below this never widens the reserve (a tenant batching in
+  /// ones is not batching).
+  static constexpr double kMinOccupancy = 1.5;
+
+  explicit BatchAwareSgdrc(const gpusim::GpuSpec& spec);
 
   std::string name() const override { return "SGDRC (Batch-aware)"; }
   ResourcePlan plan(const SimView& view) override;
@@ -39,7 +34,6 @@ class BatchAwareSgdrc : public Controller {
   unsigned current_floor() const { return inner_.reserve_floor(); }
 
  private:
-  BatchAwareOptions opt_;
   core::SgdrcPolicy inner_;
   unsigned num_tpcs_;
   /// Per-tenant widest base-kernel footprint (max min_tpcs), cached on

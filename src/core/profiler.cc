@@ -6,9 +6,8 @@ using gpusim::GpuExecutor;
 using gpusim::KernelDesc;
 
 OfflineProfiler::OfflineProfiler(const gpusim::GpuSpec& spec,
-                                 gpusim::ExecutorParams exec_params,
-                                 ProfilerOptions opt)
-    : spec_(spec), params_(exec_params), opt_(opt) {}
+                                 gpusim::ExecutorParams exec_params)
+    : spec_(spec), params_(exec_params) {}
 
 unsigned OfflineProfiler::min_tpcs_for(const KernelDesc& k) const {
   EventQueue q;
@@ -16,7 +15,7 @@ unsigned OfflineProfiler::min_tpcs_for(const KernelDesc& k) const {
   const TimeNs best =
       exec.solo_runtime(k, spec_.num_tpcs, spec_.num_channels, false);
   const double limit =
-      static_cast<double>(best) * (1.0 + opt_.latency_tolerance);
+      static_cast<double>(best) * (1.0 + kLatencyTolerance);
   unsigned lo = 1, hi = spec_.num_tpcs;
   while (lo < hi) {
     const unsigned mid = (lo + hi) / 2;
@@ -60,7 +59,7 @@ bool OfflineProfiler::is_memory_bound(const KernelDesc& k) const {
 
   const double degradation = static_cast<double>(shared - solo) /
                              static_cast<double>(solo);
-  return degradation > opt_.memory_bound_threshold;
+  return degradation > kMemoryBoundThreshold;
 }
 
 void OfflineProfiler::profile(models::ModelDesc& m) const {

@@ -18,18 +18,15 @@
 
 namespace sgdrc::core {
 
-struct ProfilerOptions {
-  /// "Optimal latency" tolerance for the min-TPC binary search.
-  double latency_tolerance = 0.02;
-  /// Degradation under the thrasher that marks a kernel memory-bound.
-  double memory_bound_threshold = 0.10;
-};
-
 class OfflineProfiler {
  public:
+  /// "Optimal latency" tolerance for the min-TPC binary search.
+  static constexpr double kLatencyTolerance = 0.02;
+  /// Degradation under the thrasher that marks a kernel memory-bound.
+  static constexpr double kMemoryBoundThreshold = 0.10;
+
   OfflineProfiler(const gpusim::GpuSpec& spec,
-                  gpusim::ExecutorParams exec_params = {},
-                  ProfilerOptions opt = {});
+                  gpusim::ExecutorParams exec_params = {});
 
   /// Fill kernel.min_tpcs / kernel.memory_bound and tensor.memory_bound.
   void profile(models::ModelDesc& m) const;
@@ -52,7 +49,6 @@ class OfflineProfiler {
  private:
   gpusim::GpuSpec spec_;
   gpusim::ExecutorParams params_;
-  ProfilerOptions opt_;
 };
 
 }  // namespace sgdrc::core

@@ -192,17 +192,16 @@ void ServingSim::validate_tenant(const TenantSpec& spec) const {
                   "batch through ModelDesc::batch)");
   }
   validate_vgpu(spec.vgpu, static_cast<TenantId>(tenants_.size()));
+  if (mem_) mem_->check_fits(spec.model.weight_bytes());
 }
 
 TenantId ServingSim::register_tenant(TenantSpec incoming) {
   validate_tenant(incoming);
   const auto t = static_cast<TenantId>(tenants_.size());
   if (mem_) {
-    // The VRAM-fit check inside is the one that can still throw, so it
-    // runs before any state here changes. Registration then allocates
-    // the replica's weights (evicting idle victims under pressure); the
-    // first request pays the cold-start load. Weight bytes come from the
-    // model's kWeight tensors.
+    // Registration allocates the replica's weights (evicting idle
+    // victims under pressure); the first request pays the cold-start
+    // load. Weight bytes come from the model's kWeight tensors.
     mem_->add_replica(t, incoming.model.weight_bytes(),
                       incoming.vgpu.priority, incoming.vgpu.memory_bytes,
                       busy_probe());

@@ -177,6 +177,10 @@ class ServingSim {
   /// weights that cannot fit the device's VRAM. Returns the new dense
   /// TenantId (existing ids never shift).
   TenantId add_tenant(const TenantSpec& spec);
+  /// add_tenant's whole check on its own: throws ConfigError in each case
+  /// add_tenant lists and changes nothing. A fleet runs it on every
+  /// device of a new tenant's row before it registers the first replica.
+  void validate_tenant(const TenantSpec& spec) const;
   /// Retire a tenant. LS tenants drain: routers must stop sending new
   /// work (stragglers already in a dispatch hop are still admitted), and
   /// admitted + backlogged requests complete and are recorded. BE
@@ -422,10 +426,6 @@ class ServingSim {
   /// Validate `spec` against the live tenant set, then give it the next
   /// TenantId. Throws ConfigError before changing any state.
   TenantId register_tenant(TenantSpec spec);
-  /// Everything registration checks except the VRAM fit (which
-  /// MemoryManager::add_replica owns): the model, the batching class
-  /// and range, the instance pool and the vGPU guarantees.
-  void validate_tenant(const TenantSpec& spec) const;
   /// Reject a model the frontier cannot run (ConfigError).
   static void validate_model(const models::ModelDesc& m);
   /// Reject a vGPU spec that is malformed or, together with every active

@@ -153,8 +153,7 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // Kernels launched per job this plan, both classes (width accounting).
   std::map<JobId, unsigned> planned_width;
   const auto width_capped = [&](JobId id) {
-    if (opt_.intra_tenant_width == 0) return false;
-    return inflight_width[id] + planned_width[id] >= opt_.intra_tenant_width;
+    return inflight_width[id] + planned_width[id] >= kIntraTenantWidth;
   };
   if (!waiting.empty()) {
     std::vector<size_t> order(waiting.size());

@@ -4,7 +4,7 @@
 //  * spatial-temporal multiplexing: at most one LS *job* and one BE
 //    *job* co-execute; LS/BE queues are served in order. A DAG job's
 //    dependency-independent operators co-schedule inside its one slot
-//    (capped by SgdrcOptions::intra_tenant_width) — internal fan-out is
+//    (capped by SgdrcPolicy::kIntraTenantWidth) — internal fan-out is
 //    not a co-runner;
 //  * tidal SM masking (§7.1): the LS partition grows to the maximum
 //    min-TPC requirement over a sliding window of queued LS kernels and
@@ -41,18 +41,18 @@ struct SgdrcOptions {
   /// The SM reservation decays one TPC per this interval when LS demand
   /// falls, so the BE mask follows the tide without flapping per event.
   TimeNs reserve_decay_interval = 100 * kNsPerUs;
-  /// Intra-tenant width cap: at most this many kernels of one *job* may
-  /// co-execute. Only DAG models (explicit kernel_deps) ever present
-  /// more than one launchable kernel per job, so any value >= 1 leaves
-  /// chain workloads bit-identical. The §4 spatial-temporal rule counts
-  /// co-running *jobs* — a tenant's own operator branches ride inside
-  /// its single slot — and this cap keeps that internal fan-out from
-  /// fragmenting the SM mask. 0 = unlimited.
-  unsigned intra_tenant_width = 4;
 };
 
 class SgdrcPolicy : public control::Controller {
  public:
+  /// Intra-tenant width cap: at most this many kernels of one *job* may
+  /// co-execute. Only DAG models (explicit kernel_deps) ever present
+  /// more than one launchable kernel per job, so chain workloads never
+  /// reach it. The §4 spatial-temporal rule counts co-running *jobs* — a
+  /// tenant's own operator branches ride inside its single slot — and
+  /// this cap keeps that internal fan-out from fragmenting the SM mask.
+  static constexpr unsigned kIntraTenantWidth = 4;
+
   explicit SgdrcPolicy(const gpusim::GpuSpec& spec, SgdrcOptions opt = {});
 
   std::string name() const override { return "SGDRC"; }

@@ -23,8 +23,7 @@ void Autoscaler::tick(FleetSim& fleet) {
   if (cooldown_.size() < fleet.tenant_count()) {
     cooldown_.resize(fleet.tenant_count(), 0);
   }
-  const unsigned max_replicas =
-      std::min(opt_.max_replicas, fleet.device_count());
+  const unsigned max_replicas = std::min(kMaxReplicas, fleet.device_count());
   for (unsigned t = 0; t < fleet.tenant_count(); ++t) {
     if (fleet.fleet_tenant(t).spec.qos != QosClass::kLatencySensitive) {
       continue;  // BE loops are elastic already; only LS queues page us
@@ -74,8 +73,7 @@ void Autoscaler::tick(FleetSim& fleet) {
       decisions_.push_back(
           {fleet.now(), t, /*scale_up=*/true, best, reps.size()});
       cooldown_[t] = opt_.cooldown_ticks;
-    } else if (mean < opt_.scale_down_outstanding &&
-               reps.size() > std::max(1u, opt_.min_replicas)) {
+    } else if (mean < opt_.scale_down_outstanding && reps.size() > 1) {
       // Scale down off the most-loaded device (perf-normalized) — that
       // headroom is worth the most to its co-tenants.
       size_t victim = 0;

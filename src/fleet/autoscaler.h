@@ -25,14 +25,16 @@ struct AutoscalerOptions {
   double scale_up_outstanding = 3.0;
   /// Scale down when mean outstanding per replica falls below this.
   double scale_down_outstanding = 0.5;
-  unsigned min_replicas = 1;
-  unsigned max_replicas = 8;  // additionally clamped to the device count
   /// Ticks a tenant sits out after any scaling action (hysteresis).
   unsigned cooldown_ticks = 2;
 };
 
 class Autoscaler {
  public:
+  /// Replicas per tenant never grow past this (nor past the device
+  /// count); scale-down always keeps at least one.
+  static constexpr unsigned kMaxReplicas = 8;
+
   explicit Autoscaler(AutoscalerOptions opt = {}) : opt_(opt) {}
 
   struct Decision {

@@ -107,7 +107,8 @@ core::ServingConfig FleetSim::device_config(DeviceId d) const {
   return scfg;
 }
 
-void FleetSim::check_placeable(DeviceId d) const {
+FleetSim::CheckedReplica FleetSim::check_replica(const core::TenantSpec& spec,
+                                                 DeviceId d) const {
   SGDRC_REQUIRE(d < devices_.size(), "device out of range");
   SGDRC_REQUIRE(!failed_[d], "cannot place replicas on a failed device");
   // A zero-tenant sim cannot derive the SLO multiplier from its
@@ -116,36 +117,42 @@ void FleetSim::check_placeable(DeviceId d) const {
   SGDRC_REQUIRE(devices_[d] || cfg_.slo_multiplier > 0.0,
                 "placing replicas on an idle device needs an explicit "
                 "FleetConfig::slo_multiplier");
-}
-
-std::optional<TimeNs> FleetSim::replica_slo(const core::TenantSpec& spec,
-                                            DeviceId d) const {
-  if (spec.qos != QosClass::kLatencySensitive || slo_factor_ == 1.0) {
-    return std::nullopt;
-  }
-  // An idle device's sim is built with the explicit multiplier.
-  const TimeNs initial =
-      devices_[d] ? devices_[d]->initial_slo(spec.isolated_latency)
-                  : scaled_slo(cfg_.slo_multiplier, spec.isolated_latency);
-  return scaled_slo(slo_factor_, initial);
-}
-
-core::ServingSim& FleetSim::ensure_device(DeviceId d) {
+  CheckedReplica r{d, std::nullopt, nullptr, nullptr};
   if (!devices_[d]) {
+    // An idle device is checked on a sim built for it but not begun; it
+    // comes up only when the replica is placed.
+    r.controller = make_controller_(device_spec(d));
+    r.sim = core::ServingSimBuilder()
+                .config(device_config(d))
+                .build(*shards_[d], *r.controller);
+  }
+  const core::ServingSim& sim = devices_[d] ? *devices_[d] : *r.sim;
+  sim.validate_tenant(spec);
+  if (spec.qos == QosClass::kLatencySensitive && slo_factor_ != 1.0) {
+    r.slo = scaled_slo(slo_factor_, sim.initial_slo(spec.isolated_latency));
+  }
+  return r;
+}
+
+void FleetSim::place_replica(unsigned tenant, CheckedReplica r) {
+  if (r.sim) {
     // Brought up mid-run (pack placement idled it at construction). Its
     // shard already exists and sits on the fleet frontier — barriers
     // advance every shard's clock, sims or not — so the new sim's first
     // events land at >= now() like any sibling's.
-    controllers_[d] = make_controller_(device_spec(d));
-    devices_[d] = core::ServingSimBuilder()
-                      .config(device_config(d))
-                      .build(*shards_[d], *controllers_[d]);
-    if (begun_) devices_[d]->begin();
+    controllers_[r.device] = std::move(r.controller);
+    devices_[r.device] = std::move(r.sim);
+    if (begun_) devices_[r.device]->begin();
     // A device brought up during an overload inherits the current BE
     // pause state, like its long-lived siblings.
-    if (front_door_ && device_be_paused_) devices_[d]->set_be_paused(true);
+    if (front_door_ && device_be_paused_) {
+      devices_[r.device]->set_be_paused(true);
+    }
   }
-  return *devices_[d];
+  core::ServingSim& sim = *devices_[r.device];
+  const workload::TenantId local = sim.add_tenant(tenants_[tenant].spec);
+  if (r.slo) sim.set_slo(local, *r.slo);
+  replicas_[tenant].push_back({r.device, local});
 }
 
 const core::ServingSim& FleetSim::device(DeviceId d) const {
@@ -247,9 +254,8 @@ void FleetSim::begin() {
   }
   // The overload tick re-evaluates BE pause/resume on the control tier
   // even when arrivals stop, so a drained queue always resumes BE.
-  if (front_door_ && cfg_.front_door.tick_interval > 0 &&
-      cfg_.front_door.be_pause_depth > 0) {
-    front_door_tick(cfg_.front_door.tick_interval);
+  if (front_door_ && cfg_.front_door.be_pause_depth > 0) {
+    front_door_tick(FrontDoor::kTickInterval);
   }
 }
 
@@ -257,7 +263,7 @@ void FleetSim::front_door_tick(TimeNs t) {
   if (t >= cfg_.duration) return;
   at(t, [this, t] {
     front_door_->tick(*this, t);
-    front_door_tick(t + cfg_.front_door.tick_interval);
+    front_door_tick(t + FrontDoor::kTickInterval);
   });
 }
 
@@ -340,19 +346,20 @@ size_t FleetSim::run_until(TimeNs t) {
 }
 
 size_t FleetSim::advance_shards(TimeNs t, bool inclusive) {
-  // Even an idle or sim-less shard advances its clock, so control
-  // actions and inline injections behind the barrier see a consistent
-  // device now().
+  // One shard's step, the same in the serial loop and on a worker. Even
+  // an idle or sim-less shard advances its clock, so control actions and
+  // inline injections behind the barrier see a consistent device now().
+  const auto step = [&](size_t d) -> size_t {
+    if (devices_[d]) {
+      return inclusive ? devices_[d]->run_shard_until(t)
+                       : devices_[d]->run_shard_until_before(t);
+    }
+    if (shards_[d]->now() < t) shards_[d]->advance_to(t);
+    return 0;
+  };
   if (!pool_) {
     size_t fired = 0;
-    for (DeviceId d = 0; d < shards_.size(); ++d) {
-      if (devices_[d]) {
-        fired += inclusive ? devices_[d]->run_shard_until(t)
-                           : devices_[d]->run_shard_until_before(t);
-      } else if (shards_[d]->now() < t) {
-        shards_[d]->advance_to(t);
-      }
-    }
+    for (size_t d = 0; d < shards_.size(); ++d) fired += step(d);
     return fired;
   }
   // Parallel window: workers wake once (the pool's condition variable —
@@ -365,24 +372,15 @@ size_t FleetSim::advance_shards(TimeNs t, bool inclusive) {
   // touching a claimed shard mid-window aborts with both thread ids.
   std::atomic<size_t> next{0};
   std::atomic<size_t> fired{0};
-  pool_->parallel_for(std::min(pool_->size(), shards_.size()),
-                      [&](size_t) {
-                        size_t local = 0;
-                        for (;;) {
-                          const size_t d =
-                              next.fetch_add(1, std::memory_order_relaxed);
-                          if (d >= shards_.size()) break;
-                          if (devices_[d]) {
-                            local += inclusive
-                                         ? devices_[d]->run_shard_until(t)
-                                         : devices_[d]->run_shard_until_before(
-                                               t);
-                          } else if (shards_[d]->now() < t) {
-                            shards_[d]->advance_to(t);
-                          }
-                        }
-                        fired.fetch_add(local, std::memory_order_relaxed);
-                      });
+  pool_->parallel_for(std::min(pool_->size(), shards_.size()), [&](size_t) {
+    size_t local = 0;
+    for (;;) {
+      const size_t d = next.fetch_add(1, std::memory_order_relaxed);
+      if (d >= shards_.size()) break;
+      local += step(d);
+    }
+    fired.fetch_add(local, std::memory_order_relaxed);
+  });
   return fired.load();
 }
 
@@ -444,17 +442,18 @@ unsigned FleetSim::add_fleet_tenant(FleetTenantSpec spec,
   SGDRC_CHECK(a.size() == all.size(), "placement skipped a tenant");
   const std::vector<DeviceId>& row = a.back();
   SGDRC_REQUIRE(!row.empty(), "new tenant placed no replicas");
+  std::vector<CheckedReplica> checked;
+  checked.reserve(row.size());
   for (auto d = row.begin(); d != row.end(); ++d) {
-    check_placeable(*d);
     SGDRC_REQUIRE(std::find(row.begin(), d, *d) == d,
                   "two replicas of one tenant share a device");
-    replica_slo(all.back().spec, *d);  // throws when it does not fit
+    checked.push_back(check_replica(all.back().spec, *d));
   }
   const auto t = static_cast<unsigned>(tenants_.size());
   tenants_.push_back(std::move(all.back()));
   replicas_.emplace_back();
   retired_.emplace_back();
-  for (const DeviceId d : row) add_replica(t, d);
+  for (CheckedReplica& r : checked) place_replica(t, std::move(r));
   assignment_.push_back(row);  // keep assignment() covering every tenant
   if (tenants_[t].spec.qos == QosClass::kLatencySensitive) {
     ls_fleet_tenants_.push_back(t);
@@ -468,15 +467,9 @@ void FleetSim::add_replica(unsigned tenant, DeviceId device) {
     SGDRC_REQUIRE(r.device != device,
                   "tenant already has an active replica on this device");
   }
-  const core::TenantSpec& spec = tenants_[tenant].spec;
-  // Checked and scaled before the device comes up or registers the
-  // replica, so a rejected replica leaves the fleet as it was.
-  check_placeable(device);
-  const std::optional<TimeNs> slo = replica_slo(spec, device);
-  core::ServingSim& sim = ensure_device(device);
-  const workload::TenantId local = sim.add_tenant(spec);
-  if (slo) sim.set_slo(local, *slo);
-  replicas_[tenant].push_back({device, local});
+  // Checked before the device comes up or registers the replica, so a
+  // rejected replica leaves the fleet as it was.
+  place_replica(tenant, check_replica(tenants_[tenant].spec, device));
 }
 
 void FleetSim::remove_replica(unsigned tenant, DeviceId device) {

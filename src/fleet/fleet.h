@@ -200,15 +200,17 @@ class FleetSim {
   /// tenants also get the next service index. The row is placed on a
   /// copy of the tenant list and checked before anything changes (an
   /// empty row, a device out of range, failed, or idle without an
-  /// explicit slo_multiplier, a replica SLO past TimeNs); a rejected
-  /// tenant throws ConfigError and leaves the fleet as it was.
+  /// explicit slo_multiplier, a replica SLO past TimeNs, a device sim
+  /// that would refuse the replica, e.g. over its vGPU or VRAM budget);
+  /// a rejected tenant throws ConfigError and leaves the fleet as it
+  /// was.
   unsigned add_fleet_tenant(FleetTenantSpec spec,
                             const PlacementPolicy& placement);
   /// Grow a tenant by one replica on `device` (autoscaler scale-up).
   /// The device sim is created lazily if pack placement left it idle.
-  /// An LS replica's SLO is scaled by the accumulated set_slo_factor();
-  /// if that does not fit in TimeNs, throws ConfigError before the
-  /// tenant is added.
+  /// An LS replica's SLO is scaled by the accumulated set_slo_factor().
+  /// Runs add_fleet_tenant's per-device checks first; a rejected replica
+  /// throws ConfigError and leaves the fleet as it was.
   void add_replica(unsigned tenant, DeviceId device);
   /// Retire the replica on `device`: routing stops immediately, admitted
   /// work drains, metrics survive (autoscaler scale-down).
@@ -306,18 +308,26 @@ class FleetSim {
                       TimeNs first_arrival);
   void front_door_tick(TimeNs t);
   core::ServingConfig device_config(DeviceId d) const;
-  /// Throws ConfigError unless a replica may go on `d`: in range, not
-  /// failed, and, when idle, with an explicit slo_multiplier.
-  void check_placeable(DeviceId d) const;
-  /// The SLO add_replica gives a replica of `spec` on a placeable `d`:
-  /// its device's initial SLO scaled by the accumulated SLO factor, or
-  /// nullopt when the initial SLO stands (BE, or a factor of 1). Throws
-  /// ConfigError when it does not fit in TimeNs.
-  std::optional<TimeNs> replica_slo(const core::TenantSpec& spec,
-                                    DeviceId d) const;
-  /// The sim of a placeable device, brought up if pack placement left it
-  /// idle.
-  core::ServingSim& ensure_device(DeviceId d);
+  /// A replica that passed every check, so placing it cannot throw.
+  struct CheckedReplica {
+    DeviceId device;
+    /// Its device's initial SLO scaled by the accumulated SLO factor, or
+    /// nullopt when the initial SLO stands (BE, or a factor of 1).
+    std::optional<TimeNs> slo;
+    /// Set only for an idle device: the sim built to check the replica,
+    /// not yet begun, and the controller it plans with.
+    std::unique_ptr<control::Controller> controller;
+    std::unique_ptr<core::ServingSim> sim;
+  };
+  /// Throws ConfigError, changing nothing, unless a replica of `spec`
+  /// may go on `d`: in range, not failed, and, when idle, with an
+  /// explicit slo_multiplier; its scaled SLO fits in TimeNs; and the
+  /// device's sim would register it (ServingSim::validate_tenant).
+  CheckedReplica check_replica(const core::TenantSpec& spec,
+                               DeviceId d) const;
+  /// Bring the device up if the check built its sim, then register the
+  /// replica there.
+  void place_replica(unsigned tenant, CheckedReplica r);
   /// The conservative barrier: every device shard fires its events
   /// before `t` (exclusive) or up to `t` (inclusive) and lands its
   /// clock on `t`. Serial or thread-pool execution per FleetOptions;
@@ -341,8 +351,8 @@ class FleetSim {
   /// exclusively on shards_[d]; cross-shard injections arrive as
   /// timestamped messages scheduled by the main thread between windows.
   /// That exclusivity is checked, not assumed: each sim's ShardGuard
-  /// asserts it when armed (SGDRC_DEBUG_OWNERSHIP=1, or the CMake
-  /// option of the same name — common/shard_guard.h).
+  /// asserts it when armed (SGDRC_DEBUG_OWNERSHIP=1 —
+  /// common/shard_guard.h).
   std::vector<std::unique_ptr<EventQueue>> shards_;
   /// Workers for advance_shards (null ⇒ serial). Woken per window via
   /// the pool's condition variable — readiness events, not polling.

@@ -110,12 +110,9 @@ TimeNs FrontDoor::retry_delay(unsigned attempt) {
   // Cap the shift: past ~16 doublings the delay is off the end of any
   // run; shifting further would be UB, not realism.
   const unsigned shift = std::min(attempt, 16u);
-  TimeNs d = cfg_.retry_backoff << shift;
-  if (cfg_.retry_jitter > 0) {
-    d += static_cast<TimeNs>(
-        rng_.exponential(1.0 / static_cast<double>(cfg_.retry_jitter)));
-  }
-  return d;
+  return (kRetryBackoff << shift) +
+         static_cast<TimeNs>(
+             rng_.exponential(1.0 / static_cast<double>(kRetryJitter)));
 }
 
 void FrontDoor::tick(FleetSim& fleet, TimeNs now) {

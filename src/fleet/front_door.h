@@ -14,7 +14,7 @@
 //      attainment degrades last.
 //   3. Retry storms — rejected and shed requests are not silently
 //      dropped: clients re-arrive with exponential backoff
-//      (retry_backoff doubling per attempt, plus jitter) up to
+//      (kRetryBackoff doubling per attempt, plus jitter) up to
 //      max_retries times, then give up (DROPPED). This models the
 //      thundering herd a real overload produces.
 //
@@ -54,16 +54,10 @@ struct FrontDoorConfig {
   /// shed_depth x (p + 1). 0 = never shed.
   size_t shed_depth = 0;
   /// Client retry model for rejected/shed requests: up to max_retries
-  /// re-arrivals, backoff doubling from retry_backoff per attempt plus
-  /// an exponential jitter tail (mean retry_jitter). 0 retries =
-  /// clients give up immediately.
+  /// re-arrivals, backoff doubling from FrontDoor::kRetryBackoff per
+  /// attempt plus an exponential jitter tail (mean
+  /// FrontDoor::kRetryJitter). 0 retries = clients give up immediately.
   unsigned max_retries = 0;
-  TimeNs retry_backoff = 5 * kNsPerMs;
-  TimeNs retry_jitter = kNsPerMs;
-  /// Cadence of the control-tier overload tick that re-evaluates BE
-  /// pause/resume even when no requests arrive (so a drained queue
-  /// always resumes BE). 0 = only re-evaluate on arrivals.
-  TimeNs tick_interval = kNsPerMs;
 };
 
 /// Door accounting. Conservation (conformance-tested): every
@@ -99,6 +93,15 @@ struct FrontDoorMetrics {
 /// control event (never concurrently — device shards cannot reach it).
 class FrontDoor {
  public:
+  /// A retried request's first backoff; it doubles per attempt.
+  static constexpr TimeNs kRetryBackoff = 5 * kNsPerMs;
+  /// Mean of the exponential jitter added to every backoff.
+  static constexpr TimeNs kRetryJitter = kNsPerMs;
+  /// Cadence of the control-tier overload tick that re-evaluates BE
+  /// pause/resume even when no requests arrive (so a drained queue
+  /// always resumes BE).
+  static constexpr TimeNs kTickInterval = kNsPerMs;
+
   FrontDoor(const FrontDoorConfig& cfg, uint64_t fleet_seed);
 
   enum class Decision { kAdmit, kReject, kShed };

@@ -38,16 +38,6 @@ std::vector<double> device_perf_factors(
   return out;
 }
 
-std::vector<DeviceShape> device_shapes(
-    const std::vector<gpusim::GpuSpec>& specs, bool include_vram) {
-  std::vector<DeviceShape> out;
-  out.reserve(specs.size());
-  for (const auto& s : specs) {
-    out.push_back({s.num_tpcs, include_vram ? s.vram_bytes : 0});
-  }
-  return out;
-}
-
 Assignment SpreadPlacement::place(const std::vector<FleetTenantSpec>& tenants,
                                   unsigned devices) const {
   std::vector<unsigned> count(devices, 0);

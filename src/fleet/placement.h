@@ -38,11 +38,6 @@ struct DeviceShape {
   uint64_t vram_bytes = 0;  // 0 = don't bin-pack memory on this device
 };
 
-/// DeviceShapes of `specs` (TPC counts, and VRAM sizes when
-/// `include_vram`).
-std::vector<DeviceShape> device_shapes(
-    const std::vector<gpusim::GpuSpec>& specs, bool include_vram = false);
-
 /// One workload replicated across the fleet: the per-device TenantSpec
 /// plus how many devices should host an instance of it.
 struct FleetTenantSpec {
@@ -136,8 +131,8 @@ class QuotaAwarePlacement : public PlacementPolicy {
   explicit QuotaAwarePlacement(unsigned tpcs_per_device,
                                uint64_t vram_bytes = 0)
       : capacity_(tpcs_per_device), capacity_bytes_(vram_bytes) {}
-  /// Heterogeneous bins: one (TPC, byte) capacity per device
-  /// (device_shapes of FleetConfig::device_specs). Big devices
+  /// Heterogeneous bins: one (TPC, byte) capacity per device, e.g. each
+  /// of FleetConfig::device_specs' num_tpcs and vram_bytes. Big devices
   /// naturally absorb the big reservations — the FFD pass sees their
   /// larger headroom. Size must equal the device count at place().
   explicit QuotaAwarePlacement(std::vector<DeviceShape> shapes)

@@ -72,11 +72,11 @@ size_t WarmWeightRouter::route(const FleetSim& fleet, unsigned tenant,
       case memory::Residency::kUnmodeled:
         break;
       case memory::Residency::kLoading:
-        penalty = cold_penalty_ / 2;  // weights land shortly
+        penalty = kColdPenalty / 2;  // weights land shortly
         break;
       case memory::Residency::kCold:
       case memory::Residency::kPaged:
-        penalty = cold_penalty_;
+        penalty = kColdPenalty;
         break;
     }
     return static_cast<double>(fleet.outstanding(replicas[i]) + penalty) /

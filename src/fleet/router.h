@@ -106,18 +106,19 @@ class QosLoadAwareRouter : public Router {
 /// Residency-aware routing for memory-virtualized fleets: prefer the
 /// replica whose weights are warm. Score = outstanding requests plus a
 /// cold penalty (half for a replica mid-load — it will be warm shortly,
-/// full for cold/paged), so a warm replica absorbs up to `cold_penalty`
-/// extra queued requests before the router warms a second one — the
-/// knob trades queueing delay against cold-start DMAs. Keep it near
-/// load_time / service_time: much higher and a hot service pins to one
-/// replica, queueing right up to the spill threshold without ever
-/// warming its second copy. On devices without memory modeling every
-/// replica reads kUnmodeled (= warm) and this degrades to exactly
-/// LeastOutstandingRouter. Ties rotate.
+/// full for cold/paged), so a warm replica absorbs up to kColdPenalty
+/// extra queued requests before the router warms a second one. On
+/// devices without memory modeling every replica reads kUnmodeled
+/// (= warm) and this degrades to exactly LeastOutstandingRouter. Ties
+/// rotate.
 class WarmWeightRouter : public Router {
  public:
-  explicit WarmWeightRouter(size_t cold_penalty = 3)
-      : cold_penalty_(cold_penalty) {}
+  /// Trades queueing delay against cold-start DMAs. Kept near
+  /// load_time / service_time: much higher and a hot service pins to one
+  /// replica, queueing right up to the spill threshold without ever
+  /// warming its second copy.
+  static constexpr size_t kColdPenalty = 3;
+
   std::string name() const override { return "warm-weight"; }
   void reset(size_t fleet_tenants) override {
     cursor_.assign(fleet_tenants, 0);
@@ -126,7 +127,6 @@ class WarmWeightRouter : public Router {
                const std::vector<Replica>& replicas) override;
 
  private:
-  size_t cold_penalty_;
   std::vector<size_t> cursor_;
 };
 

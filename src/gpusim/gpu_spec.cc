@@ -65,9 +65,9 @@ GpuSpec a100_sxm4() {
   s.architecture = "Ampere";
   s.vram_bytes = 40ull << 30;
   // 5120-bit HBM2e folded to 32 pseudo-channels of 32 bits each; the
-  // bandwidth envelope below is the real part's, so per_channel_gbps()
-  // comes out ~6x an A2000 channel — the fold trades channel-count
-  // fidelity for keeping ChannelSet a machine word.
+  // bandwidth envelope below is the real part's, so each channel's share
+  // of it comes out ~6x an A2000 channel's — the fold trades
+  // channel-count fidelity for keeping ChannelSet a machine word.
   s.vram_bus_width_bits = 1024;
   s.num_channels = 32;
   s.channel_group_size = 2;

@@ -67,9 +67,6 @@ struct GpuSpec {
   /// contiguous channels in a group (Tab. 4 rule 2).
   unsigned max_coloring_granularity_kib() const { return channel_group_size; }
   unsigned min_coloring_granularity_kib() const { return 1; }
-  double per_channel_gbps() const {
-    return vram_gbps / static_cast<double>(num_channels);
-  }
 };
 
 /// NVIDIA GTX 1080 (Pascal, 8 GiB, 256-bit, 8 channels, linear XOR hash —

@@ -31,11 +31,9 @@ MemoryManager::MemoryManager(uint64_t vram_bytes, const MemoryOptions& opt,
     // same take_free_frame() primitive driver::UvmMemoryPool builds its
     // colored pool from. Paged replicas stream through these frames, so
     // they are never available to resident weights.
-    SGDRC_REQUIRE(opt_.paging_window > 0.0 && opt_.paging_window < 1.0,
-                  "paging_window must be a fraction in (0,1)");
     const uint64_t want = std::max<uint64_t>(
         1, static_cast<uint64_t>(static_cast<double>(pt_.total_frames()) *
-                                 opt_.paging_window));
+                                 kPagingWindow));
     staging_.reserve(want);
     for (uint64_t i = 0; i < want; ++i) {
       staging_.push_back(pt_.take_free_frame());
@@ -56,16 +54,21 @@ const MemoryManager::Replica& MemoryManager::rep(TenantId t) const {
   return replicas_[t];
 }
 
-void MemoryManager::add_replica(TenantId t, uint64_t weight_bytes,
-                                int priority, uint64_t quota_bytes,
-                                const BusyFn& busy) {
-  if (t >= replicas_.size()) replicas_.resize(t + 1);
-  SGDRC_REQUIRE(!replicas_[t].registered, "replica already registered");
+void MemoryManager::check_fits(uint64_t weight_bytes) const {
   SGDRC_REQUIRE(
       opt_.oversubscribe ||
           frames_for(weight_bytes) * gpusim::kPageBytes <= usable_bytes_,
       "replica weights exceed device VRAM and oversubscription "
       "is off — the replica could never become resident");
+}
+
+void MemoryManager::add_replica(TenantId t, uint64_t weight_bytes,
+                                int priority, uint64_t quota_bytes,
+                                const BusyFn& busy) {
+  SGDRC_REQUIRE(t >= replicas_.size() || !replicas_[t].registered,
+                "replica already registered");
+  check_fits(weight_bytes);
+  if (t >= replicas_.size()) replicas_.resize(t + 1);
   Replica& r = replicas_[t];
   r.registered = true;
   r.weight_bytes = weight_bytes;
@@ -174,7 +177,7 @@ TimeNs MemoryManager::page_penalty(TenantId t) const {
   // Worst-case demand-paging model: the working set is the whole weight
   // tensor set and the staging window is far smaller, so every request
   // restreams the weights at UVM migration bandwidth.
-  return transfer_ns(rep(t).weight_bytes, opt_.page_gbps);
+  return transfer_ns(rep(t).weight_bytes, kPageGbps);
 }
 
 TimeNs MemoryManager::load_time(uint64_t bytes) const {

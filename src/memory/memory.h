@@ -76,15 +76,8 @@ struct MemoryOptions {
   uint64_t vram_bytes_override = 0;
   /// Cold-start weight-load bandwidth (PCIe-class host→device DMA).
   double load_gbps = 16.0;
-  /// Demand-paging bandwidth in oversubscribed mode (UVM migration is
-  /// far below a pipelined bulk DMA).
-  double page_gbps = 4.0;
   /// Degrade to demand paging instead of waiting when weights can't fit.
   bool oversubscribe = false;
-  /// Fraction of VRAM reserved as the UVM staging window when
-  /// oversubscribing (frames taken via PageTable::take_free_frame, the
-  /// same reservation primitive driver::UvmMemoryPool uses).
-  double paging_window = 0.05;
   EvictPolicy evict = EvictPolicy::kLruPriority;
 };
 
@@ -100,6 +93,14 @@ class MemoryManager {
   /// (kLruPriority only; the naive kFifo baseline ignores it).
   using BusyFn = std::function<bool(TenantId)>;
 
+  /// Demand-paging bandwidth in oversubscribed mode (UVM migration is
+  /// far below a pipelined bulk DMA).
+  static constexpr double kPageGbps = 4.0;
+  /// Fraction of VRAM reserved as the UVM staging window when
+  /// oversubscribing (frames taken via PageTable::take_free_frame, the
+  /// same reservation primitive driver::UvmMemoryPool uses).
+  static constexpr double kPagingWindow = 0.05;
+
   MemoryManager(uint64_t vram_bytes, const MemoryOptions& opt, uint64_t seed);
 
   /// Invoked once per pressure eviction / quota trespass, with the
@@ -108,6 +109,12 @@ class MemoryManager {
   void on_trespass(std::function<void(TenantId)> fn) {
     trespass_hook_ = std::move(fn);
   }
+
+  /// Throws ConfigError when a replica of `weight_bytes` could never
+  /// become resident: oversubscription is off and the weights exceed the
+  /// VRAM left for them. The one check add_replica makes, so callers
+  /// can run it before changing anything of their own.
+  void check_fits(uint64_t weight_bytes) const;
 
   /// Register a replica and allocate its weights (evicting idle victims
   /// under pressure). When the weights cannot fit: oversubscribed mode

@@ -126,20 +126,6 @@ std::vector<PhysAddr> ConflictProber::find_dram_conflict_addrs(
   return out;
 }
 
-bool ConflictProber::is_cacheline_evicted(PhysAddr addr, PhysAddr end) {
-  SGDRC_REQUIRE(calibrated_, "calibrate() before probing");
-  refresh_l2();
-  timed_read(addr);  // populate
-  const uint64_t first = gpusim::line_of(addr) + 1;
-  const uint64_t last = gpusim::line_of(end);
-  for (uint64_t line = first; line <= last; ++line) {
-    const PhysAddr pa = line << gpusim::kCachelineBits;
-    if (!arena_.owns_pa(pa)) continue;
-    timed_read(pa);
-  }
-  return timed_read(addr) > cal_.l2_miss_threshold;
-}
-
 std::vector<PhysAddr> ConflictProber::find_cache_conflict_addrs(
     PhysAddr addr, size_t max_iter) {
   SGDRC_REQUIRE(calibrated_, "calibrate() before probing");
@@ -152,7 +138,8 @@ std::vector<PhysAddr> ConflictProber::find_cache_conflict_addrs(
   for (size_t iter = 0; iter < max_iter; ++iter) {
     // Binary search the minimal end (in lines past addr) whose interval
     // read evicts addr, skipping lines already identified so each
-    // iteration discovers a fresh conflicting address.
+    // iteration discovers a fresh conflicting address (Algorithm 2's
+    // inner test: does reading `lines` cachelines past addr evict it?).
     auto evicted_with = [&](uint64_t lines) {
       refresh_l2();
       timed_read(addr);

@@ -49,10 +49,6 @@ class ConflictProber {
   std::vector<gpusim::PhysAddr> find_dram_conflict_addrs(
       gpusim::PhysAddr addr, size_t need, uint64_t scan_limit = 2'000'000);
 
-  /// Algorithm 2 inner test: pointer-chase the cachelines in (addr, end]
-  /// after touching addr, then re-time addr. True iff addr was evicted.
-  bool is_cacheline_evicted(gpusim::PhysAddr addr, gpusim::PhysAddr end);
-
   /// Algorithm 2: collect up to `max_iter` distinct L2-conflicting
   /// addresses for `addr` by repeated binary search.
   std::vector<gpusim::PhysAddr> find_cache_conflict_addrs(

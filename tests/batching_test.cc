@@ -287,7 +287,7 @@ TEST(Batching, BatchAwareControllerWidensThenNarrowsTheReserve) {
     sim->inject(0, queue.now());
   }
   // Mid-burst (batches admitted / queued, kernels in flight): observed
-  // occupancy >= min_occupancy, so the reserve floor widened to roughly
+  // occupancy >= kMinOccupancy, so the reserve floor widened to roughly
   // base min_tpcs * sqrt(occupancy) (never the whole device).
   EXPECT_GT(controller.current_floor(), 0u);
   EXPECT_LT(controller.current_floor(), spec().num_tpcs);

@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "baselines/baseline_policies.h"
 #include "core/profiler.h"
@@ -502,6 +503,67 @@ TEST(Fleet, TenantPlacedOnAFailedDeviceIsRejectedBeforeAnyChange) {
           replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 2), spread),
       ConfigError);
   EXPECT_EQ(fleet.device(0).tenant_count(), on_device0);
+  EXPECT_EQ(fleet.tenant_count(), 1u);
+  EXPECT_EQ(fleet.ls_service_count(), 1u);
+  EXPECT_EQ(fleet.assignment().size(), 1u);
+  EXPECT_NO_THROW(fleet.finish());
+}
+
+// Per device: whether it is in use, and its sim's tenant count.
+std::vector<std::pair<bool, size_t>> device_states(const FleetSim& fleet) {
+  std::vector<std::pair<bool, size_t>> out;
+  for (DeviceId d = 0; d < fleet.device_count(); ++d) {
+    const bool in_use = fleet.device_in_use(d);
+    out.emplace_back(in_use, in_use ? fleet.device(d).tenant_count() : 0);
+  }
+  return out;
+}
+
+// An LS fleet tenant whose replicas each guarantee `tpcs` TPCs.
+FleetTenantSpec guaranteed_ls(const models::ModelDesc& m, TimeNs iso,
+                              unsigned tpcs, unsigned replicas) {
+  return replicated(
+      latency_sensitive_tenant(m, iso, 0, control::guaranteed_vgpu(tpcs)),
+      replicas);
+}
+
+TEST(Fleet, TenantADeviceSimRefusesIsRejectedBeforeAnyChange) {
+  // Tenant 0 guarantees 3 of the test GPU's 4 TPCs, so the device sim
+  // refuses a second tenant guaranteeing 2; the fleet must refuse it
+  // before it registers the tenant anywhere.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{guaranteed_ls(z.ls_a, z.iso_a, 3, 1)};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(small_fleet(1, 10 * kNsPerMs), tenants, spread, rr,
+                 sgdrc_factory());
+  const auto before = device_states(fleet);
+  EXPECT_THROW(
+      fleet.add_fleet_tenant(guaranteed_ls(z.ls_b, z.iso_b, 2, 1), spread),
+      ConfigError);
+  EXPECT_EQ(device_states(fleet), before);
+  EXPECT_EQ(fleet.tenant_count(), 1u);
+  EXPECT_EQ(fleet.ls_service_count(), 1u);
+  EXPECT_EQ(fleet.assignment().size(), 1u);
+  EXPECT_NO_THROW(fleet.finish());
+}
+
+TEST(Fleet, RowRefusedPastAnIdleDeviceIsRejectedBeforeAnyChange) {
+  // Spread puts the newcomer's first replica on idle device 1, which
+  // would take it, and its second on device 0, whose guarantees refuse
+  // it: device 1 must stay idle and no replica may register.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{guaranteed_ls(z.ls_a, z.iso_a, 3, 1)};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(small_fleet(2, 10 * kNsPerMs), tenants, spread, rr,
+                 sgdrc_factory());
+  ASSERT_FALSE(fleet.device_in_use(1));
+  const auto before = device_states(fleet);
+  EXPECT_THROW(
+      fleet.add_fleet_tenant(guaranteed_ls(z.ls_b, z.iso_b, 2, 2), spread),
+      ConfigError);
+  EXPECT_EQ(device_states(fleet), before);
   EXPECT_EQ(fleet.tenant_count(), 1u);
   EXPECT_EQ(fleet.ls_service_count(), 1u);
   EXPECT_EQ(fleet.assignment().size(), 1u);

@@ -277,7 +277,7 @@ TEST(FrontDoor, RetryBackoffLandsInLatencySamples) {
       max_lat = std::max(max_lat, static_cast<TimeNs>(s));
     }
   }
-  EXPECT_GT(max_lat, cfg.front_door.retry_backoff);
+  EXPECT_GT(max_lat, FrontDoor::kRetryBackoff);
 }
 
 TEST(FrontDoor, OverloadEngagesTheBePauseLever) {

@@ -47,7 +47,7 @@ struct GuardRig {
 };
 
 TEST(ShardGuard, DormantByDefault) {
-  // Without SGDRC_DEBUG_OWNERSHIP in the build or environment the guard
+  // Without SGDRC_DEBUG_OWNERSHIP in the environment the guard
   // must cost nothing and tolerate everything — including patterns that
   // would abort when armed. (The guarded ctest re-runs the fleet matrix
   // with checking on; this pins the dormant default.)

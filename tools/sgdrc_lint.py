@@ -36,6 +36,11 @@ Checks (see docs/static-analysis.md for the full catalog):
                         includer; ADL surprises have broken tie-break
                         determinism elsewhere.
   pragma-once           every header carries `#pragma once`.
+  env-read              no getenv in simulation, test, bench or example
+                        code: an environment read is an option no config
+                        struct lists, and it makes results depend on the
+                        shell. The shard guard's arming read suppresses
+                        it (arming only adds aborts).
 
 Suppression syntax (the check stays visible at the use site):
 
@@ -133,6 +138,14 @@ CHECKS = [
                  "(constexpr uint64_t kFooSalt = …) so "
                  "docs/determinism.md can list the stream"),
         exclude_files={"src/common/rng.h"},  # defines the default seed
+    ),
+    Check(
+        "env-read",
+        dirs=("src", "tests", "bench", "examples"),
+        pattern=r"\b(?:secure_)?getenv\b",
+        message=("environment read — an option no config struct lists, "
+                 "and results would depend on the shell; pass the value "
+                 "in through the API"),
     ),
     Check(
         "using-namespace-header",

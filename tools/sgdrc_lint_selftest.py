@@ -130,6 +130,19 @@ def main():
            {"tests/a.cc": "Rng rng(42);\n"},
            should_fail=False)
 
+    # ---- env-read --------------------------------------------------------
+    expect("env-read trips on std::getenv in src",
+           {"src/a.cc": "const char* v = std::getenv(\"SGDRC_X\");\n"},
+           should_fail=True, needle="[env-read]")
+    expect("env-read trips on getenv in a bench",
+           {"bench/b.cc": "bool quick = getenv(\"QUICK\") != nullptr;\n"},
+           should_fail=True, needle="[env-read]")
+    expect("env-read allow clears the shard guard's arming read",
+           {"src/a.h": H +
+            "// sgdrc-lint: allow(env-read) — arming only adds aborts.\n"
+            "const char* env = std::getenv(\"SGDRC_DEBUG_OWNERSHIP\");\n"},
+           should_fail=False)
+
     # ---- using-namespace-header -----------------------------------------
     expect("using-namespace-header trips in a header",
            {"src/a.h": H + "using namespace std;\n"},

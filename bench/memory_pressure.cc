@@ -70,7 +70,7 @@ std::vector<ScenarioTenant> make_tenants(const core::ServingHarness& h,
         h.ls_model(m), h.isolated_latency(m));
     if (s == 0 && quota) {
       spec.vgpu.priority = 1;
-      spec.vgpu.memory_bytes = spec.model.weight_bytes();
+      spec.vgpu.memory_bytes = spec.model->weight_bytes();
     }
     out.push_back({std::move(spec),
                    h.rate_for(m) * static_cast<double>(kDevices), kDevices});

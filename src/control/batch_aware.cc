@@ -41,7 +41,7 @@ ResourcePlan BatchAwareSgdrc::plan(const SimView& view) {
     if (t >= base_need_.size()) base_need_.resize(t + 1, 0);
     if (base_need_[t] == 0) {
       unsigned need = 1;
-      for (const auto& k : spec.model.kernels) {
+      for (const auto& k : spec.model->kernels) {
         need = std::max(need, std::max(1u, k.min_tpcs));
       }
       base_need_[t] = need;

@@ -177,7 +177,8 @@ void ServingSim::validate_model(const models::ModelDesc& m) {
 }
 
 void ServingSim::validate_tenant(const TenantSpec& spec) const {
-  validate_model(spec.model);
+  SGDRC_REQUIRE(spec.model != nullptr, "a tenant needs a model");
+  validate_model(*spec.model);
   if (spec.qos == QosClass::kLatencySensitive) {
     SGDRC_REQUIRE(spec.batching.max_batch >= 1,
                   "max_batch must be at least 1 (1 = no batching)");
@@ -192,7 +193,7 @@ void ServingSim::validate_tenant(const TenantSpec& spec) const {
                   "batch through ModelDesc::batch)");
   }
   validate_vgpu(spec.vgpu, static_cast<TenantId>(tenants_.size()));
-  if (mem_) mem_->check_fits(spec.model.weight_bytes());
+  if (mem_) mem_->check_fits(spec.model->weight_bytes());
 }
 
 TenantId ServingSim::register_tenant(TenantSpec incoming) {
@@ -202,7 +203,7 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
     // Registration allocates the replica's weights (evicting idle
     // victims under pressure); the first request pays the cold-start
     // load. Weight bytes come from the model's kWeight tensors.
-    mem_->add_replica(t, incoming.model.weight_bytes(),
+    mem_->add_replica(t, incoming.model->weight_bytes(),
                       incoming.vgpu.priority, incoming.vgpu.memory_bytes,
                       busy_probe());
   }
@@ -214,14 +215,14 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
   workload::TenantMetrics m;
   m.id = t;
   m.qos = spec.qos;
-  m.name = spec.model.name;
-  m.letter = spec.model.letter;
+  m.name = spec.model->name;
+  m.letter = spec.model->letter;
   if (spec.qos == QosClass::kLatencySensitive) {
     ls_tenants_.push_back(t);
     auto bs = std::make_unique<BatchState>();
     bs->free_instances = spec.instances ? spec.instances : cfg_.ls_instances;
     for (unsigned b = 2; b <= spec.batching.max_batch; ++b) {
-      bs->variants.push_back(models::batched_variant(spec.model, b));
+      bs->variants.push_back(models::batched_variant(*spec.model, b));
     }
     batch_.push_back(std::move(bs));
     m.isolated_p99 = spec.isolated_latency;
@@ -229,8 +230,8 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
   } else {
     batch_.push_back(nullptr);
     be_tenants_.push_back(t);
-    m.batch = spec.model.batch;
-    m.kernels_per_batch = spec.model.kernels.size();
+    m.batch = spec.model->batch;
+    m.kernels_per_batch = spec.model->kernels.size();
     // The BE batch loop is a closed-loop job that lives until removal.
     jobs_.push_back(make_job(t, 0));
   }

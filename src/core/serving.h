@@ -53,7 +53,9 @@ using workload::TenantId;
 /// One workload sharing the GPU: an LS service or a BE batch task.
 struct TenantSpec {
   QosClass qos = QosClass::kBestEffort;
-  models::ModelDesc model;     // possibly SPT-transformed
+  /// Possibly SPT-transformed; immutable and shared by every copy of the
+  /// spec, so each replica of a fleet tenant runs the same object.
+  std::shared_ptr<const models::ModelDesc> model;
   /// LS only: untransformed isolated p99 (SLO base).
   TimeNs isolated_latency = 0;
   /// LS only: instance-pool size; 0 ⇒ ServingConfig::ls_instances.
@@ -67,16 +69,21 @@ struct TenantSpec {
   workload::BatchPolicy batching;
 };
 
+/// The two spec constructors wrap `model` once; build or transform it
+/// before the call.
 inline TenantSpec latency_sensitive_tenant(models::ModelDesc model,
                                            TimeNs isolated_latency,
                                            unsigned instances = 0,
                                            control::VgpuSpec vgpu = {}) {
-  return {QosClass::kLatencySensitive, std::move(model), isolated_latency,
-          instances, vgpu, {}};
+  return {QosClass::kLatencySensitive,
+          std::make_shared<const models::ModelDesc>(std::move(model)),
+          isolated_latency, instances, vgpu, {}};
 }
 inline TenantSpec best_effort_tenant(models::ModelDesc model,
                                      control::VgpuSpec vgpu = {}) {
-  return {QosClass::kBestEffort, std::move(model), 0, 0, vgpu, {}};
+  return {QosClass::kBestEffort,
+          std::make_shared<const models::ModelDesc>(std::move(model)), 0, 0,
+          vgpu, {}};
 }
 /// Attach a vGPU guarantee to an existing tenant declaration.
 inline TenantSpec with_vgpu(TenantSpec spec, control::VgpuSpec vgpu) {
@@ -294,9 +301,10 @@ class ServingSim {
   ShardGuard& shard_guard() { return shard_guard_; }
 
   // ------------------------------------------------ memory read API ----
-  /// True when this device models VRAM capacity (memory virtualization
-  /// enabled AND the spec declares a non-zero vram_bytes).
-  bool memory_modeled() const { return mem_ != nullptr; }
+  /// This device's VRAM residency tracker; null unless the device
+  /// models VRAM capacity (memory virtualization enabled AND the spec
+  /// declares a non-zero vram_bytes).
+  const memory::MemoryManager* memory() const { return mem_.get(); }
   /// Where tenant t's weights live (kUnmodeled on unmodeled devices).
   /// Routers use this to prefer warm replicas.
   memory::Residency residency_of(TenantId t) const {
@@ -406,7 +414,7 @@ class ServingSim {
 
   QosClass qos_of(const Job& j) const { return tenants_[j.tenant].qos; }
   const models::ModelDesc& model_of(const Job& j) const {
-    return j.model ? *j.model : tenants_[j.tenant].model;
+    return j.model ? *j.model : *tenants_[j.tenant].model;
   }
   /// A new job of `tenant` (next id, frontier at the model's sources).
   /// `model` is a batch variant, or null for the tenant's own model.

@@ -40,38 +40,12 @@ void Autoscaler::tick(FleetSim& fleet) {
                         static_cast<double>(reps.size());
 
     if (mean > opt_.scale_up_outstanding && reps.size() < max_replicas) {
-      // Scale up onto the least-LS-loaded device not already hosting
-      // us. Load is perf-normalized (FleetSim::device_perf), so on a
-      // heterogeneous fleet a big device with some queue still beats a
-      // small idle-ish one once the ratio favors it; on homogeneous
-      // fleets the divisor is exactly 1.0 and nothing changes.
-      bool have = false;
-      DeviceId best = 0;
-      double best_load = 0.0;
-      for (DeviceId d = 0; d < fleet.device_count(); ++d) {
-        if (fleet.device_failed(d)) continue;  // cordoned — never target
-        const bool hosted = std::any_of(
-            reps.begin(), reps.end(),
-            [&](const Replica& r) { return r.device == d; });
-        if (hosted) continue;
-        // A sim-less (pack-idled) device can only be brought up lazily
-        // when the fleet carries an explicit SLO multiplier; without
-        // one, placing there would throw mid-run — skip it.
-        if (!fleet.device_in_use(d) &&
-            fleet.config().slo_multiplier <= 0.0) {
-          continue;
-        }
-        const double load = fleet.device_ls_load(d) / fleet.device_perf(d);
-        if (!have || load < best_load) {
-          have = true;
-          best = d;
-          best_load = load;
-        }
-      }
-      if (!have) continue;  // every device already hosts a replica
-      fleet.add_replica(t, best);
+      // Scale up onto the least-LS-loaded device that takes another
+      // replica (the same perf-normalized signal failover uses).
+      const std::optional<DeviceId> device = fleet.try_add_replica(t);
+      if (!device) continue;  // no device accepts another replica
       decisions_.push_back(
-          {fleet.now(), t, /*scale_up=*/true, best, reps.size()});
+          {fleet.now(), t, /*scale_up=*/true, *device, reps.size()});
       cooldown_[t] = opt_.cooldown_ticks;
     } else if (mean < opt_.scale_down_outstanding && reps.size() > 1) {
       // Scale down off the most-loaded device (perf-normalized) — that

@@ -1,8 +1,9 @@
 // Reactive fleet autoscaling: a periodic control loop that watches each
 // LS fleet tenant's mean outstanding requests per replica and adds or
 // drops replicas through FleetSim's runtime rescale API. Scale-up lands
-// on the device with the least live LS load (the same signal the
-// QoS-load-aware router uses); scale-down retires the replica on the
+// on the device with the least live LS load that accepts the replica
+// (FleetSim::try_add_replica; the same signal the QoS-load-aware router
+// uses); scale-down retires the replica on the
 // most-loaded device, handing its headroom back. A per-tenant cooldown
 // provides hysteresis so a single bursty frame doesn't flap the fleet.
 //

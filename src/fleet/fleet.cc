@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 namespace sgdrc::fleet {
 
@@ -71,7 +72,7 @@ FleetSim::FleetSim(FleetConfig cfg, std::vector<FleetTenantSpec> tenants,
     controllers_[d] = make_controller_(device_spec(d));
     devices_[d] = core::ServingSimBuilder()
                       .config(device_config(d))
-                      .tenants(per_device[d])
+                      .tenants(std::move(per_device[d]))
                       .build(*shards_[d], *controllers_[d]);
   }
 
@@ -194,28 +195,11 @@ void FleetSim::fail_device(DeviceId device) {
     }
   }
   // Recovery: a tenant whose only replica was here gets rescheduled
-  // onto the least-loaded eligible survivor (what an orchestrator does
-  // when a node dies), so its traffic stays routable. Eligibility
-  // mirrors the autoscaler: never a failed device, and never a sim-less
-  // one unless the fleet carries an explicit SLO multiplier. When no
-  // device qualifies the tenant stays unroutable — the front door sheds
+  // onto the least-loaded survivor that accepts it (what an orchestrator
+  // does when a node dies), so its traffic stays routable. When no
+  // device accepts, the tenant stays unroutable — the front door sheds
   // its requests, or dispatch fails loudly without one.
-  for (const unsigned t : stranded) {
-    bool have = false;
-    DeviceId best = 0;
-    double best_load = 0.0;
-    for (DeviceId d = 0; d < cfg_.devices; ++d) {
-      if (failed_[d]) continue;
-      if (!devices_[d] && cfg_.slo_multiplier <= 0.0) continue;
-      const double load = device_ls_load(d) / device_perf(d);
-      if (!have || load < best_load) {
-        have = true;
-        best = d;
-        best_load = load;
-      }
-    }
-    if (have) add_replica(t, best);
-  }
+  for (const unsigned t : stranded) try_add_replica(t);
 }
 
 double FleetSim::device_ls_load(DeviceId d) const {
@@ -470,6 +454,38 @@ void FleetSim::add_replica(unsigned tenant, DeviceId device) {
   // Checked before the device comes up or registers the replica, so a
   // rejected replica leaves the fleet as it was.
   place_replica(tenant, check_replica(tenants_[tenant].spec, device));
+}
+
+std::optional<DeviceId> FleetSim::try_add_replica(unsigned tenant) {
+  SGDRC_REQUIRE(tenant < tenants_.size(), "unknown fleet tenant");
+  const auto& reps = replicas_[tenant];
+  std::vector<std::pair<double, DeviceId>> candidates;  // (load, id)
+  for (DeviceId d = 0; d < cfg_.devices; ++d) {
+    if (failed_[d]) continue;  // cordoned — never target
+    // A sim-less (pack-idled) device can only come up under an explicit
+    // SLO multiplier; check_replica would refuse it anyway.
+    if (!devices_[d] && cfg_.slo_multiplier <= 0.0) continue;
+    if (std::any_of(reps.begin(), reps.end(),
+                    [&](const Replica& r) { return r.device == d; })) {
+      continue;
+    }
+    // Perf-normalized (device_perf), so on a heterogeneous fleet a big
+    // device with some queue still beats a small idle-ish one once the
+    // ratio favors it; on homogeneous fleets the divisor is exactly 1.
+    candidates.emplace_back(device_ls_load(d) / device_perf(d), d);
+  }
+  std::sort(candidates.begin(), candidates.end());
+  for (const auto& [load, d] : candidates) {
+    std::optional<CheckedReplica> checked;
+    try {
+      checked.emplace(check_replica(tenants_[tenant].spec, d));
+    } catch (const ConfigError&) {
+      continue;  // this device refuses the replica; try the next
+    }
+    place_replica(tenant, std::move(*checked));
+    return d;
+  }
+  return std::nullopt;
 }
 
 void FleetSim::remove_replica(unsigned tenant, DeviceId device) {

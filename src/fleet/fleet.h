@@ -206,12 +206,21 @@ class FleetSim {
   /// was.
   unsigned add_fleet_tenant(FleetTenantSpec spec,
                             const PlacementPolicy& placement);
-  /// Grow a tenant by one replica on `device` (autoscaler scale-up).
+  /// Grow a tenant by one replica on `device`.
   /// The device sim is created lazily if pack placement left it idle.
   /// An LS replica's SLO is scaled by the accumulated set_slo_factor().
   /// Runs add_fleet_tenant's per-device checks first; a rejected replica
   /// throws ConfigError and leaves the fleet as it was.
   void add_replica(unsigned tenant, DeviceId device);
+  /// Grow a tenant by one replica wherever a device accepts it
+  /// (failover and autoscaler scale-up). Candidates are the live devices
+  /// not hosting the tenant yet (sim-less ones only under an explicit
+  /// slo_multiplier), tried in order of perf-normalized LS load
+  /// (device_ls_load / device_perf), then id, until one passes
+  /// add_replica's checks; when the least-loaded one accepts, exactly one
+  /// check runs. Returns the device, or nullopt, leaving the fleet as it
+  /// was, when every candidate refuses.
+  std::optional<DeviceId> try_add_replica(unsigned tenant);
   /// Retire the replica on `device`: routing stops immediately, admitted
   /// work drains, metrics survive (autoscaler scale-down).
   void remove_replica(unsigned tenant, DeviceId device);
@@ -231,7 +240,9 @@ class FleetSim {
   /// and the autoscaler / lazy bring-up will never target it again. A
   /// tenant whose last replica lived there becomes unroutable: with the
   /// front door enabled its requests shed (and may retry); without, the
-  /// next dispatch for it throws. Idempotent.
+  /// next dispatch for it throws. Each such tenant is rescheduled through
+  /// try_add_replica; one that no device accepts stays unroutable.
+  /// Idempotent.
   void fail_device(DeviceId device);
   bool device_failed(DeviceId d) const { return failed_.at(d) != 0; }
   /// Pause/resume best-effort work on every live device (the front

@@ -183,7 +183,7 @@ Assignment QuotaAwarePlacement::place(
     if (cb == 0) return 0;
     const auto& spec = tenants[t].spec;
     return spec.vgpu.memory_bytes ? spec.vgpu.memory_bytes
-                                  : spec.model.weight_bytes();
+                                  : spec.model->weight_bytes();
   };
   // First-fit-decreasing over (guaranteed TPCs, VRAM bytes) — decreasing
   // in the dominant normalized dimension (against the biggest bin), the

@@ -30,24 +30,39 @@ class PageTable {
   }
 
   /// Allocate VA space and back every page with a random free frame.
-  /// Returns the base virtual address (page-aligned).
+  /// Returns the base virtual address (page-aligned). When too few frames
+  /// are free it throws ConfigError and leaves the VA range unmapped.
   VirtAddr alloc(uint64_t bytes) {
-    const uint64_t pages = pages_for(bytes);
-    SGDRC_REQUIRE(pages <= free_list_.size(), "out of VRAM frames");
     const VirtAddr base = alloc_va(bytes);
-    for (uint64_t p = 0; p < pages; ++p) {
-      bind(vpn_of(base) + p, take_free_frame(), /*owns_frame=*/true);
-    }
+    map_fresh(base, bytes);
     return base;
   }
 
   /// Allocate VA space only; pages start unmapped (for SPT-managed
-  /// buffers whose frames come from the driver's colored pool).
+  /// buffers whose frames come from the driver's colored pool, and for
+  /// ranges that map_fresh backs later, as often as free unmaps them).
   VirtAddr alloc_va(uint64_t bytes) {
     const uint64_t pages = pages_for(bytes);
     const VirtAddr base = next_va_;
     next_va_ += pages << kPageBits;
     return base;
+  }
+
+  /// Back every page of an unmapped alloc_va range with a random free
+  /// frame, drawn in page order. The tables grow once for the whole
+  /// range. Throws ConfigError, changing no frame or mapping, when too
+  /// few frames are free.
+  void map_fresh(VirtAddr base, uint64_t bytes) {
+    const uint64_t pages = pages_for(bytes);
+    SGDRC_REQUIRE(pages <= free_list_.size(), "out of VRAM frames");
+    const uint64_t end = vpn_of(base) + pages;
+    if (end > pfn_.size()) {
+      pfn_.resize(end, kUnmapped);
+      owns_.resize(end, false);
+    }
+    for (uint64_t vpn = vpn_of(base); vpn < end; ++vpn) {
+      bind(vpn, take_free_frame(), /*owns_frame=*/true);
+    }
   }
 
   /// Point one VA page at an externally owned frame (shadow page table
@@ -66,7 +81,8 @@ class PageTable {
     --mapped_pages_;
   }
 
-  /// Unmap a full allocation made by alloc()/alloc_va().
+  /// Unmap a full allocation made by alloc()/alloc_va(); the VA range
+  /// stays reserved, so map_fresh may back it again.
   void free(VirtAddr base, uint64_t bytes) {
     const uint64_t pages = pages_for(bytes);
     for (uint64_t p = 0; p < pages; ++p) {
@@ -105,6 +121,9 @@ class PageTable {
   uint64_t free_frames() const { return free_list_.size(); }
   uint64_t total_frames() const { return total_frames_; }
   uint64_t mapped_pages() const { return mapped_pages_; }
+  /// VPNs the dense tables cover (from VPN 0): the table's size, which
+  /// only grows.
+  uint64_t table_vpns() const { return pfn_.size(); }
 
  private:
   static constexpr uint64_t kUnmapped = ~uint64_t{0};

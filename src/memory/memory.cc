@@ -76,6 +76,10 @@ void MemoryManager::add_replica(TenantId t, uint64_t weight_bytes,
   r.priority = priority;
   r.state = Residency::kCold;
   if (weight_bytes == 0) return;
+  // The replica's one VA range: every load maps fresh frames into it and
+  // every eviction unmaps them, so the page table stays bounded by the
+  // registered weight bytes however often the weights reload.
+  r.va = pt_.alloc_va(weight_bytes);
   // Registration allocates the weights (best effort): the fleet warms a
   // replica up before traffic reaches it when capacity allows, matching
   // real serving stacks that load at deploy time. Under pressure the
@@ -234,7 +238,7 @@ bool MemoryManager::try_allocate(TenantId t, const BusyFn& busy) {
     if (evict_hook_) evict_hook_(victims[i]);
     free_replica(victims[i]);
   }
-  r.va = pt_.alloc(r.weight_bytes);
+  pt_.map_fresh(r.va, r.weight_bytes);
   r.allocated = true;
   r.load_order = next_load_order_++;
   resident_bytes_ += r.weight_bytes;
@@ -245,7 +249,6 @@ void MemoryManager::free_replica(TenantId t) {
   Replica& r = rep(t);
   SGDRC_CHECK(r.allocated, "freeing an unallocated replica");
   pt_.free(r.va, r.weight_bytes);
-  r.va = 0;
   r.allocated = false;
   r.state = Residency::kCold;
   SGDRC_CHECK(resident_bytes_ >= r.weight_bytes, "resident-bytes underflow");

@@ -3,11 +3,13 @@
 // masks) and VRAM *bandwidth* (channel coloring); this layer virtualizes
 // VRAM *capacity* — the third axis real spatial-sharing deployments are
 // capped by. A MemoryManager tracks every replica's weight bytes against
-// GpuSpec::vram_bytes: registering a replica allocates its weights,
-// a replica's first request (or any request after eviction) pays a
-// cold-start load (weight bytes / PCIe-class bandwidth, modeled as an
-// event on the shared clock, never a stall of the whole sim), and an
-// LRU-by-tenant-priority evictor frees cold replicas under pressure.
+// GpuSpec::vram_bytes: registering a replica reserves its one VA range
+// and allocates its weights (each load maps fresh frames into that range
+// and each eviction unmaps them), a replica's first request (or any
+// request after eviction) pays a cold-start load (weight bytes /
+// PCIe-class bandwidth, modeled as an event on the shared clock, never a
+// stall of the whole sim), and an LRU-by-tenant-priority evictor frees
+// cold replicas under pressure.
 //
 // Two degraded modes when weights do not fit:
 //   * strict (default): the load WAITS for capacity — the serving layer
@@ -187,7 +189,7 @@ class MemoryManager {
     bool allocated = false;       // frames held in pt_
     bool registered = false;
     bool retired = false;
-    gpusim::VirtAddr va = 0;
+    gpusim::VirtAddr va = 0;      // reserved at registration
     TimeNs last_use = 0;
     uint64_t load_order = 0;      // FIFO stamp (allocation order)
   };

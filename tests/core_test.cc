@@ -501,6 +501,8 @@ TEST(TenantValidation, ModelWithoutKernelsIsRejected) {
   expect_rejected(latency_sensitive_tenant(empty, kNsPerMs),
                   "at least one kernel");
   expect_rejected(best_effort_tenant(empty), "at least one kernel");
+  // A spec built without the two constructors may hold no model at all.
+  expect_rejected(TenantSpec{}, "a tenant needs a model");
 }
 
 TEST(TenantValidation, ForwardEdgeIsRejected) {

@@ -11,6 +11,7 @@
 #include "baselines/baseline_policies.h"
 #include "core/profiler.h"
 #include "core/sgdrc_policy.h"
+#include "fleet/autoscaler.h"
 #include "fleet/fleet.h"
 #include "models/zoo.h"
 
@@ -568,6 +569,107 @@ TEST(Fleet, RowRefusedPastAnIdleDeviceIsRejectedBeforeAnyChange) {
   EXPECT_EQ(fleet.ls_service_count(), 1u);
   EXPECT_EQ(fleet.assignment().size(), 1u);
   EXPECT_NO_THROW(fleet.finish());
+}
+
+TEST(Fleet, FailoverOntoARefusingDeviceLeavesTheTenantUnroutable) {
+  // Tenants 0 and 1 each guarantee 3 of the test GPU's 4 TPCs, one per
+  // device. When device 1 fails, device 0 refuses tenant 1's replica:
+  // the refusal must not escape, and tenant 1 stays unroutable.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{guaranteed_ls(z.ls_a, z.iso_a, 3, 1),
+                                       guaranteed_ls(z.ls_b, z.iso_b, 3, 1)};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(small_fleet(2, 10 * kNsPerMs), tenants, spread, rr,
+                 sgdrc_factory());
+  ASSERT_EQ(fleet.replicas_of(1).at(0).device, 1u);
+  const size_t on_device0 = fleet.device(0).tenant_count();
+  EXPECT_NO_THROW(fleet.fail_device(1));
+  EXPECT_TRUE(fleet.replicas_of(1).empty());
+  EXPECT_EQ(fleet.device(0).tenant_count(), on_device0);
+  EXPECT_NO_THROW(fleet.finish());
+}
+
+TEST(Fleet, FailoverSkipsARefusingDeviceForTheNextThatAccepts) {
+  // As above on three devices, with a BE tenant on device 2. Devices 0
+  // and 2 carry no LS load, so device 0 is tried first and refuses;
+  // tenant 1 fails over to device 2 and keeps serving.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{guaranteed_ls(z.ls_a, z.iso_a, 3, 1),
+                                       guaranteed_ls(z.ls_b, z.iso_b, 3, 1),
+                                       replicated(best_effort_tenant(z.be_i))};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetConfig cfg = small_fleet(3, 50 * kNsPerMs);
+  FleetSim fleet(cfg, tenants, spread, rr, sgdrc_factory());
+  ASSERT_EQ(fleet.replicas_of(1).at(0).device, 1u);
+  ASSERT_EQ(fleet.replicas_of(2).at(0).device, 2u);
+  const size_t on_device0 = fleet.device(0).tenant_count();
+  fleet.begin();
+  fleet.at(5 * kNsPerMs, [&fleet] { fleet.fail_device(1); });
+  fleet.at(10 * kNsPerMs, [&fleet] { fleet.inject(1, 10 * kNsPerMs); });
+  fleet.run_until(cfg.duration);
+  ASSERT_EQ(fleet.replicas_of(1).size(), 1u);
+  EXPECT_EQ(fleet.replicas_of(1)[0].device, 2u);
+  EXPECT_EQ(fleet.device(0).tenant_count(), on_device0);
+  const auto m = fleet.finish();
+  EXPECT_EQ(m.routed[2], 1u);
+  EXPECT_EQ(m.tenants[1].served, 1u);
+}
+
+TEST(Autoscaler, ScaleUpSkipsARefusingDeviceForTheNextThatAccepts) {
+  // Tenant 0 (3 of 4 TPCs guaranteed) has 8 requests outstanding on
+  // its one replica, well past the scale-up threshold. Devices 1 and 2
+  // carry no LS load; device 1's guarantees refuse the new replica, so
+  // it goes to device 2.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{guaranteed_ls(z.ls_a, z.iso_a, 3, 1),
+                                       guaranteed_ls(z.ls_b, z.iso_b, 3, 1),
+                                       replicated(best_effort_tenant(z.be_i))};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(small_fleet(3, 10 * kNsPerMs), tenants, spread, rr,
+                 sgdrc_factory());
+  fleet.begin();
+  for (unsigned i = 0; i < 8; ++i) fleet.inject(0, 0);
+  const size_t on_device1 = fleet.device(1).tenant_count();
+  Autoscaler scaler;
+  scaler.tick(fleet);
+  ASSERT_EQ(scaler.decisions().size(), 1u);
+  EXPECT_TRUE(scaler.decisions()[0].scale_up);
+  EXPECT_EQ(scaler.decisions()[0].device, 2u);
+  ASSERT_EQ(fleet.replicas_of(0).size(), 2u);
+  EXPECT_EQ(fleet.replicas_of(0)[1].device, 2u);
+  EXPECT_EQ(fleet.device(1).tenant_count(), on_device1);
+  EXPECT_NO_THROW(fleet.finish());
+}
+
+TEST(Fleet, EveryReplicaSharesItsFleetTenantsModel) {
+  // Replicas placed at construction, by add_fleet_tenant and by
+  // add_replica all run the fleet tenant's own ModelDesc object: no
+  // replica holds a copy of its kernel list.
+  const auto& z = zoo();
+  std::vector<FleetTenantSpec> tenants{
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 2),
+      replicated(best_effort_tenant(z.be_i), 1)};
+  SpreadPlacement spread;
+  RoundRobinRouter rr;
+  FleetSim fleet(small_fleet(3, 10 * kNsPerMs), tenants, spread, rr,
+                 sgdrc_factory());
+  EXPECT_EQ(fleet.fleet_tenant(0).spec.model, tenants[0].spec.model);
+  const unsigned added = fleet.add_fleet_tenant(
+      replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 2), spread);
+  ASSERT_EQ(fleet.replicas_of(0).size(), 2u);
+  fleet.add_replica(0, 2);
+  for (const unsigned t : {0u, 1u, added}) {
+    const models::ModelDesc* model = fleet.fleet_tenant(t).spec.model.get();
+    ASSERT_NE(model, nullptr);
+    for (const Replica& r : fleet.replicas_of(t)) {
+      EXPECT_EQ(fleet.device(r.device).tenant(r.local_tenant).model.get(),
+                model);
+    }
+  }
+  EXPECT_EQ(fleet.replicas_of(0).size(), 3u);
 }
 
 // -------------------------------------------------- vGPU quota layer ----

@@ -309,6 +309,44 @@ TEST(MemoryManager, ResidentBytesConserveAcrossRegisterRetireCycles) {
   EXPECT_EQ(mm.page_table().free_frames(), free0);
 }
 
+TEST(MemoryManager, ReloadsMapIntoTheReplicasOneVaRange) {
+  // Two 24 MiB replicas on 36 MiB: each load evicts the other.
+  constexpr uint64_t kVram = 36 * kMiB;
+  constexpr uint64_t kWeights = 24 * kMiB;
+  constexpr uint64_t kSeed = 67;
+  MemoryManager mm(kVram, enabled_options(), kSeed);
+  const PageTable& pt = mm.page_table();
+  mm.add_replica(0, kWeights, 0, 0, busy_none());
+  // Registration draws replica 0's frames exactly as a plain alloc on
+  // an identically seeded table does.
+  PageTable plain(kVram, kSeed);
+  const gpusim::VirtAddr base = plain.alloc(kWeights);
+  for (uint64_t p = 0; p < kWeights / kPageBytes; ++p) {
+    ASSERT_EQ(pt.translate(base + p * kPageBytes),
+              plain.translate(base + p * kPageBytes));
+  }
+  mm.add_replica(1, kWeights, 0, 0, busy_none());
+  ASSERT_EQ(mm.evictions(), 1u);
+  const uint64_t vpns = pt.table_vpns();
+  const uint64_t mapped = pt.mapped_pages();
+  const uint64_t free = pt.free_frames();
+  EXPECT_EQ(vpns, 1 + 2 * kWeights / kPageBytes);  // VA page 0 stays null
+  TimeNs now = 0;
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    for (const workload::TenantId t : {0u, 1u}) {
+      now += 100;
+      ASSERT_EQ(mm.request(t, now, busy_none()).kind,
+                MemoryManager::Touch::Kind::kLoadStarted);
+      mm.finish_load(t, now);
+    }
+    EXPECT_EQ(pt.table_vpns(), vpns);
+    EXPECT_EQ(pt.mapped_pages(), mapped);
+    EXPECT_EQ(pt.free_frames(), free);
+  }
+  EXPECT_EQ(mm.loads(), 16u);
+  EXPECT_EQ(mm.evictions(), 17u);
+}
+
 // -------------------------------------------- serving integration ----
 
 struct ServingZoo {
@@ -346,7 +384,7 @@ TEST(ServingMemory, FirstRequestPaysTheColdStartLoad) {
                  .memory(mem)
                  .add_latency_sensitive(z.ls_a, z.iso_a)
                  .build(policy);
-  ASSERT_TRUE(sim->memory_modeled());
+  ASSERT_NE(sim->memory(), nullptr);
   const auto m = sim->run(steady_trace(20, 2 * kNsPerMs));
   const auto& t0 = m.tenants[0];
   EXPECT_EQ(t0.weight_loads, 1u);  // one cold start, then warm all run
@@ -375,7 +413,7 @@ TEST(ServingMemory, ZeroVramMeansUnmodeledNotInstantOom) {
                  .memory(enabled_options())
                  .add_latency_sensitive(z.ls_a, z.iso_a)
                  .build(policy);
-  EXPECT_FALSE(sim->memory_modeled());
+  EXPECT_EQ(sim->memory(), nullptr);
   EXPECT_EQ(sim->residency_of(0), Residency::kUnmodeled);
   const auto m = sim->run(steady_trace(10, 2 * kNsPerMs));
   EXPECT_EQ(m.tenants[0].weight_loads, 0u);

@@ -1,7 +1,6 @@
 #include "baselines/baseline_policies.h"
 
 #include <algorithm>
-#include <vector>
 
 namespace sgdrc::baselines {
 
@@ -132,14 +131,14 @@ ResourcePlan OrionPolicy::plan(const SimView& sim) {
   // The LS kernels co-running with any BE kernel admitted below: those in
   // flight now plus the ones this plan launches. (Kernels of unknown
   // owner count as LS, the conservative side.)
-  std::vector<const gpusim::KernelDesc*> ls_running;
+  ls_running_.clear();
   for (const auto& info : sim.running_infos()) {
     const auto owner = sim.find_job(info.tag);
     if (!owner || owner->qos != QosClass::kBestEffort) {
-      ls_running.push_back(info.kernel);
+      ls_running_.push_back(info.kernel);
     }
   }
-  for (const auto& job : ls_waiting) ls_running.push_back(job.next_kernel);
+  for (const auto& job : ls_waiting) ls_running_.push_back(job.next_kernel);
   // Every waiting LS kernel launches above, so the pressure is what is
   // in flight once this plan lands.
   const size_t ls_pressure =
@@ -165,7 +164,7 @@ ResourcePlan OrionPolicy::plan(const SimView& sim) {
       return be_rt >
              kRuntimeRatio * static_cast<double>(sim.solo_runtime(*ls));
     };
-    if (std::any_of(ls_running.begin(), ls_running.end(), outlives)) {
+    if (std::any_of(ls_running_.begin(), ls_running_.end(), outlives)) {
       ++rej_runtime_;
       continue;
     }
@@ -173,7 +172,7 @@ ResourcePlan OrionPolicy::plan(const SimView& sim) {
     // 3) Resource (memory) constraint: never co-run a memory-bound BE
     //    kernel while a memory-bound LS kernel executes.
     if (be_kernel->memory_bound &&
-        std::any_of(ls_running.begin(), ls_running.end(),
+        std::any_of(ls_running_.begin(), ls_running_.end(),
                     [](const gpusim::KernelDesc* ls) {
                       return ls->memory_bound;
                     })) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "control/controller.h"
 #include "gpusim/resources.h"
@@ -96,6 +97,9 @@ class OrionPolicy : public control::Controller {
   uint64_t rej_sm_ = 0;
   uint64_t rej_runtime_ = 0;
   uint64_t admitted_ = 0;
+  /// plan()'s scratch, kept between plans: the LS kernels a BE kernel
+  /// admitted now would co-run with.
+  std::vector<const gpusim::KernelDesc*> ls_running_;
 };
 
 }  // namespace sgdrc::baselines

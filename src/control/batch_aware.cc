@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace sgdrc::control {
 
@@ -16,9 +15,9 @@ ResourcePlan BatchAwareSgdrc::plan(const SimView& view) {
   // Which tenants have live LS work right now (queued or in flight) —
   // the floor must vanish the moment a batching tenant goes quiet, or
   // best-effort would keep paying for batches that stopped coming.
-  std::vector<char> has_job(view.tenant_count(), 0);
+  has_job_.assign(view.tenant_count(), 0);
   for (const auto& job : view.jobs(QosClass::kLatencySensitive)) {
-    has_job[job.tenant] = 1;
+    has_job_[job.tenant] = 1;
   }
 
   unsigned floor = 0;
@@ -26,7 +25,7 @@ ResourcePlan BatchAwareSgdrc::plan(const SimView& view) {
     if (!view.tenant_active(t) || !view.batching_enabled(t)) continue;
     const double depth =
         static_cast<double>(view.batch_queue_depth(t));
-    if (depth == 0.0 && !has_job[t]) continue;  // quiet: narrow now
+    if (depth == 0.0 && !has_job_[t]) continue;  // quiet: narrow now
     const auto& spec = view.tenant(t);
     const double occupancy = view.batch_occupancy(t);
     // The batch size this tenant is about to run: what it has been

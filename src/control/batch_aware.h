@@ -40,6 +40,9 @@ class BatchAwareSgdrc : public Controller {
   /// first sight — the model is fixed at tenant registration, and plan()
   /// runs on every sim event. 0 = not yet computed.
   std::vector<unsigned> base_need_;
+  /// plan()'s scratch, kept between plans: per tenant, whether it has a
+  /// live LS job.
+  std::vector<char> has_job_;
 };
 
 }  // namespace sgdrc::control

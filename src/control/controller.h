@@ -13,8 +13,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "control/plan.h"
 #include "core/serving.h"
@@ -25,6 +25,15 @@ namespace sgdrc::control {
 /// controller may base a plan on. It deliberately re-exports the
 /// ServingSim read API rather than copying state: plans are recomputed
 /// after every event, so a snapshot would be stale by construction.
+///
+/// jobs(), waiting_jobs() and running_infos() return spans into buffers
+/// the sim and its executor own and refill on each call (one per
+/// accessor and class), so a plan reads them without allocating. A view
+/// is valid until the sim changes state or the same accessor is called
+/// again (for the same class); calls to the other accessors leave it
+/// intact. Within one plan() nothing changes state, so a controller may
+/// hold all of them at once; one that keeps a view across a mutation
+/// copies it.
 class SimView {
  public:
   explicit SimView(core::ServingSim& sim) : sim_(&sim) {}
@@ -33,10 +42,10 @@ class SimView {
   const gpusim::GpuSpec& spec() const { return sim_->spec(); }
   const core::ServingConfig& config() const { return sim_->config(); }
 
-  std::vector<core::ServingSim::JobView> jobs(workload::QosClass q) const {
+  std::span<const core::ServingSim::JobView> jobs(workload::QosClass q) const {
     return sim_->jobs(q);
   }
-  std::vector<core::ServingSim::JobView> waiting_jobs(
+  std::span<const core::ServingSim::JobView> waiting_jobs(
       workload::QosClass q) const {
     return sim_->waiting_jobs(q);
   }
@@ -44,7 +53,7 @@ class SimView {
     return sim_->find_job(id);
   }
   size_t inflight(workload::QosClass q) const { return sim_->inflight(q); }
-  std::vector<gpusim::GpuExecutor::RunningInfo> running_infos() const {
+  std::span<const gpusim::GpuExecutor::RunningInfo> running_infos() const {
     return sim_->exec().running_infos();
   }
   /// Isolated runtime of `k` on the whole device (every TPC and channel).

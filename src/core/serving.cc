@@ -42,11 +42,14 @@ void ServingSim::Frontier::make_ready(int kernel) {
   ready.insert(std::lower_bound(ready.begin(), ready.end(), kernel), kernel);
 }
 
-void ServingSim::Frontier::stop(int kernel) {
-  auto it = std::find_if(running.begin(), running.end(),
-                         [&](const Running& r) { return r.kernel == kernel; });
-  SGDRC_CHECK(it != running.end(), "kernel not in flight");
+int ServingSim::Frontier::stop(GpuExecutor::LaunchId launch) {
+  auto it = std::find_if(running.begin(), running.end(), [&](const Running& r) {
+    return r.launch_id == launch;
+  });
+  SGDRC_CHECK(it != running.end(), "launch not in flight");
+  const int kernel = it->kernel;
   running.erase(it);
+  return kernel;
 }
 
 void ServingSim::Frontier::retire(int kernel, const models::ModelDesc& m) {
@@ -417,7 +420,11 @@ workload::ServingMetrics ServingSim::run(
   begin();
   for (const Request& r : trace) {
     if (r.arrival >= cfg_.duration) break;
-    queue_.schedule_at(r.arrival, [this, r] { arrive(r); });
+    // The event fires at the arrival, so now() restores it and the
+    // closure stays two words, which std::function stores in place.
+    queue_.schedule_at(r.arrival, [this, service = r.service] {
+      arrive({now(), service});
+    });
   }
   queue_.run_until(cfg_.duration);
   return finish();
@@ -728,17 +735,18 @@ ServingSim::JobView ServingSim::view_of(const Job& j) const {
           evicting};
 }
 
-std::vector<ServingSim::JobView> ServingSim::jobs(QosClass qos) const {
-  std::vector<JobView> out;
+std::span<const ServingSim::JobView> ServingSim::jobs(QosClass qos) {
+  auto& out = job_views_[qos_index(qos)];
+  out.clear();
   for (const auto& j : jobs_) {
     if (qos_of(j) == qos && visible(j)) out.push_back(view_of(j));
   }
   return out;
 }
 
-std::vector<ServingSim::JobView> ServingSim::waiting_jobs(
-    QosClass qos) const {
-  std::vector<JobView> out;
+std::span<const ServingSim::JobView> ServingSim::waiting_jobs(QosClass qos) {
+  auto& out = waiting_views_[qos_index(qos)];
+  out.clear();
   for (const auto& j : jobs_) {
     if (qos_of(j) != qos || !visible(j)) continue;
     // One entry per ready kernel, index ascending — the deterministic
@@ -855,22 +863,22 @@ void ServingSim::launch(Job& job, const gpusim::Allocation& grant) {
   f.ready.erase(f.ready.begin());
   f.running.push_back({kidx, 0, false});
   // Completion events fire through the queue, never synchronously, so
-  // the launch id is recorded before any callback can look for it.
+  // the launch id is recorded before any callback can look for it. The
+  // closure holds two words, which std::function stores in place.
   const JobId id = job.id;
-  f.running.back().launch_id =
-      exec_->launch({&k, alloc, id},
-                    [this, id, kidx](GpuExecutor::LaunchId, TimeNs) {
-                      finish_kernel(id, kidx);
-                    });
+  f.running.back().launch_id = exec_->launch(
+      {&k, alloc, id}, [this, id](GpuExecutor::LaunchId launch, TimeNs) {
+        finish_kernel(id, launch);
+      });
 }
 
-void ServingSim::finish_kernel(JobId id, int kernel) {
+void ServingSim::finish_kernel(JobId id, GpuExecutor::LaunchId launch) {
   auto it = std::find_if(jobs_.begin(), jobs_.end(),
                          [&](const Job& j) { return j.id == id; });
   SGDRC_CHECK(it != jobs_.end(), "completion for unknown job");
   Job& job = *it;
   const QosClass qos = qos_of(job);
-  job.frontier.stop(kernel);
+  const int kernel = job.frontier.stop(launch);
   note_inflight(qos, -1);
   const auto& model = model_of(job);
   job.frontier.retire(kernel, model);
@@ -908,20 +916,18 @@ void ServingSim::rotate_be(Job& job) {
 void ServingSim::evict(Job& job) {
   SGDRC_REQUIRE(!job.frontier.running.empty(), "no in-flight kernel to evict");
   const JobId id = job.id;
-  const QosClass qos = qos_of(job);
   for (auto& r : job.frontier.running) {
     if (r.evicting) continue;
     r.evicting = true;
     ++metrics_.tenants[job.tenant].evictions;
-    exec_->evict(r.launch_id, [this, id, qos, kernel = r.kernel](
-                                  GpuExecutor::LaunchId, TimeNs) {
+    exec_->evict(r.launch_id, [this, id](GpuExecutor::LaunchId launch,
+                                         TimeNs) {
       // Progress lost; the kernel returns to the ready set (§7.1
       // restart) at its sorted position.
       Job* j = job_ptr(id);
       SGDRC_CHECK(j != nullptr, "eviction for unknown job");
-      j->frontier.stop(kernel);
-      j->frontier.make_ready(kernel);
-      note_inflight(qos, -1);
+      j->frontier.make_ready(j->frontier.stop(launch));
+      note_inflight(qos_of(*j), -1);
       poke();
     });
   }

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -232,18 +233,25 @@ class ServingSim {
     bool in_flight;
     bool evicting;
   };
+  // Views are spans into buffers the sim owns, one per accessor and
+  // class (and the executor's one for running_infos()): each call
+  // clears and refills its own buffer, so the per-event path reuses
+  // their capacity instead of allocating. A view is valid until the sim
+  // changes state or the same accessor is called again for the same
+  // class; the other accessors leave it intact. A caller that keeps one
+  // across a mutation copies it.
   /// Visible jobs of one class, arrival order — one view per job. In
   /// round-robin mode only the resident BE tenant's job is visible. The
   /// view aggregates the job's frontier: next_kernel is the lowest-index
   /// ready kernel (null, with in_flight set, when every runnable kernel
   /// is already launched).
-  std::vector<JobView> jobs(QosClass qos) const;
+  std::span<const JobView> jobs(QosClass qos);
   /// Waiting work of one class: one view per launchable kernel, kernel
   /// index ascending within a job, each with next_kernel pointing at
   /// that kernel (a chain job contributes at most one). A plan's
   /// launches of a job consume its entries in the same order, so
   /// "launch every waiting entry" co-schedules the frontier.
-  std::vector<JobView> waiting_jobs(QosClass qos) const;
+  std::span<const JobView> waiting_jobs(QosClass qos);
   /// Look a job up by id — e.g. classify a RunningInfo by its tag.
   std::optional<JobView> find_job(JobId id) const;
   /// In-flight kernels of one class.
@@ -352,8 +360,9 @@ class ServingSim {
     /// Return an evicted/unblocked kernel to the ready set, keeping the
     /// ascending order.
     void make_ready(int kernel);
-    /// Drop `kernel` from the in-flight set (completed or evicted).
-    void stop(int kernel);
+    /// Drop a launch from the in-flight set (completed or evicted) and
+    /// return its kernel.
+    int stop(gpusim::GpuExecutor::LaunchId launch);
     /// Count `kernel` done and unlock its dependents.
     void retire(int kernel, const models::ModelDesc& m);
 
@@ -457,9 +466,10 @@ class ServingSim {
   /// alone. Only preemptible (best-effort) kernels accept this.
   void evict(Job& job);
   void arrive(const workload::Request& r);
-  /// Completion: retire `kernel` from the job's frontier, unlock its
-  /// dependents, and finish the job when every kernel has run.
-  void finish_kernel(JobId id, int kernel);
+  /// Completion: retire the launch's kernel from the job's frontier,
+  /// unlock its dependents, and finish the job when every kernel has
+  /// run.
+  void finish_kernel(JobId id, gpusim::GpuExecutor::LaunchId launch);
   // ---- LS request path (assembly queue → batch job) ----
   void enqueue_for_batch(TenantId t, TimeNs arrival);
   /// Move the assembly queue into a batch job (or the ready queue when no
@@ -509,6 +519,8 @@ class ServingSim {
   workload::ServingMetrics metrics_;
 
   std::deque<Job> jobs_;                 // BE loops first, then LS jobs
+  std::vector<JobView> job_views_[2];    // jobs()'s buffer per QosClass
+  std::vector<JobView> waiting_views_[2];  // waiting_jobs()'s, likewise
   std::vector<TenantId> ls_tenants_;     // trace service index → tenant
   std::vector<TenantId> be_tenants_;     // rotation order (active only)
   size_t be_resident_ = 0;               // round-robin position

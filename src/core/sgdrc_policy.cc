@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <numeric>
 
 namespace sgdrc::core {
 
@@ -17,6 +15,26 @@ namespace {
 /// How long LS must stay idle before a colocated BE kernel is restarted
 /// on the whole GPU (the promotion below).
 constexpr TimeNs kPromotionGrace = 200 * kNsPerUs;
+
+/// `id`'s entry in a (job, value) table, or null.
+template <typename V>
+V* find_entry(std::vector<std::pair<JobId, V>>& table, JobId id) {
+  for (auto& [job, v] : table) {
+    if (job == id) return &v;
+  }
+  return nullptr;
+}
+
+/// `id`'s count in a (job, count) table, added at 0 when missing (as
+/// std::map's operator[] would).
+unsigned& count_of(std::vector<std::pair<JobId, unsigned>>& table, JobId id) {
+  if (unsigned* n = find_entry(table, id)) return *n;
+  return table.emplace_back(id, 0u).second;
+}
+
+bool contains(const std::vector<JobId>& jobs, JobId id) {
+  return std::find(jobs.begin(), jobs.end(), id) != jobs.end();
+}
 }  // namespace
 
 ChannelSet be_channel_partition(const gpusim::GpuSpec& spec, double ch_be) {
@@ -96,24 +114,16 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // for §4's counting, so its kernels fold into a single entry (union of
   // masks). Chain jobs hold at most one kernel, so grouping is the
   // identity there.
-  struct BeRun {
-    JobId job;
-    TpcMask mask;
-    TpcMask widest;  // the widest mask this job may hold (guarantees)
-    bool monopolising;
-    bool evicting;
-  };
   TpcMask ls_used = 0;
   TpcMask be_mask_running = 0;
   bool be_memory_bound_in_flight = false;
-  std::vector<BeRun> be_runs;
+  be_runs_.clear();
   // Kernels in flight per job (every class) — the intra-tenant width
-  // accounting for DAG frontiers. std::map: iteration must stay
-  // deterministic for the bit-identical-rerun contract.
-  std::map<JobId, unsigned> inflight_width;
+  // accounting for DAG frontiers.
+  inflight_width_.clear();
   for (const auto& info : sim.running_infos()) {
     const auto job = sim.find_job(info.tag);
-    if (job) ++inflight_width[job->id];
+    if (job) ++count_of(inflight_width_, job->id);
     if (job && job->qos == QosClass::kBestEffort) {
       const TpcMask mask = info.tpc_mask;
       be_mask_running |= mask;
@@ -123,9 +133,9 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
       const bool monopolising =
           info.channels == all_ch && info.kernel->memory_bound;
       const auto it =
-          std::find_if(be_runs.begin(), be_runs.end(),
+          std::find_if(be_runs_.begin(), be_runs_.end(),
                        [&](const BeRun& r) { return r.job == job->id; });
-      if (it != be_runs.end()) {
+      if (it != be_runs_.end()) {
         it->mask |= mask;
         it->monopolising |= monopolising;
         continue;
@@ -134,8 +144,8 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
       // regions — promotion must not chase an unreachable full mask.
       const TpcMask own = sim.guaranteed_mask(job->tenant);
       const TpcMask widest = full & ~(any_guar & ~own);
-      be_runs.push_back({job->id, mask, widest, monopolising,
-                         job->evicting});
+      be_runs_.push_back({job->id, mask, widest, monopolising,
+                          job->evicting});
     } else {
       ls_used |= info.tpc_mask;
     }
@@ -149,25 +159,33 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // arrival order, so the default is the legacy order exactly).
   TpcMask claimed_from_be = 0;
   // Flags the `waiting` entries this plan launches (window bookkeeping).
-  std::vector<char> launched(waiting.size(), 0);
+  launched_.assign(waiting.size(), 0);
   // Kernels launched per job this plan, both classes (width accounting).
-  std::map<JobId, unsigned> planned_width;
+  planned_width_.clear();
   const auto width_capped = [&](JobId id) {
-    return inflight_width[id] + planned_width[id] >= kIntraTenantWidth;
+    return count_of(inflight_width_, id) + count_of(planned_width_, id) >=
+           kIntraTenantWidth;
   };
   if (!waiting.empty()) {
-    std::vector<size_t> order(waiting.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    // Launch order: priority descending, arrival order among equals.
+    // Inserting each entry after every earlier one of at least its
+    // priority is a stable sort, and a stable sort's result is unique:
+    // std::stable_sort's order, without its temporary buffer.
+    const auto higher = [&](size_t a, size_t b) {
       return sim.vgpu(waiting[a].tenant).priority >
              sim.vgpu(waiting[b].tenant).priority;
-    });
+    };
+    order_.clear();
+    for (size_t i = 0; i < waiting.size(); ++i) {
+      order_.insert(std::upper_bound(order_.begin(), order_.end(), i, higher),
+                    i);
+    }
     // Bimodal tensors (Fig. 14): LS memory-bound kernels shift to the
     // (1−ChBE) channel partition only while a memory-bound BE kernel
     // shares the GPU; compute-bound BE kernels pose no channel conflict.
     const bool colocated = be_memory_bound_in_flight;
     size_t launches = 0;
-    for (const size_t i : order) {
+    for (const size_t i : order_) {
       const auto& job = waiting[i];
       if (launches >= opt_.sliding_window) break;
       if (ls_used == full) break;
@@ -196,8 +214,8 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
       ls_used |= mask;
       plan.launch(job.id,
                   {mask, colocated ? eff_ls_channels : all_ch});
-      launched[i] = 1;
-      ++planned_width[job.id];
+      launched_[i] = 1;
+      ++count_of(planned_width_, job.id);
       ++launches;
     }
   }
@@ -208,16 +226,16 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // running set: at most one BE kernel co-executes with active LS — a
   // flood that launched during an LS idle gap is trimmed back when LS
   // returns, or its channel contention would defeat the SM region.
-  // be_runs is grouped per job, so be_kept counts co-running *jobs* —
+  // be_runs_ is grouped per job, so be_kept counts co-running *jobs* —
   // a DAG job's internal operator fan-out is one co-runner, not several.
   const bool quota_mode = any_guar != 0;
   size_t be_kept = 0;
-  std::vector<JobId> be_kept_jobs;     // survivors: may widen their own
-                                       // frontier without a new §4 slot
-  std::vector<JobId> be_evicted_jobs;  // mid-eviction: no relaunch below
-  for (const auto& run : be_runs) {
+  be_kept_jobs_.clear();     // survivors: may widen their own frontier
+                             // without a new §4 slot
+  be_evicted_jobs_.clear();  // mid-eviction: no relaunch below
+  for (const auto& run : be_runs_) {
     if (run.evicting) {
-      be_evicted_jobs.push_back(run.job);
+      be_evicted_jobs_.push_back(run.job);
       continue;
     }
     bool evict_it =
@@ -227,10 +245,10 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
     }
     if (evict_it) {
       plan.evict(run.job);
-      be_evicted_jobs.push_back(run.job);
+      be_evicted_jobs_.push_back(run.job);
     } else {
       ++be_kept;
-      be_kept_jobs.push_back(run.job);
+      be_kept_jobs_.push_back(run.job);
     }
   }
 
@@ -239,7 +257,7 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // full GPU — the monopolisation transition of Fig. 14c→d. A short
   // grace period avoids thrashing on short LS gaps.
   if (!ls_active && claimed_from_be == 0) {
-    for (const auto& run : be_runs) {
+    for (const auto& run : be_runs_) {
       if (run.evicting) continue;
       const bool colocated_mode = run.mask != run.widest;
       if (!colocated_mode) continue;
@@ -262,7 +280,7 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   unsigned window_need = 1;
   for (size_t i = 0, seen = 0;
        i < waiting.size() && seen < opt_.sliding_window; ++i) {
-    if (launched[i]) continue;
+    if (launched_[i]) continue;
     window_need = std::max(window_need,
                            std::max(1u, waiting[i].next_kernel->min_tpcs));
     ++seen;
@@ -289,13 +307,10 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   // Distinct waiting BE jobs in queue order: a DAG job's extra frontier
   // entries are the same tenant asking for more of its own slot, so the
   // weight sums (and the weighted split below) count each job once.
-  std::vector<JobId> be_order;
+  be_order_.clear();
   for (const auto& job : waiting_be) {
-    if (std::find(be_order.begin(), be_order.end(), job.id) !=
-        be_order.end()) {
-      continue;
-    }
-    be_order.push_back(job.id);
+    if (contains(be_order_, job.id)) continue;
+    be_order_.push_back(job.id);
     total_weight += sim.vgpu(job.tenant).weight;
     if (sim.vgpu(job.tenant).weight != sim.vgpu(waiting_be[0].tenant).weight) {
       unequal_weights = true;
@@ -325,8 +340,8 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   if (quota_mode && ls_active) {
     be_budget = be_kept < 1 ? 1 - be_kept : 0;
   }
-  std::map<JobId, TpcMask> job_slice;  // weighted slice, carved per job
-  std::vector<JobId> be_planned;       // distinct jobs launched this plan
+  job_slice_.clear();   // weighted slice, carved per job
+  be_planned_.clear();  // distinct jobs launched this plan
   for (const auto& job : waiting_be) {
     // §4 counts co-running jobs: only a job not already kept-running and
     // not already launched this plan consumes a budget slot — a DAG
@@ -334,16 +349,10 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
     // launch (or its surviving kernels) already hold, up to the
     // intra-tenant width cap. A job this plan just evicted must not be
     // relaunched out of its still-ready frontier in the same breath.
-    if (std::find(be_evicted_jobs.begin(), be_evicted_jobs.end(), job.id) !=
-        be_evicted_jobs.end()) {
-      continue;
-    }
+    if (contains(be_evicted_jobs_, job.id)) continue;
     if (width_capped(job.id)) continue;
     const bool counts_new =
-        std::find(be_planned.begin(), be_planned.end(), job.id) ==
-            be_planned.end() &&
-        std::find(be_kept_jobs.begin(), be_kept_jobs.end(), job.id) ==
-            be_kept_jobs.end();
+        !contains(be_planned_, job.id) && !contains(be_kept_jobs_, job.id);
     if (counts_new && be_budget == 0) continue;
     const TpcMask own = sim.guaranteed_mask(job.tenant);
     const TpcMask foreign = any_guar & ~own;
@@ -353,14 +362,14 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
       // bimodal tensor copies — the full VRAM bandwidth (Fig. 14a/d).
       // When LS returns it preempts via the eviction flag (Fig. 13a).
       plan.launch(job.id, Allocation::all());
-      ++planned_width[job.id];
-      if (counts_new) be_planned.push_back(job.id);
+      ++count_of(planned_width_, job.id);
+      if (counts_new) be_planned_.push_back(job.id);
     } else if (!ls_active) {
       // LS is idle but holds hard reservations: BE soaks everything
       // except foreign guaranteed regions, with all channels.
       plan.launch(job.id, {full & ~foreign, all_ch});
-      ++planned_width[job.id];
-      if (counts_new) be_planned.push_back(job.id);
+      ++count_of(planned_width_, job.id);
+      if (counts_new) be_planned_.push_back(job.id);
     } else {
       // The tenant's own guaranteed region is usable even when the
       // tidal reserve covers it (own == 0 reproduces the legacy mask).
@@ -372,25 +381,25 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
         // carved from what is left, so slices stay proportional and the
         // last tenant picks up the rounding dust. Carved once per job —
         // a DAG job's frontier entries co-execute on the job's slice.
-        auto sit = job_slice.find(job.id);
-        if (sit == job_slice.end()) {
+        const TpcMask* carved = find_entry(job_slice_, job.id);
+        if (carved == nullptr) {
           const TpcMask pool = weighted_pool_left;
           const unsigned share = static_cast<unsigned>(
               static_cast<double>(weighted_pool_bits) *
               sim.vgpu(job.tenant).weight / total_weight);
-          const bool last = job.id == be_order.back();
+          const bool last = job.id == be_order_.back();
           const TpcMask slice =
               last ? pool : gpusim::lowest_tpcs(pool, std::max(1u, share));
           weighted_pool_left &= ~slice;
-          sit = job_slice.emplace(job.id, slice).first;
+          carved = &job_slice_.emplace_back(job.id, slice).second;
         }
-        free = sit->second | (own & ~ls_used);
+        free = *carved | (own & ~ls_used);
       }
       if (free) {
         plan.launch(job.id, {free, eff_be_channels});
-        ++planned_width[job.id];
+        ++count_of(planned_width_, job.id);
         if (counts_new) {
-          be_planned.push_back(job.id);
+          be_planned_.push_back(job.id);
           --be_budget;
         }
       }

@@ -29,6 +29,9 @@
 // partitions, frozen at an even split, with no tide and no preemption.
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "control/controller.h"
 #include "core/serving.h"
 #include "gpusim/resources.h"
@@ -75,6 +78,14 @@ class SgdrcPolicy : public control::Controller {
   void channel_split(const control::SimView& sim, gpusim::ChannelSet& ls,
                      gpusim::ChannelSet& be) const;
 
+  /// One running BE *job*: its kernels' masks folded into one entry.
+  struct BeRun {
+    JobId job;
+    gpusim::TpcMask mask;
+    gpusim::TpcMask widest;  // the widest mask this job may hold (guarantees)
+    bool monopolising;
+    bool evicting;
+  };
   SgdrcOptions opt_;
   unsigned num_tpcs_;
   gpusim::ChannelSet be_channels_;  // ChBE  of the channels
@@ -83,6 +94,18 @@ class SgdrcPolicy : public control::Controller {
   unsigned ls_reserve_ = 1;         // sliding-window SM reservation
   unsigned reserve_floor_ = 0;      // external floor (batch-aware wrapper)
   TimeNs last_decay_ = 0;           // reserve decay clock
+
+  // plan()'s scratch, cleared at the start of every plan and kept
+  // between plans, so a plan allocates only when a buffer outgrows every
+  // earlier plan's. Each is described where plan() fills it.
+  std::vector<BeRun> be_runs_;
+  // (job, value) pairs, looked up linearly: a plan touches a handful of
+  // jobs and only looks entries up, never iterates them.
+  std::vector<std::pair<JobId, unsigned>> inflight_width_, planned_width_;
+  std::vector<std::pair<JobId, gpusim::TpcMask>> job_slice_;
+  std::vector<size_t> order_;
+  std::vector<char> launched_;
+  std::vector<JobId> be_kept_jobs_, be_evicted_jobs_, be_order_, be_planned_;
 };
 
 class SgdrcStaticPolicy : public control::Controller {

@@ -314,33 +314,30 @@ bool GpuExecutor::evict(LaunchId id, EvictionFn on_evicted) {
                 "evicting a kernel compiled without the eviction flag");
   if (it->eviction_pending) return true;
   it->eviction_pending = true;
-  queue_.schedule_after(
-      params_.evict_latency,
-      [this, id, fn = std::move(on_evicted)]() mutable {
-        kill(id, std::move(fn));
-      });
+  it->on_evicted = std::move(on_evicted);
+  queue_.schedule_after(params_.evict_latency, [this, id] { kill(id); });
   return true;
 }
 
-void GpuExecutor::kill(LaunchId id, EvictionFn on_evicted) {
+void GpuExecutor::kill(LaunchId id) {
   const auto it = find(id);
   if (it == running_.end()) return;  // completed during the flag check
   settle_progress();
+  const EvictionFn cb = std::move(it->on_evicted);
   occupy(*it, /*add=*/false);
   running_.erase(it);
   ++stats_evictions_;
-  call_held(on_evicted, id);
+  call_held(cb, id);
 }
 
-std::vector<GpuExecutor::RunningInfo> GpuExecutor::running_infos() const {
-  std::vector<RunningInfo> out;
-  out.reserve(running_.size());
+std::span<const GpuExecutor::RunningInfo> GpuExecutor::running_infos() {
+  infos_.clear();
   for (const Running& r : running_) {
-    out.push_back({r.launch.kernel, r.launch.alloc.tpcs,
-                   r.launch.alloc.channels, r.launch.tag, r.started,
-                   r.rate});
+    infos_.push_back({r.launch.kernel, r.launch.alloc.tpcs,
+                      r.launch.alloc.channels, r.launch.tag, r.started,
+                      r.rate});
   }
-  return out;
+  return infos_;
 }
 
 }  // namespace sgdrc::gpusim

@@ -82,6 +82,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/event_queue.h"
@@ -136,6 +137,8 @@ class GpuExecutor {
 
   /// Preempt a running kernel via the eviction flag. Only preemptible
   /// kernels accept this. No-op (returns false) if already finished.
+  /// The callback is kept with the kernel until the flag check lands; a
+  /// kernel that completes first drops it uncalled.
   bool evict(LaunchId id, EvictionFn on_evicted);
 
   bool running(LaunchId id) const { return find(id) != running_.end(); }
@@ -162,8 +165,11 @@ class GpuExecutor {
     TimeNs started;
     double rate;
   };
-  /// Snapshot of every running kernel (scheduler admission checks).
-  std::vector<RunningInfo> running_infos() const;
+  /// Every running kernel, ascending LaunchId (scheduler admission
+  /// checks). The span points into a buffer this call clears and
+  /// refills, so it is valid until the running set changes or the next
+  /// call; a caller that keeps it across either copies it.
+  std::span<const RunningInfo> running_infos();
 
   uint64_t launches() const { return stats_launches_; }
   uint64_t completions() const { return stats_completions_; }
@@ -178,6 +184,7 @@ class GpuExecutor {
     LaunchId id = 0;
     KernelLaunch launch;           // alloc holds device masks
     CompletionFn on_complete;
+    EvictionFn on_evicted;         // set by an accepted evict()
     double remaining = 1.0;        // fraction of work left
     double rate = 0.0;             // fraction per ns under current alloc
     double demand_gbps = 0.0;      // natural bandwidth demand (bytes/ns)
@@ -202,7 +209,7 @@ class GpuExecutor {
   /// Adds (`add`) or removes r's claim on the occupancy tables.
   void occupy(const Running& r, bool add);
   void finish(LaunchId id);
-  void kill(LaunchId id, EvictionFn on_evicted);
+  void kill(LaunchId id);
   void note_change();  // running set changed: reserve its event's place
   /// Runs `fn(id, now)` held, then recomputes once (also on a throw).
   void call_held(const CompletionFn& fn, LaunchId id);
@@ -214,6 +221,7 @@ class GpuExecutor {
   EventQueue& queue_;
   ExecutorParams params_;
   RunningList running_;
+  std::vector<RunningInfo> infos_;  // running_infos()'s buffer
   // Occupancy tables, updated by occupy() on every change; sized by the
   // TpcMask and ChannelSet widths, so an executor allocates none. An
   // entry whose user count is 0 holds a stale share term or penalty

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -362,6 +363,44 @@ TEST(EventQueue, WorkCountersCountPushesFiresAndTombstones) {
   EXPECT_EQ(q.pushes(), 3u);
   EXPECT_EQ(q.fired(), 2u);
   EXPECT_EQ(q.tombstones_popped(), 1u);
+}
+
+TEST(EventQueue, CancelReleasesTheClosureAtOnce) {
+  // The heap keeps a cancelled event's key until it surfaces, but not
+  // its closure: cancel() destroys the captures there and then.
+  EventQueue q;
+  const auto token = std::make_shared<int>(7);
+  const EventId id = q.schedule_at(10, [token] { ADD_FAILURE(); });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(q.run_all(), 0u);
+  EXPECT_EQ(q.tombstones_popped(), 1u);
+  // A fired event's closure is released once it has run.
+  q.schedule_at(20, [token] { EXPECT_EQ(*token, 7); });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(q.run_all(), 1u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ClosureReusingItsOwnSlotKeepsItsCaptures) {
+  // A firing event's slot is free again while its closure runs, so an
+  // event the closure schedules takes that very slot. The closure must
+  // still hold its captures until it returns.
+  EventQueue q;
+  const auto token = std::make_shared<int>(42);
+  std::vector<int> seen;
+  EventId first = 0, second = 0;
+  first = q.schedule_at(5, [&q, &seen, &first, &second, token] {
+    second = q.schedule_at(6, [&seen] { seen.push_back(-1); });
+    EXPECT_EQ(static_cast<uint32_t>(second), static_cast<uint32_t>(first));
+    EXPECT_EQ(token.use_count(), 2);
+    seen.push_back(*token);
+  });
+  q.run_all();
+  EXPECT_EQ(seen, (std::vector<int>{42, -1}));
+  EXPECT_NE(first, second);  // same slot, next generation
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --------------------------------------------------------- ThreadPool ----

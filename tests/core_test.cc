@@ -8,7 +8,9 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "baselines/baseline_policies.h"
 #include "core/harness.h"
@@ -366,6 +368,79 @@ TEST(TenantApi, ViewsAreConsistentAcrossAccessors) {
   ServingHarness h(o);
   const auto m = h.run(c, false);
   EXPECT_GT(m.overall_throughput(), 0.0);
+}
+
+/// The view `got` still holds exactly what was copied into `want`.
+void expect_same_views(std::span<const ServingSim::JobView> got,
+                       const std::vector<ServingSim::JobView>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].tenant, want[i].tenant);
+    EXPECT_EQ(got[i].qos, want[i].qos);
+    EXPECT_EQ(got[i].arrival, want[i].arrival);
+    EXPECT_EQ(got[i].next_kernel, want[i].next_kernel);
+    EXPECT_EQ(got[i].in_flight, want[i].in_flight);
+    EXPECT_EQ(got[i].evicting, want[i].evicting);
+  }
+}
+
+TEST(TenantApi, ViewsStayIntactAcrossEachOthersCalls) {
+  // jobs(), waiting_jobs() and running_infos() return spans into buffers
+  // the sim refills on each call, one per accessor and class: within one
+  // plan, every view survives the other accessors' calls.
+  size_t plans_with_every_view = 0;
+  FnController c([&](const SimView& view) {
+    const auto copy = [](auto v) { return std::vector(v.begin(), v.end()); };
+    const auto ls_waiting = view.waiting_jobs(QosClass::kLatencySensitive);
+    const auto ls_waiting_copy = copy(ls_waiting);
+    const auto be_waiting = view.waiting_jobs(QosClass::kBestEffort);
+    const auto be_waiting_copy = copy(be_waiting);
+    const auto ls_jobs = view.jobs(QosClass::kLatencySensitive);
+    const auto ls_jobs_copy = copy(ls_jobs);
+    const auto be_jobs = view.jobs(QosClass::kBestEffort);
+    const auto be_jobs_copy = copy(be_jobs);
+    const auto running = view.running_infos();
+    const auto running_copy = copy(running);
+    expect_same_views(ls_waiting, ls_waiting_copy);
+    expect_same_views(be_waiting, be_waiting_copy);
+    expect_same_views(ls_jobs, ls_jobs_copy);
+    expect_same_views(be_jobs, be_jobs_copy);
+    EXPECT_EQ(running.size(), running_copy.size());
+    for (size_t i = 0; i < std::min(running.size(), running_copy.size());
+         ++i) {
+      EXPECT_EQ(running[i].kernel, running_copy[i].kernel);
+      EXPECT_EQ(running[i].tpc_mask, running_copy[i].tpc_mask);
+      EXPECT_EQ(running[i].channels, running_copy[i].channels);
+      EXPECT_EQ(running[i].tag, running_copy[i].tag);
+      EXPECT_EQ(running[i].started, running_copy[i].started);
+      EXPECT_EQ(running[i].rate, running_copy[i].rate);
+    }
+    plans_with_every_view += !ls_waiting.empty() && !be_waiting.empty() &&
+                             !ls_jobs.empty() && !be_jobs.empty() &&
+                             !running.empty();
+    // One kernel per class at a time, so waiting entries pile up.
+    ResourcePlan p;
+    if (view.inflight(QosClass::kLatencySensitive) == 0 &&
+        !ls_waiting.empty()) {
+      p.launch(ls_waiting.front().id, Allocation::all());
+    }
+    if (view.inflight(QosClass::kBestEffort) == 0 && !be_waiting.empty()) {
+      p.launch(be_waiting.front().id, Allocation::all());
+    }
+    return p;
+  });
+  HarnessOptions o;
+  o.spec = small_spec();
+  o.ls_letters = "AB";
+  o.be_letters = "IJ";
+  o.utilization = 0.6;
+  o.duration = 100 * kNsPerMs;
+  o.seed = 7;
+  ServingHarness h(o);
+  const auto m = h.run(c, false);
+  EXPECT_GT(m.overall_throughput(), 0.0);
+  EXPECT_GT(plans_with_every_view, 0u);
 }
 
 TEST(TenantApi, RoundRobinExposesOneBeJobConcurrentExposesAll) {

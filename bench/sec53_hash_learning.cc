@@ -30,7 +30,7 @@ int main() {
     PipelineOptions opt;
     opt.samples = 15000;  // the paper's campaign size
     opt.hidden = {96, 48};
-    opt.train.epochs = 60;
+    opt.epochs = 60;
     HashCracker cracker(dev, opt);
     const auto report = cracker.run();
 

@@ -31,7 +31,7 @@ int main() {
   PipelineOptions opt;
   opt.samples = 8000;
   opt.hidden = {64, 32};
-  opt.train.epochs = 50;
+  opt.epochs = 50;
   HashCracker cracker(dev, opt);
   const auto report = cracker.run();
 

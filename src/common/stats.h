@@ -141,7 +141,6 @@ class CategoryHistogram {
     ++total_;
   }
 
-  size_t categories() const { return counts_.size(); }
   uint64_t count(size_t category) const { return counts_.at(category); }
   uint64_t total() const { return total_; }
 

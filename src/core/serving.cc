@@ -244,7 +244,7 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
     // A BE loop that registered straight into the paged degraded mode
     // restreams its weights before the first batch; rotate_be charges
     // the per-batch restream from then on.
-    hold_job_for_paging(jobs_.back().id, mem_->page_penalty(t));
+    hold_job_for_paging(jobs_.back(), mem_->page_penalty(t));
   }
   return t;
 }
@@ -627,16 +627,17 @@ void ServingSim::apply_memory_gates(Job& job) {
         metrics_.tenants[job.tenant].paged_requests +=
             job.batch.empty() ? 1 : job.batch.size();
       }
-      hold_job_for_paging(job.id, mem_->page_penalty(job.tenant));
+      hold_job_for_paging(job, mem_->page_penalty(job.tenant));
       return;
     }
   }
 }
 
-void ServingSim::hold_job_for_paging(JobId id, TimeNs penalty) {
-  held_jobs_.insert(id);
-  queue_.schedule_after(penalty, [this, id] {
-    held_jobs_.erase(id);
+void ServingSim::hold_job_for_paging(Job& job, TimeNs penalty) {
+  job.held = true;
+  queue_.schedule_after(penalty, [this, id = job.id] {
+    // The job may have left the system while it was held.
+    if (Job* j = job_ptr(id)) j->held = false;
     poke();
   });
 }
@@ -673,8 +674,7 @@ void ServingSim::request_weights(TenantId t) {
       // The replica just degraded cold → paged: every job it already has
       // in the system pays the per-request restream before launching.
       for (auto& j : jobs_) {
-        if (j.tenant != t || !j.frontier.running.empty() ||
-            held_jobs_.count(j.id)) {
+        if (j.tenant != t || !j.frontier.running.empty() || j.held) {
           continue;
         }
         j.cold = true;
@@ -682,7 +682,7 @@ void ServingSim::request_weights(TenantId t) {
           metrics_.tenants[t].paged_requests +=
               j.batch.empty() ? 1 : j.batch.size();
         }
-        hold_job_for_paging(j.id, touch.delay);
+        hold_job_for_paging(j, touch.delay);
       }
       break;
     case memory::MemoryManager::Touch::Kind::kReady:
@@ -702,7 +702,7 @@ bool ServingSim::memory_ready(const Job& j) const {
     default:
       break;
   }
-  return held_jobs_.empty() || held_jobs_.count(j.id) == 0;
+  return !j.held;
 }
 
 bool ServingSim::visible(const Job& j) const {
@@ -909,7 +909,7 @@ void ServingSim::rotate_be(Job& job) {
     // Paged BE tenant: every batch restreams the weights through the
     // UVM window before its next launch.
     if (!stopped_) ++metrics_.tenants[job.tenant].paged_requests;
-    hold_job_for_paging(job.id, mem_->page_penalty(job.tenant));
+    hold_job_for_paging(job, mem_->page_penalty(job.tenant));
   }
 }
 

@@ -22,7 +22,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -394,6 +393,9 @@ class ServingSim {
     /// request latencies are also recorded into TenantMetrics::
     /// cold_latency (the cold-start tail).
     bool cold = false;
+    /// Serving out a demand-paging penalty: invisible until its hold
+    /// event fires.
+    bool held = false;
   };
 
   /// Per-LS-tenant request state: the assembly queue, the closed batches
@@ -497,7 +499,7 @@ class ServingSim {
   /// Tag a freshly created job cold/paged and, for paged replicas,
   /// schedule its per-request demand-paging penalty.
   void apply_memory_gates(Job& job);
-  void hold_job_for_paging(JobId id, TimeNs penalty);
+  void hold_job_for_paging(Job& job, TimeNs penalty);
 
   ServingConfig cfg_;
   std::vector<TenantSpec> tenants_;
@@ -513,9 +515,6 @@ class ServingSim {
   /// Null unless memory virtualization is on AND the device's VRAM is
   /// modeled (effective_vram() > 0).
   std::unique_ptr<memory::MemoryManager> mem_;
-  /// Jobs serving out a demand-paging penalty (invisible until their
-  /// hold event fires).
-  std::set<JobId> held_jobs_;
   workload::ServingMetrics metrics_;
 
   std::deque<Job> jobs_;                 // BE loops first, then LS jobs

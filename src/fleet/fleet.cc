@@ -222,7 +222,11 @@ FleetMetrics FleetSim::run(const std::vector<Request>& trace) {
     SGDRC_REQUIRE(r.service < ls_fleet_tenants_.size(),
                   "request for unknown fleet service");
     if (r.arrival >= cfg_.duration) continue;
-    dispatch_.schedule_at(r.arrival, [this, r] { dispatch(r); });
+    // The event fires at the arrival, so now() restores it and the
+    // closure stays two words, which std::function stores in place.
+    dispatch_.schedule_at(r.arrival, [this, service = r.service] {
+      dispatch({dispatch_.now(), service});
+    });
   }
   run_until(cfg_.duration);
   return finish();

@@ -60,7 +60,6 @@ class AddressMapping {
   unsigned group_of_channel(unsigned channel) const {
     return channel / group_size_;
   }
-  unsigned group_size() const { return group_size_; }
 
  private:
   unsigned permutation_channel(PhysAddr pa) const;

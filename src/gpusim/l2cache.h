@@ -53,8 +53,7 @@ class L2Cache {
     }
     ++misses_;
     if (noise_rate_ > 0.0 && noise_rng_.bernoulli(noise_rate_)) {
-      ++bypasses_;  // black-box policy decided not to allocate
-      return false;
+      return false;  // black-box policy decided not to allocate
     }
     tags_[victim] = tag;
     stamps_[victim] = tick_;
@@ -82,7 +81,6 @@ class L2Cache {
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  uint64_t bypasses() const { return bypasses_; }
 
  private:
   static constexpr uint64_t kInvalid = ~uint64_t{0};
@@ -97,7 +95,6 @@ class L2Cache {
   uint64_t tick_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t bypasses_ = 0;
 };
 
 }  // namespace sgdrc::gpusim

@@ -113,13 +113,13 @@ bool ConflictProber::is_dram_bank_conflicted(PhysAddr a0, PhysAddr a1) {
 }
 
 std::vector<PhysAddr> ConflictProber::find_dram_conflict_addrs(
-    PhysAddr addr, size_t need, uint64_t scan_limit) {
+    PhysAddr addr, size_t need) {
   SGDRC_REQUIRE(calibrated_, "calibrate() before probing");
   std::vector<PhysAddr> out;
   uint64_t scanned = 0;
   arena_.for_each_partition(
       gpusim::partition_of(addr) + 1, [&](PhysAddr pa) {
-        if (++scanned > scan_limit || out.size() >= need) return false;
+        if (++scanned > kScanLimit || out.size() >= need) return false;
         if (is_dram_bank_conflicted(addr, pa)) out.push_back(pa);
         return true;
       });

@@ -43,11 +43,14 @@ class ConflictProber {
   /// Algorithm 1. Both addresses must lie inside the arena.
   bool is_dram_bank_conflicted(gpusim::PhysAddr a0, gpusim::PhysAddr a1);
 
+  /// Candidate partitions find_dram_conflict_addrs() inspects at most.
+  static constexpr uint64_t kScanLimit = 2'000'000;
+
   /// Scan physical partitions after `addr` until `need` DRAM-bank-conflict
-  /// addresses are found (Algorithm 3 step 1). `scan_limit` bounds the
-  /// number of candidate partitions inspected.
-  std::vector<gpusim::PhysAddr> find_dram_conflict_addrs(
-      gpusim::PhysAddr addr, size_t need, uint64_t scan_limit = 2'000'000);
+  /// addresses are found (Algorithm 3 step 1), or kScanLimit candidates
+  /// have been inspected.
+  std::vector<gpusim::PhysAddr> find_dram_conflict_addrs(gpusim::PhysAddr addr,
+                                                         size_t need);
 
   /// Algorithm 2: collect up to `max_iter` distinct L2-conflicting
   /// addresses for `addr` by repeated binary search.

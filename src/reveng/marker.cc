@@ -14,21 +14,20 @@ using gpusim::kPartitionBytes;
 using gpusim::PhysAddr;
 
 ChannelMarker::ChannelMarker(ProbeArena& arena, ConflictProber& prober,
-                             MarkerOptions options)
-    : arena_(arena), prober_(prober), opt_(options), rng_(options.seed) {}
+                             uint64_t seed)
+    : arena_(arena), prober_(prober), rng_(seed) {}
 
 void ChannelMarker::build(unsigned num_channels) {
   SGDRC_REQUIRE(num_channels >= 2, "need at least two channels");
   SGDRC_REQUIRE(fill_sets_.empty(), "marker already built");
 
-  const auto& spec = arena_.device().spec();
-  size_t fill_partitions = opt_.fill_partitions;
-  if (fill_partitions == 0) {
-    // 2× slice coverage: slice lines / lines-per-partition × 2.
-    const uint64_t slice_lines = spec.l2_slice_bytes() / kCachelineBytes;
-    fill_partitions = static_cast<size_t>(
-        2 * slice_lines / (kPartitionBytes / kCachelineBytes));
-  }
+  // Partitions harvested per channel fill set. The fill set must cover
+  // the channel's L2 slice with slack: 2× coverage, i.e. slice lines /
+  // lines-per-partition × 2.
+  const uint64_t slice_lines =
+      arena_.device().spec().l2_slice_bytes() / kCachelineBytes;
+  const size_t fill_partitions = static_cast<size_t>(
+      2 * slice_lines / (kPartitionBytes / kCachelineBytes));
 
   const uint64_t arena_parts = arena_.bytes() >> gpusim::kPartitionBits;
   uint64_t seed_cursor = 0;
@@ -57,8 +56,8 @@ void ChannelMarker::build(unsigned num_channels) {
 
     // Harvest same-channel partitions via DRAM bank conflicts (Algo 1/3),
     // then expand every partition into its 8 cachelines.
-    std::vector<PhysAddr> partitions = prober_.find_dram_conflict_addrs(
-        seed_pa, fill_partitions, opt_.scan_limit);
+    std::vector<PhysAddr> partitions =
+        prober_.find_dram_conflict_addrs(seed_pa, fill_partitions);
     partitions.push_back(seed_pa);
     SGDRC_CHECK(partitions.size() >= fill_partitions / 2,
                 "could not harvest enough conflict addresses; "
@@ -89,7 +88,7 @@ std::optional<unsigned> ChannelMarker::label_single_trial(PhysAddr addr) {
 
 std::optional<unsigned> ChannelMarker::label(PhysAddr addr,
                                              unsigned repeats) {
-  if (repeats == 0) repeats = opt_.default_repeats;
+  SGDRC_REQUIRE(repeats > 0, "label() needs at least one vote");
   std::map<unsigned, unsigned> votes;
   for (unsigned r = 0; r < repeats; ++r) {
     if (const auto c = label_single_trial(addr)) ++votes[*c];

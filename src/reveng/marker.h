@@ -30,21 +30,13 @@
 
 namespace sgdrc::reveng {
 
-struct MarkerOptions {
-  /// Partitions harvested per channel fill set. The fill set must cover
-  /// the channel's L2 slice with slack: lines = partitions × 8.
-  size_t fill_partitions = 0;  // 0 = derive from slice size (2× coverage)
-  /// Candidate partitions examined per channel while harvesting.
-  uint64_t scan_limit = 2'000'000;
-  /// Majority votes per label() call.
-  unsigned default_repeats = 3;
-  uint64_t seed = 0x3a27;
-};
-
 class ChannelMarker {
  public:
+  /// Majority votes per label() call.
+  static constexpr unsigned kMajorityVotes = 3;
+
   ChannelMarker(ProbeArena& arena, ConflictProber& prober,
-                MarkerOptions options = {});
+                uint64_t seed = 0x3a27);
 
   /// Discover `num_channels` channels and build their fill sets.
   /// `num_channels` comes from public specs (Tab. 1: bus width / 32).
@@ -58,7 +50,7 @@ class ChannelMarker {
   /// Label the (discovered) channel of `addr`; nullopt when no channel
   /// wins the majority (rare, noise-dominated probes).
   std::optional<unsigned> label(gpusim::PhysAddr addr,
-                                unsigned repeats = 0);
+                                unsigned repeats = kMajorityVotes);
 
   /// One un-denoised probe — what FGPU-style single-shot sampling sees.
   std::optional<unsigned> label_single_trial(gpusim::PhysAddr addr);
@@ -66,7 +58,6 @@ class ChannelMarker {
  private:
   ProbeArena& arena_;
   ConflictProber& prober_;
-  MarkerOptions opt_;
   Rng rng_;
   std::vector<std::vector<gpusim::PhysAddr>> fill_sets_;
 };

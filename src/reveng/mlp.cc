@@ -18,12 +18,6 @@ void Mlp::encode_pa(gpusim::PhysAddr pa, float* out) {
   }
 }
 
-std::vector<float> Mlp::encode_pa(gpusim::PhysAddr pa) {
-  std::vector<float> v(kAddressFeatures);
-  encode_pa(pa, v.data());
-  return v;
-}
-
 Mlp::Mlp(std::vector<size_t> layers, uint64_t seed)
     : layers_(std::move(layers)) {
   SGDRC_REQUIRE(layers_.size() >= 2, "need at least input and output layers");
@@ -142,23 +136,19 @@ double Mlp::train(const std::vector<float>& x, const std::vector<int>& y,
       for (size_t l = 0; l < net_.size(); ++l) {
         Layer& lay = net_[l];
         for (size_t i = 0; i < lay.w.size(); ++i) {
-          lay.vw[i] = static_cast<float>(opt.momentum) * lay.vw[i] -
+          lay.vw[i] = static_cast<float>(kMomentum) * lay.vw[i] -
                       static_cast<float>(lr) * gw[l][i];
           lay.w[i] += lay.vw[i] -
-                      static_cast<float>(lr * opt.weight_decay) * lay.w[i];
+                      static_cast<float>(lr * kWeightDecay) * lay.w[i];
         }
         for (size_t o = 0; o < lay.out; ++o) {
-          lay.vb[o] = static_cast<float>(opt.momentum) * lay.vb[o] -
+          lay.vb[o] = static_cast<float>(kMomentum) * lay.vb[o] -
                       static_cast<float>(lr) * gb[l][o];
           lay.b[o] += lay.vb[o];
         }
       }
     }
-    lr *= opt.lr_decay;
-    if (opt.verbose && (epoch + 1) % 10 == 0) {
-      std::fprintf(stderr, "[mlp] epoch %zu/%zu acc=%.4f\n", epoch + 1,
-                   opt.epochs, accuracy(x, y));
-    }
+    lr *= kLrDecay;
   }
   return accuracy(x, y);
 }
@@ -193,12 +183,6 @@ double Mlp::accuracy(const std::vector<float>& x,
   for (size_t i = 0; i < y.size(); ++i) ok += pred[i] == y[i];
   return y.empty() ? 0.0
                    : static_cast<double>(ok) / static_cast<double>(y.size());
-}
-
-std::vector<float> Mlp::logits(const float* x) const {
-  std::vector<std::vector<float>> acts;
-  forward(x, acts);
-  return acts.back();
 }
 
 }  // namespace sgdrc::reveng

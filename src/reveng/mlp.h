@@ -21,12 +21,14 @@ class Mlp {
     size_t epochs = 80;
     size_t batch = 32;
     double lr = 0.02;
-    double momentum = 0.9;
-    double weight_decay = 1e-5;
-    double lr_decay = 0.99;  // multiplicative per epoch
     uint64_t seed = 0x7ea0;
-    bool verbose = false;
   };
+
+  /// The optimizer train() runs: SGD with momentum, decoupled weight
+  /// decay and a per-epoch learning-rate decay.
+  static constexpr double kMomentum = 0.9;
+  static constexpr double kWeightDecay = 1e-5;
+  static constexpr double kLrDecay = 0.99;  // multiplicative per epoch
 
   /// `layers` = {input, hidden..., output}; e.g. {25, 128, 64, 12}.
   Mlp(std::vector<size_t> layers, uint64_t seed);
@@ -44,14 +46,10 @@ class Mlp {
   double accuracy(const std::vector<float>& x,
                   const std::vector<int>& y) const;
 
-  /// Raw output scores (pre-softmax) for one sample.
-  std::vector<float> logits(const float* x) const;
-
   /// Feature encoding used throughout: hash-input bits 10..34 of the
   /// physical address as ±1 values (25 features, Fig. 10's hash window).
   static constexpr size_t kAddressFeatures = 25;
   static void encode_pa(gpusim::PhysAddr pa, float* out);
-  static std::vector<float> encode_pa(gpusim::PhysAddr pa);
 
  private:
   struct Layer {

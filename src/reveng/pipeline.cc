@@ -1,9 +1,10 @@
 #include "reveng/pipeline.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "reveng/marker.h"
 
 namespace sgdrc::reveng {
 
@@ -15,78 +16,68 @@ HashCracker::HashCracker(gpusim::GpuDevice& dev, PipelineOptions opt)
 
 HashCracker::~HashCracker() = default;
 
-ChannelMarker& HashCracker::marker() {
-  SGDRC_REQUIRE(marker_ != nullptr, "run() the pipeline first");
-  return *marker_;
-}
-
-const Mlp& HashCracker::model() const {
-  SGDRC_REQUIRE(model_ != nullptr, "run() the pipeline first");
-  return *model_;
-}
-
 PipelineReport HashCracker::run() {
   PipelineReport report;
-  Rng rng(opt_.seed);
+  Rng rng(kSeed);
 
   // --- Stage 1: arena + calibration (§5.1, [30]-style micro-benchmarks).
-  arena_ = std::make_unique<ProbeArena>(dev_, opt_.arena_fraction);
-  prober_ = std::make_unique<ConflictProber>(*arena_);
-  report.calibration = prober_->calibrate(4096, rng.next_u64());
+  // A rerun frees the previous arena first: two of them do not fit.
+  arena_.reset();
+  arena_ = std::make_unique<ProbeArena>(dev_);
+  ConflictProber prober(*arena_);
+  report.calibration = prober.calibrate(4096, rng.next_u64());
 
   // --- Stage 2: channel discovery. The channel count is public data
   // (Tab. 1: bus width / per-GDDR width, cross-validated by PCB photos).
   const unsigned channels =
       dev_.spec().vram_bus_width_bits / dev_.spec().bus_width_per_gddr_bits;
-  MarkerOptions mopt;
-  mopt.default_repeats = opt_.label_repeats;
-  mopt.seed = rng.next_u64();
-  marker_ = std::make_unique<ChannelMarker>(*arena_, *prober_, mopt);
-  marker_->build(channels);
+  ChannelMarker marker(*arena_, prober, rng.next_u64());
+  marker.build(channels);
   report.channels = channels;
 
-  // --- Stage 3: sample campaign with majority denoising.
-  samples_.clear();
-  samples_.reserve(opt_.samples);
+  // --- Stage 3: sample campaign with majority denoising. Labels are
+  // discovered channel ids.
+  std::vector<std::pair<PhysAddr, unsigned>> samples;
+  samples.reserve(opt_.samples);
   const uint64_t arena_parts = arena_->bytes() >> gpusim::kPartitionBits;
   size_t single_disagree = 0, single_total = 0;
-  while (samples_.size() < opt_.samples) {
+  while (samples.size() < opt_.samples) {
     const gpusim::VirtAddr va =
         arena_->base() + rng.uniform_u64(arena_parts) * kPartitionBytes;
     const PhysAddr pa = dev_.pa_of(va);
-    const auto majority = marker_->label(pa);
+    const auto majority = marker.label(pa);
     if (!majority) {
       ++report.samples_unlabeled;
       continue;
     }
-    samples_.emplace_back(pa, *majority);
+    samples.emplace_back(pa, *majority);
     // Estimate raw single-probe noise on a subsample.
-    if (samples_.size() % 16 == 0) {
+    if (samples.size() % 16 == 0) {
       ++single_total;
-      const auto single = marker_->label_single_trial(pa);
+      const auto single = marker.label_single_trial(pa);
       single_disagree += !single || *single != *majority;
     }
   }
-  report.samples_collected = samples_.size();
+  report.samples_collected = samples.size();
   report.single_trial_noise =
       single_total ? static_cast<double>(single_disagree) /
                          static_cast<double>(single_total)
                    : 0.0;
 
   // --- Stage 4: train the DNN on bits 10..34 → discovered channel id.
-  std::vector<size_t> order(samples_.size());
+  std::vector<size_t> order(samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.shuffle(order);
   const size_t holdout = static_cast<size_t>(
-      static_cast<double>(samples_.size()) * opt_.holdout_fraction);
-  const size_t train_n = samples_.size() - holdout;
+      static_cast<double>(samples.size()) * kHoldoutFraction);
+  const size_t train_n = samples.size() - holdout;
 
   std::vector<float> train_x(train_n * Mlp::kAddressFeatures);
   std::vector<int> train_y(train_n);
   std::vector<float> hold_x(holdout * Mlp::kAddressFeatures);
   std::vector<int> hold_y(holdout);
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    const auto& [pa, label] = samples_[order[i]];
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const auto& [pa, label] = samples[order[i]];
     if (i < train_n) {
       Mlp::encode_pa(pa, &train_x[i * Mlp::kAddressFeatures]);
       train_y[i] = static_cast<int>(label);
@@ -101,12 +92,13 @@ PipelineReport HashCracker::run() {
   arch.insert(arch.end(), opt_.hidden.begin(), opt_.hidden.end());
   arch.push_back(channels);
   model_ = std::make_unique<Mlp>(arch, rng.next_u64());
-  Mlp::TrainOptions topt = opt_.train;
+  Mlp::TrainOptions topt;
+  topt.epochs = opt_.epochs;
   topt.seed = rng.next_u64();
   model_->train(train_x, train_y, topt);
   report.holdout_accuracy =
       holdout ? model_->accuracy(hold_x, hold_y) : 1.0;
-  report.probes = prober_->probe_count();
+  report.probes = prober.probe_count();
   return report;
 }
 

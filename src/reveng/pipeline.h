@@ -9,25 +9,19 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "gpusim/device.h"
 #include "reveng/conflict.h"
 #include "reveng/lut.h"
-#include "reveng/marker.h"
 #include "reveng/mlp.h"
 
 namespace sgdrc::reveng {
 
 struct PipelineOptions {
-  size_t samples = 15000;        // paper's §5.3 sample budget
-  unsigned label_repeats = 3;    // majority votes per sample
-  double arena_fraction = 0.9;
-  std::vector<size_t> hidden = {128, 64};
-  Mlp::TrainOptions train;
-  double holdout_fraction = 0.1;
-  uint64_t seed = 0x5a1e;
+  size_t samples = 15000;                      // paper's §5.3 sample budget
+  std::vector<size_t> hidden = {128, 64};      // DNN hidden-layer widths
+  size_t epochs = Mlp::TrainOptions{}.epochs;  // DNN training epochs
 };
 
 struct PipelineReport {
@@ -42,34 +36,29 @@ struct PipelineReport {
 
 class HashCracker {
  public:
+  /// Share of the labelled samples held out to score the DNN.
+  static constexpr double kHoldoutFraction = 0.1;
+  /// Seeds every random draw of run(), in a fixed order.
+  static constexpr uint64_t kSeed = 0x5a1e;
+
   HashCracker(gpusim::GpuDevice& dev, PipelineOptions opt = {});
   ~HashCracker();
 
-  /// Run the full campaign. Idempotent: reruns retrain from scratch.
+  /// Run the full campaign. A rerun frees the previous run's arena, maps
+  /// a fresh one and retrains from scratch.
   PipelineReport run();
-
-  const Mlp& model() const;
 
   /// Batch-infer a lookup table over [start_pa, end_pa).
   ChannelLut build_lut(gpusim::PhysAddr start_pa,
                        gpusim::PhysAddr end_pa) const;
 
-  /// The labelled samples — discovered-id space — e.g. for feeding the
-  /// FGPU baseline solver.
-  const std::vector<std::pair<gpusim::PhysAddr, unsigned>>& samples() const {
-    return samples_;
-  }
-
-  ChannelMarker& marker();
-
  private:
   gpusim::GpuDevice& dev_;
   PipelineOptions opt_;
+  /// Held until the next run() or destruction: the arena's VRAM stays
+  /// allocated, and later allocations on the device see it.
   std::unique_ptr<ProbeArena> arena_;
-  std::unique_ptr<ConflictProber> prober_;
-  std::unique_ptr<ChannelMarker> marker_;
   std::unique_ptr<Mlp> model_;
-  std::vector<std::pair<gpusim::PhysAddr, unsigned>> samples_;
 };
 
 }  // namespace sgdrc::reveng

@@ -31,7 +31,7 @@ TEST(FullStack, LearnedLutDrivesChannelIsolation) {
   reveng::PipelineOptions popt;
   popt.samples = 5000;
   popt.hidden = {64, 32};
-  popt.train.epochs = 50;
+  popt.epochs = 50;
   reveng::HashCracker cracker(dev, popt);
   const auto report = cracker.run();
   ASSERT_GT(report.holdout_accuracy, 0.95);

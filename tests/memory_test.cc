@@ -2,8 +2,9 @@
 // accounting (the reservation substrate), the MemoryManager residency
 // state machine (cold starts, LRU-vs-FIFO eviction, quota protection,
 // trespass counting, oversubscribed paging), the serving-layer wiring
-// (cold-start gating, the vram_bytes == 0 unmodeled regression), and
-// fleet-level determinism of memory-enabled scenario runs.
+// (cold-start gating, paging holds, the vram_bytes == 0 unmodeled
+// regression), and fleet-level determinism of memory-enabled scenario
+// runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -396,6 +397,42 @@ TEST(ServingMemory, FirstRequestPaysTheColdStartLoad) {
       MemoryManager(z.spec.vram_bytes, mem, 0).load_time(
           z.ls_a.weight_bytes()));
   EXPECT_GE(t0.cold_latency.max(), load_ns);
+}
+
+TEST(ServingMemory, PagedRequestsRunAfterTheirRestream) {
+  // A's and B's weights never fit together in 12 MiB, so with
+  // oversubscription a replica that finds no legal victim degrades to
+  // demand paging: each of its requests is held for the restream, then
+  // runs. Every request is still served.
+  const auto& z = szoo();
+  MemoryOptions mem = enabled_options();
+  mem.oversubscribe = true;
+  mem.vram_bytes_override = 12 * kMiB;
+  core::SgdrcPolicy policy(z.spec);
+  auto sim = core::ServingSimBuilder()
+                 .gpu(z.spec)
+                 .duration(200 * kNsPerMs)
+                 .slo_multiplier(50.0)
+                 .memory(mem)
+                 .add_latency_sensitive(z.ls_a, z.iso_a)
+                 .add_latency_sensitive(z.ls_b, z.iso_b)
+                 .build(policy);
+  // A every 2 ms from 0 (40 requests), B every 8 ms from 10 ms (10).
+  std::vector<workload::Request> trace;
+  for (TimeNs ms = 0; ms <= 82; ++ms) {
+    if (ms % 2 == 0 && ms < 80) trace.push_back({ms * kNsPerMs, 0});
+    if (ms >= 10 && (ms - 10) % 8 == 0) trace.push_back({ms * kNsPerMs, 1});
+  }
+  const auto m = sim->run(trace);
+  EXPECT_EQ(m.tenants[0].served, 40u);
+  EXPECT_EQ(m.tenants[1].served, 10u);
+  EXPECT_GT(m.tenants[0].paged_requests, 0u);
+  // Most of B's cold requests paged, so their median waited out the
+  // restream before running for at least the isolated latency.
+  const auto& b = m.tenants[1];
+  ASSERT_GT(2 * b.paged_requests, b.cold_latency.count());
+  EXPECT_GE(b.cold_latency.p50(),
+            static_cast<double>(sim->memory()->page_penalty(1) + z.iso_b));
 }
 
 TEST(ServingMemory, ZeroVramMeansUnmodeledNotInstantOom) {

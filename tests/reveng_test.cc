@@ -204,6 +204,15 @@ TEST(ChannelMarker, LabelsAgreeWithOracle) {
   EXPECT_EQ(ok, 300);  // noise-free part: marking is exact
 }
 
+TEST(ChannelMarker, RejectsZeroVotes) {
+  // No vote, no majority: zero repeats is a caller error.
+  GpuDevice dev(gpusim::test_gpu(), 13);
+  ProbeArena arena(dev, 0.25);
+  ConflictProber prober(arena);
+  ChannelMarker marker(arena, prober);
+  EXPECT_THROW(marker.label(dev.pa_of(arena.base()), 0), ConfigError);
+}
+
 TEST(ChannelMarker, MajorityDenoisesNoisyGpu) {
   GpuDevice dev(noisy_test_gpu(0.05), 17);
   ProbeArena arena(dev, 0.9);
@@ -452,15 +461,40 @@ TEST(HashCracker, EndToEndOnCleanPart) {
   PipelineOptions opt;
   opt.samples = 6000;
   opt.hidden = {64, 32};
-  opt.train.epochs = 60;
+  opt.epochs = 60;
   HashCracker cracker(dev, opt);
   const auto report = cracker.run();
   EXPECT_EQ(report.channels, dev.spec().num_channels);
   EXPECT_EQ(report.samples_collected, 6000u);
   EXPECT_GT(report.holdout_accuracy, 0.97);
+  // Exact values pin the campaign: a change to its probes, its seeds or
+  // the order of its random draws moves at least one of them.
+  EXPECT_EQ(report.calibration.l2_hit_ns, TimeNs{160});
+  EXPECT_EQ(report.calibration.l2_miss_ns, TimeNs{490});
+  EXPECT_EQ(report.calibration.l2_miss_threshold, TimeNs{325});
+  EXPECT_EQ(report.calibration.pair_baseline_ns, TimeNs{490});
+  EXPECT_EQ(report.calibration.bank_conflict_threshold, TimeNs{660});
+  EXPECT_EQ(report.samples_unlabeled, 3u);
+  EXPECT_EQ(report.probes, 47'470'958u);
+  EXPECT_EQ(report.holdout_accuracy, 1.0);
 
   const auto lut = cracker.build_lut(0, 64ull << 20);
   EXPECT_GT(lut_oracle_accuracy(lut, dev.oracle(), 5000, 1), 0.97);
+}
+
+TEST(HashCracker, SecondRunRetrainsFromScratch) {
+  // Each run maps a probe arena over 90% of VRAM, so a rerun must free
+  // the previous one first.
+  GpuDevice dev(gpusim::test_gpu(), 51);
+  PipelineOptions opt;
+  opt.samples = 500;
+  opt.hidden = {16};
+  opt.epochs = 2;
+  HashCracker cracker(dev, opt);
+  cracker.run();
+  const auto report = cracker.run();
+  EXPECT_EQ(report.samples_collected, 500u);
+  EXPECT_EQ(report.channels, dev.spec().num_channels);
 }
 
 TEST(HashCracker, SurvivesAmpereNoise) {
@@ -468,7 +502,7 @@ TEST(HashCracker, SurvivesAmpereNoise) {
   PipelineOptions opt;
   opt.samples = 6000;
   opt.hidden = {64, 32};
-  opt.train.epochs = 60;
+  opt.epochs = 60;
   HashCracker cracker(dev, opt);
   const auto report = cracker.run();
   EXPECT_GT(report.single_trial_noise, 0.0);  // raw probes are noisy

@@ -1,9 +1,10 @@
-// Ablations of SGDRC's design choices (DESIGN.md §4):
+// Ablations of SGDRC's tunables (SgdrcOptions), one table each, on the
+// RTX A2000 under heavy load:
 //  * ChBE sweep — the BE channel share trades LS tail latency against BE
 //    throughput (§6 fixes 1/3);
 //  * sliding-window length — SM reservation depth (§7.1);
-//  * monopolisation (tide-out promotion) on/off — the dynamic half of
-//    "dynamic resource control".
+//  * reserve-decay interval — how fast the SM reservation ebbs once LS
+//    demand falls (the tide's inertia).
 #include <cstdio>
 
 #include "common/table.h"

@@ -28,11 +28,12 @@ int main() {
   row("VRAM bus width (bit)", [](const GpuSpec& s) {
     return std::to_string(s.vram_bus_width_bits);
   });
-  row("Bus width per GDDR unit (bit)", [](const GpuSpec& s) {
-    return std::to_string(s.bus_width_per_gddr_bits);
+  row("Bus width per GDDR unit (bit)", [](const GpuSpec&) {
+    return std::to_string(GpuSpec::kBusWidthPerGddrBits);
   });
   row("# VRAM channels (spec rule)", [](const GpuSpec& s) {
-    return std::to_string(s.vram_bus_width_bits / s.bus_width_per_gddr_bits);
+    return std::to_string(s.vram_bus_width_bits /
+                          GpuSpec::kBusWidthPerGddrBits);
   });
   // Measured: count the distinct channels the hidden mapping produces
   // over a VRAM sample — what the probing campaign observes.

@@ -15,8 +15,8 @@ int main() {
   TextTable t({"GPU", "Min gran. (KiB)", "Max gran. (KiB)",
                "# contiguous channels", "# channels"});
   for (const GpuSpec& s : {gtx1080(), tesla_p40(), rtx_a2000()}) {
-    t.add_row({s.name, std::to_string(coloring::min_granularity_kib(s)),
-               std::to_string(coloring::max_granularity_kib(s)),
+    t.add_row({s.name, std::to_string(s.min_coloring_granularity_kib()),
+               std::to_string(s.max_coloring_granularity_kib()),
                std::to_string(s.channel_group_size),
                std::to_string(s.num_channels)});
   }

@@ -76,8 +76,10 @@ int main() {
 
   // The vGPU: three quarters of the TPCs hard-reserved, 60% of the VRAM
   // channels, top launch priority. The rest is the flood's residual.
-  const control::VgpuSpec vgpu =
-      control::guaranteed_vgpu((options.spec.num_tpcs * 3) / 4, 0.6, 1.0, 1);
+  const control::VgpuSpec vgpu{
+      .guaranteed_tpcs = (options.spec.num_tpcs * 3) / 4,
+      .channel_share = 0.6,
+      .priority = 1};
 
   auto build = [&](control::Controller& controller, bool quota, bool spt) {
     ServingSimBuilder b;

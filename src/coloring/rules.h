@@ -3,6 +3,7 @@
 //   2. maximum granularity = (max # contiguous VRAM channels) KiB;
 //   3. allocating 2^N channels → granularity min(2^N, maximum) KiB;
 //   4. allocating a non-power-of-two channel count → granularity 1 KiB.
+// Rules 1 and 2 are GpuSpec::min_/max_coloring_granularity_kib().
 #pragma once
 
 #include "common/bitops.h"
@@ -11,19 +12,13 @@
 
 namespace sgdrc::coloring {
 
-inline unsigned min_granularity_kib(const gpusim::GpuSpec&) { return 1; }
-
-inline unsigned max_granularity_kib(const gpusim::GpuSpec& spec) {
-  return spec.channel_group_size;  // Tab. 4: contiguous channel run
-}
-
 /// Granularity for a task that will own `channels` VRAM channels.
 inline unsigned granularity_for(const gpusim::GpuSpec& spec,
                                 unsigned channels) {
   SGDRC_REQUIRE(channels >= 1 && channels <= spec.num_channels,
                 "channel allocation out of range");
-  if (!is_pow2(channels)) return 1;
-  return std::min(channels, max_granularity_kib(spec));
+  if (!is_pow2(channels)) return spec.min_coloring_granularity_kib();
+  return std::min(channels, spec.max_coloring_granularity_kib());
 }
 
 }  // namespace sgdrc::coloring

@@ -35,7 +35,9 @@ class TextTable {
     return num(fraction * 100.0, precision) + "%";
   }
 
-  void print(std::ostream& os = std::cout) const {
+  /// Write the table to stdout.
+  void print() const {
+    std::ostream& os = std::cout;
     std::vector<size_t> width(header_.size());
     for (size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
     for (const auto& row : rows_) {

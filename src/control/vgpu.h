@@ -50,10 +50,4 @@ struct VgpuSpec {
   bool guaranteed() const { return guaranteed_tpcs > 0; }
 };
 
-/// Fluent helpers so tenant declarations read as one line.
-inline VgpuSpec guaranteed_vgpu(unsigned tpcs, double channel_share = 0.0,
-                                double weight = 1.0, int priority = 0) {
-  return {tpcs, channel_share, weight, priority};
-}
-
 }  // namespace sgdrc::control

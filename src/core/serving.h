@@ -73,19 +73,18 @@ struct TenantSpec {
 /// before the call.
 inline TenantSpec latency_sensitive_tenant(models::ModelDesc model,
                                            TimeNs isolated_latency,
-                                           unsigned instances = 0,
-                                           control::VgpuSpec vgpu = {}) {
+                                           unsigned instances = 0) {
   return {QosClass::kLatencySensitive,
           std::make_shared<const models::ModelDesc>(std::move(model)),
-          isolated_latency, instances, vgpu, {}};
+          isolated_latency, instances, {}, {}};
 }
-inline TenantSpec best_effort_tenant(models::ModelDesc model,
-                                     control::VgpuSpec vgpu = {}) {
+inline TenantSpec best_effort_tenant(models::ModelDesc model) {
   return {QosClass::kBestEffort,
           std::make_shared<const models::ModelDesc>(std::move(model)), 0, 0,
-          vgpu, {}};
+          {}, {}};
 }
-/// Attach a vGPU guarantee to an existing tenant declaration.
+/// Attach a vGPU guarantee to a tenant declaration:
+///   with_vgpu(best_effort_tenant(m), {.guaranteed_tpcs = 2})
 inline TenantSpec with_vgpu(TenantSpec spec, control::VgpuSpec vgpu) {
   spec.vgpu = vgpu;
   return spec;

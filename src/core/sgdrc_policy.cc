@@ -55,6 +55,11 @@ ChannelSet be_channel_partition(const gpusim::GpuSpec& spec, double ch_be) {
 
 SgdrcPolicy::SgdrcPolicy(const gpusim::GpuSpec& spec, SgdrcOptions opt)
     : opt_(opt), num_tpcs_(spec.num_tpcs) {
+  SGDRC_REQUIRE(opt_.sliding_window > 0,
+                "SGDRC's sliding window must hold at least one kernel");
+  // A negative interval wraps to 2^63 ns or more, so read it signed.
+  SGDRC_REQUIRE(static_cast<DurationNs>(opt_.reserve_decay_interval) > 0,
+                "SGDRC's reserve-decay interval must be positive");
   be_channels_ = be_channel_partition(spec, opt_.ch_be);
   ls_channels_ = gpusim::all_channels(spec.num_channels) & ~be_channels_;
 }

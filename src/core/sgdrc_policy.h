@@ -38,6 +38,8 @@
 
 namespace sgdrc::core {
 
+/// SgdrcPolicy's constructor throws ConfigError unless ch_be is in (0,1),
+/// sliding_window is at least 1 and reserve_decay_interval is positive.
 struct SgdrcOptions {
   double ch_be = 1.0 / 3.0;    // §6's default BE channel share
   size_t sliding_window = 8;   // §7.1 sliding-window length

@@ -25,9 +25,7 @@ class GpuDevice {
 
   const GpuSpec& spec() const { return spec_; }
   MemSystem& mem() { return mem_; }
-  const MemSystem& mem() const { return mem_; }
   PageTable& page_table() { return pt_; }
-  const PageTable& page_table() const { return pt_; }
 
   /// cuMemAlloc equivalent: VA backed by random physical frames.
   VirtAddr malloc(uint64_t bytes) { return pt_.alloc(bytes); }

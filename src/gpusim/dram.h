@@ -18,7 +18,7 @@ class Dram {
   explicit Dram(const AddressMapping& mapping)
       : mapping_(mapping),
         open_row_(static_cast<size_t>(mapping.num_channels()) *
-                      mapping.dram_banks(),
+                      AddressMapping::kDramBanksPerChannel,
                   kNoRow) {}
 
   /// Access the bank/row for `pa`; returns true on a row-buffer hit.
@@ -38,7 +38,7 @@ class Dram {
 
   size_t bank_index(PhysAddr pa) const {
     return static_cast<size_t>(mapping_.channel_of(pa)) *
-               mapping_.dram_banks() +
+               AddressMapping::kDramBanksPerChannel +
            mapping_.bank_of(pa);
   }
 

@@ -35,7 +35,7 @@ double GpuExecutor::parallelism_cap(const KernelDesc& k) const {
   // TPCs — small grids saturate early, which is why LS kernels have small
   // min-TPC requirements (§7.1).
   const double per_tpc = static_cast<double>(spec_.sms_per_tpc) *
-                         spec_.max_resident_blocks_per_sm;
+                         GpuSpec::kMaxResidentBlocksPerSm;
   return std::min(k.max_useful_tpcs,
                   std::max(1.0, static_cast<double>(k.blocks) / per_tpc));
 }

@@ -141,7 +141,6 @@ class GpuExecutor {
   /// kernel that completes first drops it uncalled.
   bool evict(LaunchId id, EvictionFn on_evicted);
 
-  bool running(LaunchId id) const { return find(id) != running_.end(); }
   size_t running_count() const { return running_.size(); }
   TimeNs now() const { return queue_.now(); }
   const GpuSpec& spec() const { return spec_; }

@@ -4,12 +4,15 @@
 // channel count) plus the microarchitectural parameters the experiments
 // depend on (channel grouping from Tab. 4, cache-noise rates from §3.2,
 // TPC counts, bandwidth/compute envelopes for the kernel-level model).
+// Values every modeled part shares are constants of the class that reads
+// them: the GDDR chip width and resident-block limit here, the L2 ways and
+// DRAM banks on AddressMapping, the memory timings on MemSystem.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "common/sim_time.h"
+#include "gpusim/address.h"
 
 namespace sgdrc::gpusim {
 
@@ -20,8 +23,8 @@ struct GpuSpec {
   // ---- Tab. 1 ----
   uint64_t vram_bytes = 0;
   unsigned vram_bus_width_bits = 0;
-  unsigned bus_width_per_gddr_bits = 32;
-  unsigned num_channels = 0;  // = vram_bus_width / bus_width_per_gddr
+  static constexpr unsigned kBusWidthPerGddrBits = 32;  // one GDDR chip
+  unsigned num_channels = 0;  // = vram_bus_width / kBusWidthPerGddrBits
 
   // ---- VRAM channel layout (§5.2, Tab. 4) ----
   // Channels come in contiguous groups: quads on Pascal-class parts,
@@ -40,32 +43,23 @@ struct GpuSpec {
   unsigned num_tpcs = 0;
   unsigned sms_per_tpc = 2;
   double peak_tflops = 0.0;  // aggregate FP32
-  unsigned max_resident_blocks_per_sm = 16;
+  // Caps how many TPCs a small grid can fill (parallelism_cap).
+  static constexpr unsigned kMaxResidentBlocksPerSm = 16;
 
   // ---- Memory hierarchy ----
   uint64_t l2_bytes = 0;  // total; sliced evenly across channels
-  unsigned l2_ways = 16;
-  unsigned l2_line_bytes = 128;
-  unsigned mshrs_per_channel = 48;
-  unsigned dram_banks_per_channel = 16;
   double vram_gbps = 0.0;  // full-GPU VRAM bandwidth
   // Probability that an L2 fill is silently bypassed by the black-box
   // cache policy (≈1 % Pascal, ≈5 % Ampere per §3.2 / §5.3).
   double cache_noise_rate = 0.0;
 
-  // ---- Memory-level timing (simulated ns) ----
-  TimeNs l2_hit_ns = 160;
-  TimeNs dram_row_hit_ns = 220;    // added on an L2 miss, open row
-  TimeNs dram_row_miss_ns = 330;   // added on an L2 miss, row activate
-  TimeNs bank_conflict_ns = 260;   // extra serialisation, same bank+new row
-  TimeNs channel_serial_ns = 40;   // extra when two requests share a channel
-
   // Derived quantities -----------------------------------------------------
   uint64_t l2_slice_bytes() const { return l2_bytes / num_channels; }
-  uint64_t partitions() const { return vram_bytes >> 10; }
+  uint64_t partitions() const { return vram_bytes >> kPartitionBits; }
   /// Fig. 10: maximum coloring granularity in KiB equals the number of
   /// contiguous channels in a group (Tab. 4 rule 2).
   unsigned max_coloring_granularity_kib() const { return channel_group_size; }
+  /// Tab. 4 rule 1: the minimum is one 1 KiB channel partition.
   unsigned min_coloring_granularity_kib() const { return 1; }
 };
 

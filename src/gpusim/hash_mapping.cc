@@ -33,9 +33,7 @@ AddressMapping::AddressMapping(const GpuSpec& spec)
     : num_channels_(spec.num_channels),
       group_size_(spec.channel_group_size),
       num_groups_(spec.num_channels / spec.channel_group_size),
-      linear_(spec.linear_hash),
-      dram_banks_(spec.dram_banks_per_channel),
-      l2_ways_(spec.l2_ways) {
+      linear_(spec.linear_hash) {
   SGDRC_REQUIRE(spec.num_channels % spec.channel_group_size == 0,
                 "channel count must be a multiple of the group size");
   SGDRC_REQUIRE(is_pow2(group_size_), "channel group size must be 2 or 4");
@@ -105,12 +103,11 @@ AddressMapping::AddressMapping(const GpuSpec& spec)
   }
 
   for (auto& b : bank_sbox_) {
-    b = static_cast<uint8_t>(rng.uniform_u64(dram_banks_));
+    b = static_cast<uint8_t>(rng.uniform_u64(kDramBanksPerChannel));
   }
 
   const uint64_t slice = spec.l2_slice_bytes();
-  l2_sets_ = static_cast<unsigned>(
-      slice / (spec.l2_line_bytes * static_cast<uint64_t>(l2_ways_)));
+  l2_sets_ = static_cast<unsigned>(slice / (kCachelineBytes * kL2Ways));
   SGDRC_REQUIRE(l2_sets_ > 0 && is_pow2(l2_sets_),
                 "L2 slice must hold a power-of-two number of sets");
   l2_set_key_ = rng.next_u64();

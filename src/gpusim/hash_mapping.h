@@ -32,6 +32,11 @@ namespace sgdrc::gpusim {
 
 class AddressMapping {
  public:
+  /// Ways of each channel's L2 slice, and DRAM banks per channel (the
+  /// range of bank_of()); the same on every modeled part.
+  static constexpr unsigned kL2Ways = 16;
+  static constexpr unsigned kDramBanksPerChannel = 16;
+
   explicit AddressMapping(const GpuSpec& spec);
 
   unsigned num_channels() const { return num_channels_; }
@@ -53,8 +58,6 @@ class AddressMapping {
   uint64_t l2_tag_of(PhysAddr pa) const { return line_of(pa); }
 
   unsigned l2_sets() const { return l2_sets_; }
-  unsigned l2_ways() const { return l2_ways_; }
-  unsigned dram_banks() const { return dram_banks_; }
 
   /// Channel-group membership helpers (Tab. 4 structure).
   unsigned group_of_channel(unsigned channel) const {
@@ -82,12 +85,10 @@ class AddressMapping {
   std::vector<std::vector<uint8_t>> perms_;    // S_{group_size} table
 
   // DRAM mapping.
-  unsigned dram_banks_;
   std::array<uint8_t, 256> bank_sbox_{};
 
   // L2 slice geometry + keyed set fold.
   unsigned l2_sets_;
-  unsigned l2_ways_;
   uint64_t l2_set_key_;
 };
 

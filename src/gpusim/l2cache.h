@@ -20,7 +20,7 @@ class L2Cache {
           uint64_t noise_seed)
       : mapping_(mapping), noise_rate_(noise_rate), noise_rng_(noise_seed) {
     const size_t entries = static_cast<size_t>(mapping.num_channels()) *
-                           mapping.l2_sets() * mapping.l2_ways();
+                           mapping.l2_sets() * AddressMapping::kL2Ways;
     tags_.assign(entries, kInvalid);
     stamps_.assign(entries, 0);
     epochs_.assign(entries, 0);
@@ -33,16 +33,15 @@ class L2Cache {
     const unsigned set = mapping_.l2_set_of(pa);
     const uint64_t tag = mapping_.l2_tag_of(pa);
     const size_t base = (static_cast<size_t>(ch) * mapping_.l2_sets() + set) *
-                        mapping_.l2_ways();
+                        AddressMapping::kL2Ways;
     ++tick_;
     size_t victim = base;
     uint64_t oldest = ~uint64_t{0};
-    for (size_t w = 0; w < mapping_.l2_ways(); ++w) {
+    for (size_t w = 0; w < AddressMapping::kL2Ways; ++w) {
       const size_t i = base + w;
       const bool valid = epochs_[i] == epoch_;
       if (valid && tags_[i] == tag) {
         stamps_[i] = tick_;
-        ++hits_;
         return true;
       }
       const uint64_t age = valid ? stamps_[i] : 0;  // invalid ways first
@@ -51,7 +50,6 @@ class L2Cache {
         victim = i;
       }
     }
-    ++misses_;
     if (noise_rate_ > 0.0 && noise_rng_.bernoulli(noise_rate_)) {
       return false;  // black-box policy decided not to allocate
     }
@@ -67,8 +65,8 @@ class L2Cache {
     const unsigned set = mapping_.l2_set_of(pa);
     const uint64_t tag = mapping_.l2_tag_of(pa);
     const size_t base = (static_cast<size_t>(ch) * mapping_.l2_sets() + set) *
-                        mapping_.l2_ways();
-    for (size_t w = 0; w < mapping_.l2_ways(); ++w) {
+                        AddressMapping::kL2Ways;
+    for (size_t w = 0; w < AddressMapping::kL2Ways; ++w) {
       if (epochs_[base + w] == epoch_ && tags_[base + w] == tag) return true;
     }
     return false;
@@ -78,9 +76,6 @@ class L2Cache {
   /// millions of these; see reveng::ConflictProber for the equivalence
   /// argument with p-chase refresh on real hardware).
   void flush() { ++epoch_; }
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
 
  private:
   static constexpr uint64_t kInvalid = ~uint64_t{0};
@@ -93,8 +88,6 @@ class L2Cache {
   std::vector<uint32_t> epochs_;
   uint32_t epoch_ = 1;
   uint64_t tick_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace sgdrc::gpusim

@@ -22,9 +22,19 @@ struct ReadResult {
 
 class MemSystem {
  public:
+  // Memory-level timing (simulated ns), the same on every modeled part.
+  static constexpr TimeNs kL2HitNs = 160;
+  // Added on an L2 miss: the bank's row is open, or it needs an activate.
+  static constexpr TimeNs kDramRowHitNs = 220;
+  static constexpr TimeNs kDramRowMissNs = 330;
+  // Extra serialisation of a pair read: kBankConflictNs when both requests
+  // hit one bank in different rows, kChannelSerialNs when they share a
+  // channel.
+  static constexpr TimeNs kBankConflictNs = 260;
+  static constexpr TimeNs kChannelSerialNs = 40;
+
   explicit MemSystem(const GpuSpec& spec, uint64_t noise_seed = 0xce11)
-      : spec_(spec),
-        mapping_(spec),
+      : mapping_(spec),
         l2_(mapping_, spec.cache_noise_rate, noise_seed),
         dram_(mapping_) {}
 
@@ -32,12 +42,10 @@ class MemSystem {
   /// the read (the crossbar gives every SM the same path to every slice).
   ReadResult read(PhysAddr pa) {
     if (l2_.read(pa)) {
-      return {spec_.l2_hit_ns, true};
+      return {kL2HitNs, true};
     }
     const bool row_hit = dram_.access(pa);
-    return {spec_.l2_hit_ns +
-                (row_hit ? spec_.dram_row_hit_ns : spec_.dram_row_miss_ns),
-            false};
+    return {kL2HitNs + (row_hit ? kDramRowHitNs : kDramRowMissNs), false};
   }
 
   /// Issue two reads back-to-back as a warp would (Algorithm 1's probe).
@@ -56,9 +64,9 @@ class MemSystem {
     if (ch_a != ch_b) {
       return std::max(ra.latency, rb.latency);
     }
-    TimeNs lat = std::max(ra.latency, rb.latency) + spec_.channel_serial_ns;
+    TimeNs lat = std::max(ra.latency, rb.latency) + kChannelSerialNs;
     if (same_bank && diff_row && !ra.l2_hit && !rb.l2_hit) {
-      lat += spec_.bank_conflict_ns;
+      lat += kBankConflictNs;
     }
     return lat;
   }
@@ -66,17 +74,11 @@ class MemSystem {
   void flush_l2() { l2_.flush(); }
   void reset_dram() { dram_.reset(); }
 
-  const GpuSpec& spec() const { return spec_; }
-
   /// Ground-truth oracle. Reverse-engineering code must not call this;
   /// tests and benches use it to score accuracy.
   const AddressMapping& oracle() const { return mapping_; }
 
-  const L2Cache& l2() const { return l2_; }
-  const Dram& dram() const { return dram_; }
-
  private:
-  GpuSpec spec_;
   AddressMapping mapping_;
   L2Cache l2_;
   Dram dram_;

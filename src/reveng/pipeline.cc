@@ -30,7 +30,7 @@ PipelineReport HashCracker::run() {
   // --- Stage 2: channel discovery. The channel count is public data
   // (Tab. 1: bus width / per-GDDR width, cross-validated by PCB photos).
   const unsigned channels =
-      dev_.spec().vram_bus_width_bits / dev_.spec().bus_width_per_gddr_bits;
+      dev_.spec().vram_bus_width_bits / gpusim::GpuSpec::kBusWidthPerGddrBits;
   ChannelMarker marker(*arena_, prober, rng.next_u64());
   marker.build(channels);
   report.channels = channels;

@@ -68,8 +68,7 @@ class ProbeArena {
   /// Returns the number of partitions visited.
   template <typename Fn>
   uint64_t for_each_partition(uint64_t from_partition, Fn&& fn) const {
-    const uint64_t last =
-        dev_.spec().vram_bytes >> gpusim::kPartitionBits;
+    const uint64_t last = dev_.spec().partitions();
     uint64_t visited = 0;
     for (uint64_t p = from_partition; p < last; ++p) {
       const gpusim::PhysAddr pa = p << gpusim::kPartitionBits;

@@ -359,7 +359,11 @@ ScenarioOutcome run_scenario(const Scenario& scenario,
   }
   for (const Request& r : trace) {
     if (r.arrival >= scenario.duration()) continue;
-    sim.at(r.arrival, [&sim, r] { sim.inject(r.service, r.arrival); });
+    // The event fires at the arrival, so now() restores it and the
+    // closure stays two words, which std::function stores in place.
+    sim.at(r.arrival, [&sim, service = r.service] {
+      sim.inject(service, sim.now());
+    });
   }
   sim.run_until(scenario.duration());
 

@@ -109,6 +109,20 @@ TEST(SgdrcPolicy, BeChannelPartitionRespectsGroups) {
   EXPECT_EQ(be & ~gpusim::all_channels(6), 0u);
 }
 
+TEST(SgdrcPolicy, RejectsOptionsItCannotRun) {
+  // A zero window launches no LS kernel, a zero decay interval divides by
+  // zero, and a negative one (-1 us, wrapped) never decays; each used to
+  // run instead of failing here.
+  const auto negative = static_cast<TimeNs>(DurationNs{-1000});
+  for (const SgdrcOptions& bad :
+       {SgdrcOptions{.ch_be = 1.5}, SgdrcOptions{.sliding_window = 0},
+        SgdrcOptions{.reserve_decay_interval = 0},
+        SgdrcOptions{.reserve_decay_interval = negative}}) {
+    EXPECT_THROW(SgdrcPolicy policy(small_spec(), bad), ConfigError);
+  }
+  EXPECT_NO_THROW(SgdrcPolicy policy(small_spec()));
+}
+
 // -------------------------------------------------- Serving mechanics ----
 
 class ServingTest : public ::testing::Test {

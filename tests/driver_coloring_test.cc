@@ -7,7 +7,9 @@
 // lands on its assigned channels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "coloring/rules.h"
 #include "coloring/transformer.h"
@@ -168,9 +170,23 @@ TEST(Translate, CoversDisjointSectorsPerOffsetRange) {
 // -------------------------------------------------------------- Rules ----
 
 TEST(Rules, Table4Granularities) {
-  EXPECT_EQ(coloring::max_granularity_kib(gpusim::gtx1080()), 4u);
-  EXPECT_EQ(coloring::max_granularity_kib(gpusim::tesla_p40()), 4u);
-  EXPECT_EQ(coloring::max_granularity_kib(gpusim::rtx_a2000()), 2u);
+  // Tab. 4: over every channel allocation, granularity_for spans the
+  // part's 1 KiB minimum up to its contiguous-channel-run maximum.
+  const std::pair<GpuSpec, unsigned> tab4_max[] = {
+      {gpusim::gtx1080(), 4}, {gpusim::tesla_p40(), 4},
+      {gpusim::rtx_a2000(), 2}};
+  for (const auto& [spec, max_kib] : tab4_max) {
+    EXPECT_EQ(spec.max_coloring_granularity_kib(), max_kib) << spec.name;
+    unsigned lo = ~0u, hi = 0;
+    for (unsigned ch = 1; ch <= spec.num_channels; ++ch) {
+      const unsigned g = coloring::granularity_for(spec, ch);
+      lo = std::min(lo, g);
+      hi = std::max(hi, g);
+    }
+    EXPECT_EQ(lo, spec.min_coloring_granularity_kib()) << spec.name;
+    EXPECT_EQ(lo, 1u) << spec.name;
+    EXPECT_EQ(hi, max_kib) << spec.name;
+  }
 }
 
 TEST(Rules, PowerOfTwoAllocationRule) {

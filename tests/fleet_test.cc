@@ -20,6 +20,7 @@ namespace {
 
 using core::best_effort_tenant;
 using core::latency_sensitive_tenant;
+using core::with_vgpu;
 using workload::Request;
 
 // Shared profiled models (profiling dominates test time; do it once).
@@ -523,9 +524,9 @@ std::vector<std::pair<bool, size_t>> device_states(const FleetSim& fleet) {
 // An LS fleet tenant whose replicas each guarantee `tpcs` TPCs.
 FleetTenantSpec guaranteed_ls(const models::ModelDesc& m, TimeNs iso,
                               unsigned tpcs, unsigned replicas) {
-  return replicated(
-      latency_sensitive_tenant(m, iso, 0, control::guaranteed_vgpu(tpcs)),
-      replicas);
+  return replicated(with_vgpu(latency_sensitive_tenant(m, iso),
+                              {.guaranteed_tpcs = tpcs}),
+                    replicas);
 }
 
 TEST(Fleet, TenantADeviceSimRefusesIsRejectedBeforeAnyChange) {
@@ -676,16 +677,15 @@ TEST(Fleet, EveryReplicaSharesItsFleetTenantsModel) {
 
 TEST(Placement, QuotaAwareBinPacksGuaranteedTpcs) {
   const auto& z = zoo();  // 4-TPC test GPU
-  using core::latency_sensitive_tenant;
   std::vector<FleetTenantSpec> tenants{
-      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a, 0,
-                                          {.guaranteed_tpcs = 3}),
+      replicated(with_vgpu(latency_sensitive_tenant(z.ls_a, z.iso_a),
+                           {.guaranteed_tpcs = 3}),
                  1),
-      replicated(latency_sensitive_tenant(z.ls_b, z.iso_b, 0,
-                                          {.guaranteed_tpcs = 2}),
+      replicated(with_vgpu(latency_sensitive_tenant(z.ls_b, z.iso_b),
+                           {.guaranteed_tpcs = 2}),
                  1),
-      replicated(core::with_vgpu(best_effort_tenant(z.be_i),
-                                 {.guaranteed_tpcs = 2}),
+      replicated(with_vgpu(best_effort_tenant(z.be_i),
+                           {.guaranteed_tpcs = 2}),
                  1),
       replicated(best_effort_tenant(z.be_i), 2),
   };

@@ -49,17 +49,20 @@ TEST(GpuSpec, ChannelCountMatchesBusWidthRule) {
   // Tab. 1 cross-validation: #channels = bus width / width per GDDR unit.
   for (const GpuSpec& s : {gtx1080(), tesla_p40(), rtx_a2000()}) {
     EXPECT_EQ(s.num_channels,
-              s.vram_bus_width_bits / s.bus_width_per_gddr_bits)
+              s.vram_bus_width_bits / GpuSpec::kBusWidthPerGddrBits)
         << s.name;
   }
 }
 
 TEST(GpuSpec, ColoringGranularityRules) {
-  // Tab. 4: max granularity = # contiguous channels (group size).
+  // Tab. 4: min granularity = one 1 KiB partition; max = # contiguous
+  // channels (group size).
   EXPECT_EQ(gtx1080().max_coloring_granularity_kib(), 4u);
   EXPECT_EQ(tesla_p40().max_coloring_granularity_kib(), 4u);
   EXPECT_EQ(rtx_a2000().max_coloring_granularity_kib(), 2u);
-  EXPECT_EQ(rtx_a2000().min_coloring_granularity_kib(), 1u);
+  for (const GpuSpec& s : {gtx1080(), tesla_p40(), rtx_a2000()}) {
+    EXPECT_EQ(s.min_coloring_granularity_kib(), 1u) << s.name;
+  }
 }
 
 TEST(GpuSpec, NoiseRatesPerArchitecture) {
@@ -192,15 +195,16 @@ TEST_P(MappingTest, BankWithinRange) {
   const GpuSpec spec = GetParam();
   const AddressMapping m(spec);
   for (uint64_t p = 0; p < 10000; ++p) {
-    ASSERT_LT(m.bank_of(p * kPartitionBytes), spec.dram_banks_per_channel);
+    ASSERT_LT(m.bank_of(p * kPartitionBytes),
+              AddressMapping::kDramBanksPerChannel);
   }
 }
 
 TEST_P(MappingTest, L2SetGeometry) {
   const GpuSpec spec = GetParam();
   const AddressMapping m(spec);
-  EXPECT_EQ(static_cast<uint64_t>(m.l2_sets()) * m.l2_ways() *
-                spec.l2_line_bytes * spec.num_channels,
+  EXPECT_EQ(static_cast<uint64_t>(m.l2_sets()) * AddressMapping::kL2Ways *
+                kCachelineBytes * spec.num_channels,
             spec.l2_bytes);
   for (uint64_t i = 0; i < 10000; ++i) {
     ASSERT_LT(m.l2_set_of(i * 128), m.l2_sets());
@@ -226,7 +230,8 @@ TEST(L2Cache, LruEvictsOldest) {
   const unsigned target_ch = m.channel_of(0);
   const unsigned target_set = m.l2_set_of(0);
   std::vector<PhysAddr> same_set{0};
-  for (PhysAddr pa = 128; same_set.size() < m.l2_ways() + 1; pa += 128) {
+  for (PhysAddr pa = 128; same_set.size() < AddressMapping::kL2Ways + 1;
+       pa += 128) {
     if (m.channel_of(pa) == target_ch && m.l2_set_of(pa) == target_set) {
       same_set.push_back(pa);
     }
@@ -283,6 +288,15 @@ TEST(MemSystem, HitIsFasterThanMiss) {
   EXPECT_FALSE(miss.l2_hit);
   EXPECT_TRUE(hit.l2_hit);
   EXPECT_GT(miss.latency, hit.latency);
+  // test_gpu() has no cache noise, so every latency is exact: a cold
+  // miss activates its row, a hit costs the L2 alone, and a miss in the
+  // same 1 KiB partition finds the row open.
+  EXPECT_EQ(miss.latency, TimeNs{490});
+  EXPECT_EQ(hit.latency, TimeNs{160});
+  ms.flush_l2();
+  const auto open_row = ms.read(0x4000 + 128);
+  EXPECT_FALSE(open_row.l2_hit);
+  EXPECT_EQ(open_row.latency, TimeNs{380});
 }
 
 TEST(MemSystem, PairReadSeparatesBankConflicts) {
@@ -292,29 +306,39 @@ TEST(MemSystem, PairReadSeparatesBankConflicts) {
   MemSystem ms(spec);
   const auto& oracle = ms.oracle();
 
-  // Find a (same ch, same bank, diff row) pair and a (diff ch) pair.
+  // Find a (same ch, same bank, diff row), a (same ch, diff bank) and a
+  // (diff ch) partner of `base`.
   PhysAddr base = 0;
-  PhysAddr conflict = 0, unrelated = 0;
+  PhysAddr conflict = 0, other_bank = 0, unrelated = 0;
   for (PhysAddr pa = kPartitionBytes; pa < (64ull << 20); pa += kPartitionBytes) {
     const bool same_ch = oracle.channel_of(pa) == oracle.channel_of(base);
-    if (!conflict && same_ch &&
-        oracle.bank_of(pa) == oracle.bank_of(base) &&
+    const bool same_bank = oracle.bank_of(pa) == oracle.bank_of(base);
+    if (!conflict && same_ch && same_bank &&
         oracle.row_of(pa) != oracle.row_of(base)) {
       conflict = pa;
     }
+    if (!other_bank && same_ch && !same_bank) other_bank = pa;
     if (!unrelated && !same_ch) unrelated = pa;
-    if (conflict && unrelated) break;
+    if (conflict && other_bank && unrelated) break;
   }
   ASSERT_NE(conflict, 0u);
+  ASSERT_NE(other_bank, 0u);
   ASSERT_NE(unrelated, 0u);
 
-  ms.flush_l2();
-  ms.reset_dram();
-  const TimeNs t_conflict = ms.timed_pair_read(base, conflict);
-  ms.flush_l2();
-  ms.reset_dram();
-  const TimeNs t_clean = ms.timed_pair_read(base, unrelated);
-  EXPECT_GT(t_conflict, t_clean + spec.bank_conflict_ns / 2);
+  const auto cold_pair = [&](PhysAddr partner) {
+    ms.flush_l2();
+    ms.reset_dram();
+    return ms.timed_pair_read(base, partner);
+  };
+  const TimeNs t_conflict = cold_pair(conflict);
+  const TimeNs t_clean = cold_pair(unrelated);
+  EXPECT_GT(t_conflict, t_clean + MemSystem::kBankConflictNs / 2);
+  // Exact on test_gpu() (no cache noise): two cold misses overlap across
+  // channels, serialise on one channel, and also pay the bank conflict
+  // in one bank.
+  EXPECT_EQ(t_clean, TimeNs{490});
+  EXPECT_EQ(cold_pair(other_bank), TimeNs{530});
+  EXPECT_EQ(t_conflict, TimeNs{790});
 }
 
 // ---------------------------------------------------------- PageTable ----

@@ -52,7 +52,6 @@ class GpuExecutor {
   /// kernels accept this. No-op (returns false) if already finished.
   bool evict(LaunchId id, EvictionFn on_evicted);
 
-  bool running(LaunchId id) const { return running_.count(id) != 0; }
   size_t running_count() const { return running_.size(); }
   TimeNs now() const { return queue_.now(); }
   const GpuSpec& spec() const { return spec_; }

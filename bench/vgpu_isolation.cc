@@ -56,8 +56,9 @@ std::string label(const Cell& c) {
 /// 4/6 LS split as the controller default; declaring it pins that floor
 /// against any regression that would hand BE a wider ChBE.)
 control::VgpuSpec ls_guarantee(const gpusim::GpuSpec& spec) {
-  return {/*guaranteed_tpcs=*/spec.num_tpcs - 3,
-          /*channel_share=*/0.6, /*weight=*/1.0, /*priority=*/1};
+  return {.guaranteed_tpcs = spec.num_tpcs - 3,
+          .channel_share = 0.6,
+          .priority = 1};
 }
 
 CellResult run_cell(const ServingHarness& h, const Cell& cell,

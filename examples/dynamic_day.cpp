@@ -57,9 +57,6 @@ int main() {
       .slo_factor(hour(22), 0.75);
   fleet::AutoscalerOptions aso;
   aso.interval = 10 * kNsPerMs;
-  aso.scale_up_outstanding = 5.0;
-  aso.scale_down_outstanding = 0.3;
-  aso.cooldown_ticks = 3;
   sc.autoscale(aso);
 
   const std::vector<ScenarioTenant> initial{

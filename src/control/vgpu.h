@@ -15,9 +15,6 @@
 //    tensor coloring, §7.2). Shares steer the LS/BE channel split inside
 //    plan-emitting controllers; 0 falls back to the controller default
 //    (ChBE). Rounded to whole channel groups at enforcement.
-//  * weight — relative share of the *unguaranteed* residual among
-//    same-class tenants (equal weights reproduce the legacy full-overlap
-//    sharing bit-for-bit).
 //  * priority — launch-ordering tie-break within a QoS class (higher
 //    first; equal priorities keep arrival order).
 //
@@ -36,8 +33,6 @@ struct VgpuSpec {
   /// Guaranteed fraction of VRAM channels in (0,1); 0 = controller
   /// default split.
   double channel_share = 0.0;
-  /// Relative share of the unguaranteed residual (same-class tenants).
-  double weight = 1.0;
   /// Launch-ordering tie-break within a class; higher runs first.
   int priority = 0;
   /// Guaranteed VRAM bytes for the tenant's weights (memory

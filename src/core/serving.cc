@@ -1,7 +1,6 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "control/controller.h"
@@ -187,13 +186,21 @@ void ServingSim::validate_tenant(const TenantSpec& spec) const {
                   "max_batch must be at least 1 (1 = no batching)");
     SGDRC_REQUIRE(spec.batching.max_batch <= 64,
                   "max_batch above 64 is outside the latency model's range");
-    SGDRC_REQUIRE((spec.instances ? spec.instances : cfg_.ls_instances) >= 1,
-                  "need at least one instance");
+    SGDRC_REQUIRE(cfg_.ls_instances >= 1, "need at least one instance");
     initial_slo(spec.isolated_latency);  // throws when it does not fit
   } else {
     SGDRC_REQUIRE(!spec.batching.enabled(),
                   "BatchPolicy applies to LS tenants (BE tasks already "
                   "batch through ModelDesc::batch)");
+    // LS preempts BE through the eviction flag, which only a model built
+    // as BE compiles in (models::ModelBuilder); without it the first
+    // preemption would fail mid-run.
+    for (const auto& k : spec.model->kernels) {
+      SGDRC_REQUIRE(k.preemptible,
+                    "tenant model '" + spec.model->name +
+                        "': a best-effort model needs the eviction flag on "
+                        "every kernel, and kernel " + k.name + " lacks it");
+    }
   }
   validate_vgpu(spec.vgpu, static_cast<TenantId>(tenants_.size()));
   if (mem_) mem_->check_fits(spec.model->weight_bytes());
@@ -223,7 +230,7 @@ TenantId ServingSim::register_tenant(TenantSpec incoming) {
   if (spec.qos == QosClass::kLatencySensitive) {
     ls_tenants_.push_back(t);
     auto bs = std::make_unique<BatchState>();
-    bs->free_instances = spec.instances ? spec.instances : cfg_.ls_instances;
+    bs->free_instances = cfg_.ls_instances;
     for (unsigned b = 2; b <= spec.batching.max_batch; ++b) {
       bs->variants.push_back(models::batched_variant(*spec.model, b));
     }
@@ -278,9 +285,6 @@ void ServingSim::validate_vgpu(const control::VgpuSpec& vgpu,
                 "tenant guarantees more TPCs than the device has");
   SGDRC_REQUIRE(vgpu.channel_share >= 0.0 && vgpu.channel_share < 1.0,
                 "channel_share must be in [0,1)");
-  // Non-finite weights would turn SGDRC's weighted tide split into NaN.
-  SGDRC_REQUIRE(std::isfinite(vgpu.weight) && vgpu.weight > 0.0,
-                "vGPU weight must be positive and finite");
   // The budgets hold across the live set, `self` excluded: its old
   // region and shares are what this spec replaces.
   const TpcMask own =

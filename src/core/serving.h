@@ -58,10 +58,8 @@ struct TenantSpec {
   std::shared_ptr<const models::ModelDesc> model;
   /// LS only: untransformed isolated p99 (SLO base).
   TimeNs isolated_latency = 0;
-  /// LS only: instance-pool size; 0 ⇒ ServingConfig::ls_instances.
-  unsigned instances = 0;
-  /// vGPU guarantees (§4): hard TPC reservation, channel share, weight,
-  /// priority. Default: no guarantees (pure tidal sharing).
+  /// vGPU guarantees (§4): hard TPC reservation, channel share,
+  /// priority, memory quota. Default: no guarantees (pure tidal sharing).
   control::VgpuSpec vgpu;
   /// LS only: dynamic request batching (assembly queue + batched jobs).
   /// Default max_batch 1 — each request is a batch of one, served on the
@@ -72,16 +70,15 @@ struct TenantSpec {
 /// The two spec constructors wrap `model` once; build or transform it
 /// before the call.
 inline TenantSpec latency_sensitive_tenant(models::ModelDesc model,
-                                           TimeNs isolated_latency,
-                                           unsigned instances = 0) {
+                                           TimeNs isolated_latency) {
   return {QosClass::kLatencySensitive,
           std::make_shared<const models::ModelDesc>(std::move(model)),
-          isolated_latency, instances, {}, {}};
+          isolated_latency, {}, {}};
 }
 inline TenantSpec best_effort_tenant(models::ModelDesc model) {
   return {QosClass::kBestEffort,
-          std::make_shared<const models::ModelDesc>(std::move(model)), 0, 0,
-          {}, {}};
+          std::make_shared<const models::ModelDesc>(std::move(model)), 0, {},
+          {}};
 }
 /// Attach a vGPU guarantee to a tenant declaration:
 ///   with_vgpu(best_effort_tenant(m), {.guaranteed_tpcs = 2})
@@ -600,10 +597,9 @@ class ServingSimBuilder {
     return *this;
   }
   ServingSimBuilder& add_latency_sensitive(models::ModelDesc model,
-                                           TimeNs isolated_latency,
-                                           unsigned instances = 0) {
-    return add_tenant(latency_sensitive_tenant(std::move(model),
-                                               isolated_latency, instances));
+                                           TimeNs isolated_latency) {
+    return add_tenant(
+        latency_sensitive_tenant(std::move(model), isolated_latency));
   }
   ServingSimBuilder& add_best_effort(models::ModelDesc model) {
     return add_tenant(best_effort_tenant(std::move(model)));

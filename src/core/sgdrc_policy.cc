@@ -16,19 +16,12 @@ namespace {
 /// on the whole GPU (the promotion below).
 constexpr TimeNs kPromotionGrace = 200 * kNsPerUs;
 
-/// `id`'s entry in a (job, value) table, or null.
-template <typename V>
-V* find_entry(std::vector<std::pair<JobId, V>>& table, JobId id) {
-  for (auto& [job, v] : table) {
-    if (job == id) return &v;
-  }
-  return nullptr;
-}
-
 /// `id`'s count in a (job, count) table, added at 0 when missing (as
 /// std::map's operator[] would).
 unsigned& count_of(std::vector<std::pair<JobId, unsigned>>& table, JobId id) {
-  if (unsigned* n = find_entry(table, id)) return *n;
+  for (auto& [job, n] : table) {
+    if (job == id) return n;
+  }
   return table.emplace_back(id, 0u).second;
 }
 
@@ -303,38 +296,16 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   }
 
   // ---- BE side: fill the tide pool. All waiting BE jobs (one under
-  // round-robin rotation, every tenant in concurrent mode) share it —
-  // or split it by weight when tenants declare unequal weights. A BE
-  // tenant's own guaranteed region is always usable; foreign guaranteed
-  // regions never are.
-  bool unequal_weights = false;
-  double total_weight = 0.0;
-  // Distinct waiting BE jobs in queue order: a DAG job's extra frontier
-  // entries are the same tenant asking for more of its own slot, so the
-  // weight sums (and the weighted split below) count each job once.
-  be_order_.clear();
-  for (const auto& job : waiting_be) {
-    if (contains(be_order_, job.id)) continue;
-    be_order_.push_back(job.id);
-    total_weight += sim.vgpu(job.tenant).weight;
-    if (sim.vgpu(job.tenant).weight != sim.vgpu(waiting_be[0].tenant).weight) {
-      unequal_weights = true;
-    }
-  }
+  // round-robin rotation, every tenant in concurrent mode) share it. A
+  // BE tenant's own guaranteed region is always usable; foreign
+  // guaranteed regions never are.
+  //
   // An external floor (batch-aware wrapper) widens the reservation the
   // tide keeps clear for upcoming LS work; 0 = the historic tide exactly.
   const unsigned eff_reserve =
       std::max(ls_reserve_, std::min(reserve_floor_, num_tpcs_));
   const TpcMask reserved =
       gpusim::tpc_range(num_tpcs_ - eff_reserve, eff_reserve) | ls_guar;
-  TpcMask weighted_pool_left = 0;  // partition cursor (unequal weights)
-  unsigned weighted_pool_bits = 0;  // original pool size — shares are
-                                    // fractions of the whole pool, not of
-                                    // whatever earlier slices left behind
-  if (unequal_weights) {
-    weighted_pool_left = full & ~ls_used & ~reserved & ~any_guar;
-    weighted_pool_bits = gpusim::tpc_count(weighted_pool_left);
-  }
   // §4's spatial-temporal rule, armed by guarantees: while LS is active,
   // at most one BE kernel co-executes — a concurrent BE flood otherwise
   // drags the LS tail through inter-channel contention (every uncolored
@@ -345,7 +316,6 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
   if (quota_mode && ls_active) {
     be_budget = be_kept < 1 ? 1 - be_kept : 0;
   }
-  job_slice_.clear();   // weighted slice, carved per job
   be_planned_.clear();  // distinct jobs launched this plan
   for (const auto& job : waiting_be) {
     // §4 counts co-running jobs: only a job not already kept-running and
@@ -378,28 +348,8 @@ ResourcePlan SgdrcPolicy::plan(const SimView& sim) {
     } else {
       // The tenant's own guaranteed region is usable even when the
       // tidal reserve covers it (own == 0 reproduces the legacy mask).
-      TpcMask free =
+      const TpcMask free =
           (full & ~ls_used & ~reserved & ~foreign) | (own & ~ls_used);
-      if (unequal_weights) {
-        // Split the common pool by weight (own regions ride on top):
-        // each slice is this tenant's fraction of the *original* pool,
-        // carved from what is left, so slices stay proportional and the
-        // last tenant picks up the rounding dust. Carved once per job —
-        // a DAG job's frontier entries co-execute on the job's slice.
-        const TpcMask* carved = find_entry(job_slice_, job.id);
-        if (carved == nullptr) {
-          const TpcMask pool = weighted_pool_left;
-          const unsigned share = static_cast<unsigned>(
-              static_cast<double>(weighted_pool_bits) *
-              sim.vgpu(job.tenant).weight / total_weight);
-          const bool last = job.id == be_order_.back();
-          const TpcMask slice =
-              last ? pool : gpusim::lowest_tpcs(pool, std::max(1u, share));
-          weighted_pool_left &= ~slice;
-          carved = &job_slice_.emplace_back(job.id, slice).second;
-        }
-        free = *carved | (own & ~ls_used);
-      }
       if (free) {
         plan.launch(job.id, {free, eff_be_channels});
         ++count_of(planned_width_, job.id);

@@ -18,7 +18,7 @@
 //    TPC region is packed first for its own kernels and never handed to
 //    anyone else — the tide flows only through unguaranteed TPCs.
 //    Channel shares re-derive the LS/BE channel split; priorities order
-//    the LS launch queue; BE weights split the tide pool when unequal.
+//    the LS launch queue.
 //
 // With no guarantees declared (all-default VgpuSpec), plan() emits
 // exactly the directive sequence the historic imperative schedule()
@@ -104,10 +104,9 @@ class SgdrcPolicy : public control::Controller {
   // (job, value) pairs, looked up linearly: a plan touches a handful of
   // jobs and only looks entries up, never iterates them.
   std::vector<std::pair<JobId, unsigned>> inflight_width_, planned_width_;
-  std::vector<std::pair<JobId, gpusim::TpcMask>> job_slice_;
   std::vector<size_t> order_;
   std::vector<char> launched_;
-  std::vector<JobId> be_kept_jobs_, be_evicted_jobs_, be_order_, be_planned_;
+  std::vector<JobId> be_kept_jobs_, be_evicted_jobs_, be_planned_;
 };
 
 class SgdrcStaticPolicy : public control::Controller {

@@ -39,15 +39,15 @@ void Autoscaler::tick(FleetSim& fleet) {
     const double mean = static_cast<double>(outstanding) /
                         static_cast<double>(reps.size());
 
-    if (mean > opt_.scale_up_outstanding && reps.size() < max_replicas) {
+    if (mean > kScaleUpOutstanding && reps.size() < max_replicas) {
       // Scale up onto the least-LS-loaded device that takes another
       // replica (the same perf-normalized signal failover uses).
       const std::optional<DeviceId> device = fleet.try_add_replica(t);
       if (!device) continue;  // no device accepts another replica
       decisions_.push_back(
           {fleet.now(), t, /*scale_up=*/true, *device, reps.size()});
-      cooldown_[t] = opt_.cooldown_ticks;
-    } else if (mean < opt_.scale_down_outstanding && reps.size() > 1) {
+      cooldown_[t] = kCooldownTicks;
+    } else if (mean < kScaleDownOutstanding && reps.size() > 1) {
       // Scale down off the most-loaded device (perf-normalized) — that
       // headroom is worth the most to its co-tenants.
       size_t victim = 0;
@@ -65,7 +65,7 @@ void Autoscaler::tick(FleetSim& fleet) {
       fleet.remove_replica(t, device);
       decisions_.push_back(
           {fleet.now(), t, /*scale_up=*/false, device, reps.size()});
-      cooldown_[t] = opt_.cooldown_ticks;
+      cooldown_[t] = kCooldownTicks;
     }
   }
 }

@@ -22,12 +22,6 @@ namespace sgdrc::fleet {
 struct AutoscalerOptions {
   /// Control-loop period on the fleet clock.
   TimeNs interval = 20 * kNsPerMs;
-  /// Scale up when mean outstanding per replica exceeds this.
-  double scale_up_outstanding = 3.0;
-  /// Scale down when mean outstanding per replica falls below this.
-  double scale_down_outstanding = 0.5;
-  /// Ticks a tenant sits out after any scaling action (hysteresis).
-  unsigned cooldown_ticks = 2;
 };
 
 class Autoscaler {
@@ -35,6 +29,12 @@ class Autoscaler {
   /// Replicas per tenant never grow past this (nor past the device
   /// count); scale-down always keeps at least one.
   static constexpr unsigned kMaxReplicas = 8;
+  /// Scale up when mean outstanding per replica exceeds this.
+  static constexpr double kScaleUpOutstanding = 3.0;
+  /// Scale down when mean outstanding per replica falls below this.
+  static constexpr double kScaleDownOutstanding = 0.5;
+  /// Ticks a tenant sits out after any scaling action (hysteresis).
+  static constexpr unsigned kCooldownTicks = 2;
 
   explicit Autoscaler(AutoscalerOptions opt = {}) : opt_(opt) {}
 

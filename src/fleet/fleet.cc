@@ -624,26 +624,24 @@ void FleetSim::schedule_retry(const Request& r, unsigned attempt,
 
 // ---------------------------------------------------------- metrics ----
 
-std::string run_digest(const FleetMetrics& m, bool tenants_only) {
+std::string run_digest(const FleetMetrics& m) {
   std::ostringstream os;
   os.precision(17);
   for (const uint64_t r : m.routed) os << r << ',';
-  if (!tenants_only) {
-    const auto& fd = m.front_door;
-    os << '|' << m.events << '|' << fd.arrived << ':' << fd.admitted << ':'
-       << fd.rejected << ':' << fd.shed << ':' << fd.retries << ':'
-       << fd.dropped << ':' << fd.expired << ':' << fd.pending_retries << ':'
-       << fd.be_pause_events << ':' << fd.be_paused_ns;
-    for (const auto* v : {&fd.arrived_by_service, &fd.admitted_by_service,
-                          &fd.rejected_by_service, &fd.shed_by_service,
-                          &fd.dropped_by_service}) {
-      os << '|';
-      for (const uint64_t n : *v) os << n << ',';
-    }
-    for (const auto& d : m.devices) {
-      os << '|' << d.ls_busy_ns << ':' << d.be_busy_ns << ':'
-         << d.guarantee_violations << ':' << d.memory_trespasses;
-    }
+  const auto& fd = m.front_door;
+  os << '|' << m.events << '|' << fd.arrived << ':' << fd.admitted << ':'
+     << fd.rejected << ':' << fd.shed << ':' << fd.retries << ':'
+     << fd.dropped << ':' << fd.expired << ':' << fd.pending_retries << ':'
+     << fd.be_pause_events << ':' << fd.be_paused_ns;
+  for (const auto* v : {&fd.arrived_by_service, &fd.admitted_by_service,
+                        &fd.rejected_by_service, &fd.shed_by_service,
+                        &fd.dropped_by_service}) {
+    os << '|';
+    for (const uint64_t n : *v) os << n << ',';
+  }
+  for (const auto& d : m.devices) {
+    os << '|' << d.ls_busy_ns << ':' << d.be_busy_ns << ':'
+       << d.guarantee_violations << ':' << d.memory_trespasses;
   }
   workload::render_tenants(os, m.tenants);
   return workload::fnv1a_hex(os.str());

@@ -146,12 +146,10 @@ struct FleetMetrics {
 };
 
 /// Bit-exact digest of a fleet run, in workload::run_digest's scheme: the
-/// router's decisions and every fleet tenant's counters and raw samples,
-/// plus — unless `tenants_only` — the engine's event count, the front
-/// door's books and each device's busy time and violation counters.
-/// `tenants_only` compares runs that may legitimately differ in engine
-/// work, e.g. with and without an observing front door.
-std::string run_digest(const FleetMetrics& m, bool tenants_only = false);
+/// router's decisions, the engine's event count, the front door's books,
+/// each device's busy time and violation counters, and every fleet
+/// tenant's counters and raw samples.
+std::string run_digest(const FleetMetrics& m);
 
 /// Each device runs its own controller instance (controllers are
 /// stateful — tidal clocks, switch timers); the factory builds one per

@@ -12,8 +12,10 @@ unsigned clamped_replicas(const FleetTenantSpec& t, unsigned devices) {
   return std::min(t.replicas, devices);
 }
 
+/// Expected load share for QoS-aware placement: LS tenants weigh their
+/// isolated latency (costlier models spread first); BE tenants weigh
+/// equally.
 double derived_weight(const FleetTenantSpec& t) {
-  if (t.weight > 0.0) return t.weight;
   return t.spec.qos == QosClass::kLatencySensitive
              ? static_cast<double>(t.spec.isolated_latency)
              : 1.0;
@@ -63,7 +65,6 @@ Assignment SpreadPlacement::place(const std::vector<FleetTenantSpec>& tenants,
 
 Assignment PackPlacement::place(const std::vector<FleetTenantSpec>& tenants,
                                 unsigned devices) const {
-  SGDRC_REQUIRE(per_device_ >= 1, "pack capacity must be positive");
   std::vector<unsigned> count(devices, 0);
   Assignment out(tenants.size());
   for (size_t t = 0; t < tenants.size(); ++t) {
@@ -75,7 +76,7 @@ Assignment PackPlacement::place(const std::vector<FleetTenantSpec>& tenants,
       DeviceId best = 0;
       bool found = false;
       for (DeviceId d = 0; d < devices && !found; ++d) {
-        if (!used[d] && count[d] < per_device_) {
+        if (!used[d] && count[d] < kPerDevice) {
           best = d;
           found = true;
         }
@@ -156,48 +157,29 @@ Assignment QosAwarePlacement::place(
 
 Assignment QuotaAwarePlacement::place(
     const std::vector<FleetTenantSpec>& tenants, unsigned devices) const {
-  // Per-device bin capacities: uniform from the scalar constructor, or
-  // the heterogeneous shapes. The scalar path builds the same vectors,
-  // so both run one algorithm and the uniform case is unchanged.
-  std::vector<unsigned> cap(devices, capacity_);
-  std::vector<uint64_t> capb(devices, capacity_bytes_);
-  if (!shapes_.empty()) {
-    SGDRC_REQUIRE(shapes_.size() == devices,
-                  "device shapes must list one capacity per device");
-    for (DeviceId d = 0; d < devices; ++d) {
-      cap[d] = shapes_[d].tpcs;
-      capb[d] = shapes_[d].vram_bytes;
-    }
-  }
-  unsigned cap_max = 0;
-  uint64_t cb = 0;  // max byte bin; 0 = byte dimension disabled
-  for (DeviceId d = 0; d < devices; ++d) {
-    cap_max = std::max(cap_max, cap[d]);
-    cb = std::max(cb, capb[d]);
-  }
-  SGDRC_REQUIRE(cap_max >= 1, "quota bin capacity must be positive");
+  SGDRC_REQUIRE(capacity_ >= 1, "quota bin capacity must be positive");
   // A replica's expected VRAM footprint: its declared memory quota when
   // it has one, else its model's weight bytes (weights occupy VRAM when
   // resident whether or not the tenant reserved them).
   const auto demand_bytes = [&](size_t t) -> uint64_t {
-    if (cb == 0) return 0;
+    if (capacity_bytes_ == 0) return 0;
     const auto& spec = tenants[t].spec;
     return spec.vgpu.memory_bytes ? spec.vgpu.memory_bytes
                                   : spec.model->weight_bytes();
   };
   // First-fit-decreasing over (guaranteed TPCs, VRAM bytes) — decreasing
-  // in the dominant normalized dimension (against the biggest bin), the
-  // classic vector-bin-packing reduction: place the biggest reservations
-  // while every bin is still roomy, then balance the unguaranteed
-  // tenants onto whatever headroom is left. With cb == 0 the key
-  // degenerates to guaranteed TPCs and the order (ties included)
-  // matches the TPC-only policy exactly.
+  // in the dominant normalized dimension, the classic vector-bin-packing
+  // reduction: place the biggest reservations while every bin is still
+  // roomy, then balance the unguaranteed tenants onto whatever headroom
+  // is left. Without byte bins the key degenerates to guaranteed TPCs
+  // and the order (ties included) matches the TPC-only policy exactly.
   const auto sort_key = [&](size_t t) {
     const double g =
-        static_cast<double>(tenants[t].spec.vgpu.guaranteed_tpcs) / cap_max;
-    const double m =
-        cb ? static_cast<double>(demand_bytes(t)) / static_cast<double>(cb)
-           : 0.0;
+        static_cast<double>(tenants[t].spec.vgpu.guaranteed_tpcs) / capacity_;
+    const double m = capacity_bytes_
+                         ? static_cast<double>(demand_bytes(t)) /
+                               static_cast<double>(capacity_bytes_)
+                         : 0.0;
     return std::max(g, m);
   };
   std::vector<size_t> order(tenants.size());
@@ -212,23 +194,26 @@ Assignment QuotaAwarePlacement::place(
   Assignment out(tenants.size());
   for (const size_t t : order) {
     const unsigned g = tenants[t].spec.vgpu.guaranteed_tpcs;
-    const uint64_t mb = cb ? tenants[t].spec.vgpu.memory_bytes : 0;
+    const uint64_t mb =
+        capacity_bytes_ ? tenants[t].spec.vgpu.memory_bytes : 0;
     const uint64_t db = demand_bytes(t);
     std::vector<bool> used(devices, false);
     for (unsigned r = 0; r < clamped_replicas(tenants[t], devices); ++r) {
       const auto headroom = [&](DeviceId x) {
-        return cap[x] > reserved[x] ? cap[x] - reserved[x] : 0u;
+        return capacity_ > reserved[x] ? capacity_ - reserved[x] : 0u;
       };
       const auto byte_headroom = [&](DeviceId x) {
-        return capb[x] > bytes[x] ? capb[x] - bytes[x] : uint64_t{0};
+        return capacity_bytes_ > bytes[x] ? capacity_bytes_ - bytes[x]
+                                          : uint64_t{0};
       };
       DeviceId best = 0;
       bool have = false;
       if (g > 0 || mb > 0) {
         // First fit with room for the reservation in both dimensions.
         for (DeviceId d = 0; d < devices && !have; ++d) {
-          if (!used[d] && reserved[d] + g <= cap[d] &&
-              (cb == 0 || bytes[d] + db <= capb[d])) {
+          if (!used[d] && reserved[d] + g <= capacity_ &&
+              (capacity_bytes_ == 0 ||
+               bytes[d] + db <= capacity_bytes_)) {
             best = d;
             have = true;
           }

@@ -31,28 +31,16 @@ double relative_perf(const gpusim::GpuSpec& s, const gpusim::GpuSpec& base);
 std::vector<double> device_perf_factors(
     const std::vector<gpusim::GpuSpec>& specs, const gpusim::GpuSpec& base);
 
-/// Per-device bin capacities for QuotaAwarePlacement on heterogeneous
-/// fleets.
-struct DeviceShape {
-  unsigned tpcs = 0;
-  uint64_t vram_bytes = 0;  // 0 = don't bin-pack memory on this device
-};
-
 /// One workload replicated across the fleet: the per-device TenantSpec
 /// plus how many devices should host an instance of it.
 struct FleetTenantSpec {
   core::TenantSpec spec;
   unsigned replicas = 1;
-  /// Expected load share for QoS-aware placement; 0 ⇒ derived (LS
-  /// tenants weigh their isolated latency — costlier models spread
-  /// first; BE tenants weigh equally).
-  double weight = 0.0;
 };
 
 inline FleetTenantSpec replicated(core::TenantSpec spec,
-                                  unsigned replicas = 1,
-                                  double weight = 0.0) {
-  return {std::move(spec), replicas, weight};
+                                  unsigned replicas = 1) {
+  return {std::move(spec), replicas};
 }
 
 /// assignment[t][r] = device hosting replica r of fleet tenant t.
@@ -75,24 +63,23 @@ class SpreadPlacement : public PlacementPolicy {
                    unsigned devices) const override;
 };
 
-/// First-fit consolidation: fill device 0 up to `per_device` replicas,
+/// First-fit consolidation: fill device 0 up to kPerDevice replicas,
 /// then device 1, … — uses the fewest devices, concentrating contention
 /// (the baseline SGDRC-per-device has to beat).
 class PackPlacement : public PlacementPolicy {
  public:
-  explicit PackPlacement(unsigned per_device = 8) : per_device_(per_device) {}
+  /// Replicas a device takes before the next one opens.
+  static constexpr unsigned kPerDevice = 8;
+
   std::string name() const override { return "pack"; }
   Assignment place(const std::vector<FleetTenantSpec>& tenants,
                    unsigned devices) const override;
-
- private:
-  unsigned per_device_;
 };
 
-/// QoS-aware: LS replicas balance weighted LS load (weight = expected
-/// load share, default isolated latency) across devices; BE replicas
-/// then fill the least-BE-crowded devices, preferring ones with the
-/// least LS load — batch work lands where it steals the least.
+/// QoS-aware: LS replicas balance weighted LS load across devices, each
+/// weighing its isolated latency (costlier models spread first); BE
+/// replicas then fill the least-BE-crowded devices, preferring ones with
+/// the least LS load — batch work lands where it steals the least.
 class QosAwarePlacement : public PlacementPolicy {
  public:
   QosAwarePlacement() = default;
@@ -125,26 +112,19 @@ class QosAwarePlacement : public PlacementPolicy {
 /// dimension vanishes and placements match the TPC-only policy exactly.
 class QuotaAwarePlacement : public PlacementPolicy {
  public:
-  /// Uniform bins: `tpcs_per_device` is every device's TPC capacity
+  /// `tpcs_per_device` is every device's TPC capacity
   /// (GpuSpec::num_tpcs); `vram_bytes` its byte capacity (0 = don't
   /// bin-pack memory).
   explicit QuotaAwarePlacement(unsigned tpcs_per_device,
                                uint64_t vram_bytes = 0)
       : capacity_(tpcs_per_device), capacity_bytes_(vram_bytes) {}
-  /// Heterogeneous bins: one (TPC, byte) capacity per device, e.g. each
-  /// of FleetConfig::device_specs' num_tpcs and vram_bytes. Big devices
-  /// naturally absorb the big reservations — the FFD pass sees their
-  /// larger headroom. Size must equal the device count at place().
-  explicit QuotaAwarePlacement(std::vector<DeviceShape> shapes)
-      : shapes_(std::move(shapes)) {}
   std::string name() const override { return "quota-aware"; }
   Assignment place(const std::vector<FleetTenantSpec>& tenants,
                    unsigned devices) const override;
 
  private:
-  unsigned capacity_ = 0;       // uniform TPC bins (unused with shapes_)
-  uint64_t capacity_bytes_ = 0;
-  std::vector<DeviceShape> shapes_;  // per-device bins; empty = uniform
+  unsigned capacity_;
+  uint64_t capacity_bytes_;
 };
 
 /// Check an assignment is well-formed: one entry per tenant,

@@ -34,8 +34,7 @@ void ConflictProber::refresh_l2_via_pchase() {
   }
 }
 
-CalibrationResult ConflictProber::calibrate(size_t pair_samples,
-                                            uint64_t seed) {
+CalibrationResult ConflictProber::calibrate(uint64_t seed) {
   Rng rng(seed);
   const uint64_t arena_parts = arena_.bytes() >> kPartitionBits;
   SGDRC_REQUIRE(arena_parts >= 64, "arena too small to calibrate");
@@ -70,8 +69,8 @@ CalibrationResult ConflictProber::calibrate(size_t pair_samples,
   //     so conflicts form a small, clearly separated upper cluster. Split
   //     at the largest latency gap whose upper side is a minority.
   std::vector<double> lat;
-  lat.reserve(pair_samples);
-  for (size_t i = 0; i < pair_samples; ++i) {
+  lat.reserve(kPairSamples);
+  for (size_t i = 0; i < kPairSamples; ++i) {
     const PhysAddr a = random_pa();
     const PhysAddr b = random_pa();
     if (a == b) continue;

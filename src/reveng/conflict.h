@@ -33,10 +33,14 @@ class ConflictProber {
  public:
   explicit ConflictProber(ProbeArena& arena) : arena_(arena) {}
 
+  /// Random address pairs calibrate() times for the bank-conflict
+  /// threshold.
+  static constexpr size_t kPairSamples = 4096;
+
   /// Measure latency clusters and derive thresholds. Must be called before
   /// any probe. The pair threshold is found by the largest-gap split of a
   /// random-pair latency sample (conflicts are the rare upper cluster).
-  CalibrationResult calibrate(size_t pair_samples = 4096, uint64_t seed = 1);
+  CalibrationResult calibrate(uint64_t seed = 1);
 
   const CalibrationResult& calibration() const { return cal_; }
 

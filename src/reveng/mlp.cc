@@ -80,11 +80,11 @@ double Mlp::train(const std::vector<float>& x, const std::vector<int>& y,
   std::vector<std::vector<float>> acts;
   std::vector<std::vector<float>> deltas(net_.size() + 1);
 
-  double lr = opt.lr;
+  double lr = kLr;
   for (size_t epoch = 0; epoch < opt.epochs; ++epoch) {
     rng.shuffle(order);
-    for (size_t start = 0; start < n; start += opt.batch) {
-      const size_t end = std::min(n, start + opt.batch);
+    for (size_t start = 0; start < n; start += kBatch) {
+      const size_t end = std::min(n, start + kBatch);
       const float inv = 1.0f / static_cast<float>(end - start);
       for (auto& g : gw) std::fill(g.begin(), g.end(), 0.0f);
       for (auto& g : gb) std::fill(g.begin(), g.end(), 0.0f);

@@ -19,13 +19,13 @@ class Mlp {
  public:
   struct TrainOptions {
     size_t epochs = 80;
-    size_t batch = 32;
-    double lr = 0.02;
     uint64_t seed = 0x7ea0;
   };
 
-  /// The optimizer train() runs: SGD with momentum, decoupled weight
-  /// decay and a per-epoch learning-rate decay.
+  /// The optimizer train() runs: minibatch SGD with momentum, decoupled
+  /// weight decay and a per-epoch learning-rate decay.
+  static constexpr size_t kBatch = 32;
+  static constexpr double kLr = 0.02;  // initial learning rate
   static constexpr double kMomentum = 0.9;
   static constexpr double kWeightDecay = 1e-5;
   static constexpr double kLrDecay = 0.99;  // multiplicative per epoch

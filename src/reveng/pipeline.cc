@@ -25,7 +25,7 @@ PipelineReport HashCracker::run() {
   arena_.reset();
   arena_ = std::make_unique<ProbeArena>(dev_);
   ConflictProber prober(*arena_);
-  report.calibration = prober.calibrate(4096, rng.next_u64());
+  report.calibration = prober.calibrate(rng.next_u64());
 
   // --- Stage 2: channel discovery. The channel count is public data
   // (Tab. 1: bus width / per-GDDR width, cross-validated by PCB photos).

@@ -38,8 +38,9 @@ void require_finite_positive(double v, const char* what) {
 std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
   SGDRC_REQUIRE(opt.services > 0, "trace needs at least one service");
   require_finite_positive(opt.scale, "TraceOptions::scale");
-  require_finite_positive(opt.rate_per_service,
-                          "TraceOptions::rate_per_service");
+  SGDRC_REQUIRE(opt.per_service_rates.size() == opt.services,
+                "TraceOptions::per_service_rates must hold one rate per "
+                "service");
   SGDRC_REQUIRE(opt.burstiness >= 0.0 && opt.burstiness <= 1.0,
                 "burstiness is a fraction");
   SGDRC_REQUIRE(opt.frame_interval > 0,
@@ -49,10 +50,7 @@ std::vector<Request> generate_apollo_like_trace(const TraceOptions& opt) {
   double total_rate = 0.0;
   bool bursty = false;  // some service has a burst component
   for (unsigned s = 0; s < opt.services; ++s) {
-    const double base_rate = s < opt.per_service_rates.size()
-                                 ? opt.per_service_rates[s]
-                                 : opt.rate_per_service;
-    rates[s] = base_rate * opt.scale;
+    rates[s] = opt.per_service_rates[s] * opt.scale;
     require_finite_positive(rates[s],
                             "a service's rate × TraceOptions::scale");
     total_rate += rates[s];

@@ -22,11 +22,9 @@ struct Request {
 struct TraceOptions {
   unsigned services = 8;
   TimeNs duration = 2 * kNsPerSec;
-  /// Mean request rate per service (requests/s) at scale 1.0. Ignored for
-  /// services covered by per_service_rates.
-  double rate_per_service = 200.0;
-  /// Optional per-service rates (req/s at scale 1.0); models differ in
-  /// cost, so the harness balances utilisation across services.
+  /// Mean request rate of each service (req/s at scale 1.0), one per
+  /// service; models differ in cost, so the harness balances
+  /// utilisation across services.
   std::vector<double> per_service_rates;
   /// §9.2: heavy = 1.0 (original trace), light = 0.5.
   double scale = 1.0;
@@ -39,7 +37,8 @@ struct TraceOptions {
 };
 
 /// Generate an arrival-sorted request stream. Throws ConfigError unless
-/// every rate, scale and their products are finite and positive,
+/// per_service_rates holds one rate per service, every rate, scale and
+/// their products are finite and positive,
 /// frame_interval is positive, Σ rate × scale × duration expects at
 /// most 1e7 requests, and, when burstiness is positive, duration /
 /// frame_interval is at most 1e7 frame ticks.

@@ -305,44 +305,6 @@ TEST(VgpuQuota, RemovalReleasesTheRegion) {
   sim->finish();
 }
 
-TEST(VgpuQuota, UnequalBeWeightsPartitionTheTideProportionally) {
-  // Plan-level check: with LS active and two waiting BE jobs weighted
-  // 1 vs 3, SGDRC splits the tide pool into disjoint slices sized from
-  // the *whole* pool (the heavy tenant gets ~3x, and the last tenant
-  // picks up the rounding dust — nothing idles). Equal weights keep the
-  // legacy full-overlap sharing, covered by the equivalence suite.
-  FnController idle = idle_controller();
-  auto sim = ServingSimBuilder()
-                 .gpu(gpusim::rtx_a2000())  // 13 TPCs
-                 .duration(20 * kNsPerMs)
-                 .best_effort_mode(BeMode::kConcurrent)
-                 .add_latency_sensitive(tiny_be_model("tiny-ls", 'L'),
-                                        1 * kNsPerMs)
-                 .add_best_effort(tiny_be_model("tiny-x", 'X'))
-                 .quota({.weight = 1.0})
-                 .add_best_effort(tiny_be_model("tiny-y", 'Y'))
-                 .quota({.weight = 3.0})
-                 .build(idle);
-  sim->begin();
-  sim->inject(0, 0);  // one waiting LS request keeps LS "active"
-  SgdrcPolicy sgdrc(gpusim::rtx_a2000());
-  const auto plan = sgdrc.plan(SimView(*sim));
-  TpcMask slice[2] = {0, 0};
-  for (const auto& d : plan.directives) {
-    if (d.kind != control::Directive::Kind::kLaunch) continue;
-    const auto job = sim->find_job(d.job);
-    ASSERT_TRUE(job.has_value());
-    if (job->qos == QosClass::kBestEffort) {
-      slice[job->tenant - 1] = d.alloc.tpcs;
-    }
-  }
-  ASSERT_NE(slice[0], 0u);
-  ASSERT_NE(slice[1], 0u);
-  EXPECT_EQ(slice[0] & slice[1], 0u);  // disjoint partition
-  EXPECT_GE(gpusim::tpc_count(slice[1]), 2 * gpusim::tpc_count(slice[0]));
-  sim->finish();
-}
-
 TEST(VgpuQuota, GuaranteedLsLaunchesGetTheirMinTpcs) {
   // Two requests of a one-kernel LS model needing 2 TPCs, against a
   // 3-TPC guarantee: the first launch takes the region's top two TPCs,
@@ -357,7 +319,8 @@ TEST(VgpuQuota, GuaranteedLsLaunchesGetTheirMinTpcs) {
   auto sim = ServingSimBuilder()
                  .gpu(gpusim::rtx_a2000())  // 13 TPCs
                  .duration(20 * kNsPerMs)
-                 .add_latency_sensitive(model, 1 * kNsPerMs, 2)
+                 .default_ls_instances(2)
+                 .add_latency_sensitive(model, 1 * kNsPerMs)
                  .quota({.guaranteed_tpcs = 3})
                  .build(idle);
   ASSERT_EQ(sim->guaranteed_mask(0), TpcMask{0x1C00});

@@ -522,8 +522,8 @@ TEST(TenantApi, LaunchOnNonResidentBeJobIsRejected) {
 }
 
 TEST(TenantApi, PerTenantInstanceOverrides) {
-  // A tenant-specific instance pool caps that tenant's concurrent jobs
-  // independently of the config default.
+  // The instance pool (ServingConfig::ls_instances, one here) caps each
+  // LS tenant's concurrent jobs; this sim's only LS tenant gets one.
   OfflineProfiler prof(small_spec());
   auto ls = models::make_model('A');
   prof.profile(ls);
@@ -538,10 +538,10 @@ TEST(TenantApi, PerTenantInstanceOverrides) {
   auto sim = ServingSimBuilder()
                  .gpu(small_spec())
                  .duration(50 * kNsPerMs)
-                 .default_ls_instances(4)
-                 .add_latency_sensitive(ls, iso, /*instances=*/1)
+                 .default_ls_instances(1)
+                 .add_latency_sensitive(ls, iso)
                  .build(c);
-  // A burst of simultaneous arrivals; with instances=1 they serialize.
+  // A burst of simultaneous arrivals; with one instance they serialize.
   std::vector<workload::Request> burst;
   for (int i = 0; i < 6; ++i) burst.push_back({1000, 0});
   const auto m = sim->run(burst);
@@ -612,6 +612,17 @@ TEST(TenantValidation, DuplicateEdgeIsRejected) {
 
 TEST(TenantValidation, ShortDependencyListsAreRejected) {
   expect_rejected(be_with_deps({{}, {0}}), "one list per kernel");
+}
+
+TEST(TenantValidation, BestEffortModelWithoutEvictionFlagIsRejected) {
+  // Preemption evicts BE kernels through the eviction flag, which only a
+  // model built as BE carries (model E is built as LS). Such a tenant
+  // used to register and then stop the run at its first preemption.
+  const models::ModelDesc ls_built = models::make_model('E');
+  ASSERT_FALSE(ls_built.kernels.front().preemptible);
+  expect_rejected(best_effort_tenant(ls_built),
+                  "tenant model '" + ls_built.name +
+                      "': a best-effort model needs the eviction flag");
 }
 
 TEST(TenantValidation, SloPastTimeNsIsRejected) {
@@ -699,10 +710,8 @@ TEST_P(VgpuValidation, RegistrationAndSetVgpuRejectTheSameSpec) {
   EXPECT_THROW(sim->set_vgpu(1, bad), ConfigError);
   EXPECT_EQ(sim->guaranteed_mask(1), region);
   EXPECT_EQ(sim->tenant(1).vgpu.guaranteed_tpcs, 1u);
-  EXPECT_EQ(sim->tenant(1).vgpu.weight, 1.0);
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 INSTANTIATE_TEST_SUITE_P(
@@ -714,10 +723,6 @@ INSTANTIATE_TEST_SUITE_P(
         BadVgpu{"WholeChannelShare", {.channel_share = 1.0}},
         BadVgpu{"NaNChannelShare", {.channel_share = kNaN}},
         BadVgpu{"ChannelSharesOvercommitted", {.channel_share = 0.6}},
-        BadVgpu{"ZeroWeight", {.weight = 0.0}},
-        BadVgpu{"NegativeWeight", {.weight = -1.0}},
-        BadVgpu{"InfiniteWeight", {.weight = kInf}},
-        BadVgpu{"NaNWeight", {.weight = kNaN}},
         BadVgpu{"MemoryOvercommitted", {.memory_bytes = 300ull << 20}},
         BadVgpu{"MemoryBeyondAnyDevice",
                 {.memory_bytes = std::numeric_limits<uint64_t>::max()}}),

@@ -90,7 +90,7 @@ TEST(Placement, PackConsolidatesOntoFewestDevices) {
       replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 2),
       replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 2),
   };
-  PackPlacement pack(4);
+  PackPlacement pack;
   const auto packed = pack.place(tenants, 4);
   validate_assignment(packed, tenants, 4);
   // Pack leaves devices 2 and 3 idle; spread touches all four.
@@ -103,24 +103,26 @@ TEST(Placement, PackConsolidatesOntoFewestDevices) {
 
 TEST(Placement, PackOverflowsAtCapacity) {
   const auto& z = zoo();
-  std::vector<FleetTenantSpec> tenants{
-      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 1),
-      replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 1),
-      replicated(best_effort_tenant(z.be_i), 1),
-  };
-  PackPlacement pack(2);
+  // One more single-replica tenant than device 0 takes spills onto
+  // device 1; device 2 stays idle.
+  std::vector<FleetTenantSpec> tenants(
+      PackPlacement::kPerDevice + 1,
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 1));
+  PackPlacement pack;
   const auto a = pack.place(tenants, 3);
   validate_assignment(a, tenants, 3);
-  EXPECT_EQ(per_device_counts(a, 3), (std::vector<unsigned>{2, 1, 0}));
+  EXPECT_EQ(per_device_counts(a, 3),
+            (std::vector<unsigned>{PackPlacement::kPerDevice, 1, 0}));
 }
 
 TEST(Placement, QosAwareSendsBestEffortToLightDevice) {
   const auto& z = zoo();
-  // Two LS tenants with explicit, very different weights, then one BE
-  // tenant: the BE replica must land beside the light LS tenant.
+  // Two LS tenants whose isolated latencies, the weights QoS-aware
+  // placement derives, differ 100-fold, then one BE tenant: the BE
+  // replica must land beside the light LS tenant.
   std::vector<FleetTenantSpec> tenants{
-      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 1, 100.0),
-      replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 1, 1.0),
+      replicated(latency_sensitive_tenant(z.ls_a, 100 * z.iso_a), 1),
+      replicated(latency_sensitive_tenant(z.ls_b, z.iso_a), 1),
       replicated(best_effort_tenant(z.be_i), 1),
   };
   QosAwarePlacement qos;
@@ -179,11 +181,12 @@ TEST(Router, RoundRobinIsFairUnderEqualLoad) {
 TEST(Router, LeastOutstandingPicksTheIdleReplica) {
   const auto& z = zoo();
   std::vector<FleetTenantSpec> tenants{
-      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a, 1), 2)};
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 2)};
+  FleetConfig cfg = small_fleet(2, 500 * kNsPerMs);
+  cfg.ls_instances = 1;
   SpreadPlacement spread;
   LeastOutstandingRouter lo;
-  FleetSim fleet(small_fleet(2, 500 * kNsPerMs), tenants, spread, lo,
-                 sgdrc_factory());
+  FleetSim fleet(cfg, tenants, spread, lo, sgdrc_factory());
   // Four near-simultaneous requests (gaps ≪ isolated latency): each
   // dispatch must see the earlier ones still in flight and alternate to
   // the idle replica.
@@ -237,13 +240,14 @@ TEST(Router, QosLoadAwareAvoidsTheLoadedDevice) {
   // device 0 and is flooded first. The QoS-load-aware router must send
   // tenant 0's request to device 1; plain round-robin would not.
   std::vector<FleetTenantSpec> tenants{
-      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a, 1), 2),
-      replicated(latency_sensitive_tenant(z.ls_b, z.iso_b, 1), 1),
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 2),
+      replicated(latency_sensitive_tenant(z.ls_b, z.iso_b), 1),
   };
+  FleetConfig cfg = small_fleet(2, 500 * kNsPerMs);
+  cfg.ls_instances = 1;
   SpreadPlacement spread;
   QosLoadAwareRouter qla;
-  FleetSim fleet(small_fleet(2, 500 * kNsPerMs), tenants, spread, qla,
-                 sgdrc_factory());
+  FleetSim fleet(cfg, tenants, spread, qla, sgdrc_factory());
   ASSERT_EQ(fleet.replicas_of(0).size(), 2u);
   const DeviceId dev_of_b = fleet.replicas_of(1)[0].device;
   // Flood tenant 1 (service index 1), then send one tenant-0 request
@@ -367,8 +371,9 @@ TEST(Fleet, SingleDeviceFleetMatchesStandaloneServingSim) {
 TEST(Fleet, RuntimeReplicaRescaleConservesRequests) {
   const auto& z = zoo();
   std::vector<FleetTenantSpec> tenants{
-      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a, 1), 1)};
+      replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 1)};
   FleetConfig cfg = small_fleet(2, 200 * kNsPerMs);
+  cfg.ls_instances = 1;
   SpreadPlacement spread;
   LeastOutstandingRouter lo;
   FleetSim fleet(cfg, tenants, spread, lo, sgdrc_factory());
@@ -398,7 +403,7 @@ TEST(Fleet, RuntimeAddBringsUpPackIdledDevice) {
       replicated(latency_sensitive_tenant(z.ls_a, z.iso_a), 1),
       replicated(best_effort_tenant(z.be_i), 1)};
   FleetConfig cfg = small_fleet(2, 100 * kNsPerMs);
-  PackPlacement pack(8);  // everything lands on device 0
+  PackPlacement pack;  // everything lands on device 0
   RoundRobinRouter rr;
   FleetSim fleet(cfg, tenants, pack, rr, sgdrc_factory());
   EXPECT_FALSE(fleet.device_in_use(1));
@@ -704,6 +709,38 @@ TEST(Placement, QuotaAwareBinPacksGuaranteedTpcs) {
   fleet.begin();
   fleet.run_until(cfg.duration);
   EXPECT_EQ(fleet.finish().guarantee_violations(), 0u);
+}
+
+TEST(Placement, QuotaAwareBinPacksVramBytes) {
+  const auto& z = zoo();  // 4-TPC test GPU
+  const uint64_t w = z.be_i.weight_bytes();
+  ASSERT_GT(w, 0u);
+  // Two 1-TPC reservations with memory quotas of 14w and 10w against
+  // 20w byte bins: both fit device 0's TPCs, but not its bytes together.
+  std::vector<FleetTenantSpec> tenants{
+      replicated(with_vgpu(latency_sensitive_tenant(z.ls_a, z.iso_a),
+                           {.guaranteed_tpcs = 1, .memory_bytes = 14 * w}),
+                 1),
+      replicated(with_vgpu(latency_sensitive_tenant(z.ls_b, z.iso_b),
+                           {.guaranteed_tpcs = 1, .memory_bytes = 10 * w}),
+                 1),
+      replicated(best_effort_tenant(z.be_i), 1),
+  };
+  QuotaAwarePlacement bytes(z.spec.num_tpcs, 20 * w);
+  const auto a = bytes.place(tenants, 2);
+  validate_assignment(a, tenants, 2);
+  // FFD places the 14w quota first; the 10w one fits the TPCs left on
+  // device 0 but not its 6w of bytes, so it goes to device 1.
+  EXPECT_EQ(a[0][0], 0u);
+  EXPECT_EQ(a[1][0], 1u);
+  // The unguaranteed replica sees equal TPC headroom (3 and 3) and equal
+  // replica counts; the tie breaks toward device 1's 10w of byte
+  // headroom over device 0's 6w, not toward the lower id.
+  EXPECT_EQ(a[2][0], 1u);
+  // Without byte bins the two reservations share device 0.
+  const auto tpcs_only = QuotaAwarePlacement(z.spec.num_tpcs).place(tenants, 2);
+  EXPECT_EQ(tpcs_only[0][0], 0u);
+  EXPECT_EQ(tpcs_only[1][0], 0u);
 }
 
 TEST(FleetVgpu, SetFleetVgpuReachesEveryReplicaAndFutureOnes) {

@@ -126,7 +126,7 @@ TEST(Trace, ScaleHalvesTheLoad) {
   workload::TraceOptions t;
   t.services = 4;
   t.duration = 4 * kNsPerSec;
-  t.rate_per_service = 100.0;
+  t.per_service_rates.assign(4, 100.0);
   t.seed = 9;
   t.scale = 1.0;
   const auto heavy = workload::generate_apollo_like_trace(t);
@@ -141,7 +141,7 @@ TEST(Trace, MeanRateMatchesRequest) {
   workload::TraceOptions t;
   t.services = 2;
   t.duration = 10 * kNsPerSec;
-  t.rate_per_service = 150.0;
+  t.per_service_rates.assign(2, 150.0);
   t.seed = 10;
   const auto trace = workload::generate_apollo_like_trace(t);
   EXPECT_NEAR(static_cast<double>(trace.size()), 2 * 150 * 10, 300);
@@ -151,6 +151,7 @@ TEST(Trace, SortedAndWithinWindow) {
   workload::TraceOptions t;
   t.services = 3;
   t.duration = 1 * kNsPerSec;
+  t.per_service_rates.assign(3, 200.0);
   t.seed = 11;
   const auto trace = workload::generate_apollo_like_trace(t);
   for (size_t i = 1; i < trace.size(); ++i) {
@@ -166,8 +167,7 @@ TEST(Trace, PerServiceRatesOverrideTheDefault) {
   workload::TraceOptions t;
   t.services = 2;
   t.duration = 10 * kNsPerSec;
-  t.rate_per_service = 50.0;
-  t.per_service_rates = {400.0};  // service 0 only
+  t.per_service_rates = {400.0, 50.0};
   t.seed = 12;
   const auto trace = workload::generate_apollo_like_trace(t);
   size_t s0 = 0, s1 = 0;
@@ -182,7 +182,7 @@ TEST(Trace, BurstinessConcentratesArrivals) {
     workload::TraceOptions t;
     t.services = 1;
     t.duration = 10 * kNsPerSec;
-    t.rate_per_service = 300.0;
+    t.per_service_rates = {300.0};
     t.burstiness = burstiness;
     t.seed = 13;
     const auto trace = workload::generate_apollo_like_trace(t);

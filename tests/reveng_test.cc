@@ -69,7 +69,7 @@ class ProberTest : public ::testing::Test {
  protected:
   ProberTest() : dev_(gpusim::test_gpu(), 11), arena_(dev_, 0.9),
                  prober_(arena_) {
-    cal_ = prober_.calibrate(2048, 5);
+    cal_ = prober_.calibrate(5);
   }
   GpuDevice dev_;
   ProbeArena arena_;
@@ -181,7 +181,7 @@ TEST(ChannelMarker, LabelsAgreeWithOracle) {
   GpuDevice dev(gpusim::test_gpu(), 13);
   ProbeArena arena(dev, 0.9);
   ConflictProber prober(arena);
-  prober.calibrate(2048, 3);
+  prober.calibrate(3);
   ChannelMarker marker(arena, prober);
   marker.build(dev.spec().num_channels);
 
@@ -217,7 +217,7 @@ TEST(ChannelMarker, MajorityDenoisesNoisyGpu) {
   GpuDevice dev(noisy_test_gpu(0.05), 17);
   ProbeArena arena(dev, 0.9);
   ConflictProber prober(arena);
-  prober.calibrate(2048, 3);
+  prober.calibrate(3);
   ChannelMarker marker(arena, prober);
   marker.build(dev.spec().num_channels);
 
@@ -308,8 +308,6 @@ TEST(Mlp, LearnsXor) {
   std::vector<int> y{0, 1, 1, 0};
   Mlp::TrainOptions opt;
   opt.epochs = 500;
-  opt.batch = 4;
-  opt.lr = 0.1;
   const double acc = net.train(x, y, opt);
   EXPECT_DOUBLE_EQ(acc, 1.0);
 }
@@ -358,8 +356,6 @@ TEST(Mlp, LearnsChannelHashFromOracleSamples) {
   Mlp net({Mlp::kAddressFeatures, 96, 48, spec.num_channels}, 77);
   Mlp::TrainOptions opt;
   opt.epochs = 40;
-  opt.batch = 32;
-  opt.lr = 0.02;
   net.train(xtr, ytr, opt);
   EXPECT_GT(net.accuracy(xte, yte), 0.99);
 }

@@ -253,8 +253,9 @@ TEST(RuntimeChurn, RemovedLsTenantDrainsItsBacklog) {
   const auto& z = zoo();
   EventQueue q;
   core::SgdrcPolicy policy(z.spec);
-  core::ServingSim sim(q, sim_config(400 * kNsPerMs),
-                       {latency_sensitive_tenant(z.ls_a, z.iso_a, 1)},
+  core::ServingConfig cfg = sim_config(400 * kNsPerMs);
+  cfg.ls_instances = 1;
+  core::ServingSim sim(q, cfg, {latency_sensitive_tenant(z.ls_a, z.iso_a)},
                        policy);
   sim.begin();
   // 8 near-simultaneous requests against a 1-instance pool: most queue.
@@ -347,9 +348,6 @@ TEST(ScenarioRun, AutoscalerConvergesOnFlashCrowd) {
   Scenario sc("flash", "", d);
   fleet::AutoscalerOptions aso;
   aso.interval = 5 * kNsPerMs;
-  aso.scale_up_outstanding = 2.0;
-  aso.scale_down_outstanding = 0.4;
-  aso.cooldown_ticks = 1;
   sc.devices(2)
       .rate(0, d / 4, 8.0)   // the crowd arrives
       .rate(0, d / 2, 0.25)  // and leaves

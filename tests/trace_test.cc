@@ -1,5 +1,5 @@
 // Tests for the Apollo-like trace generator (workload/trace.cc):
-// determinism, per-service rate overrides, the §9.2 load scale, and the
+// determinism, per-service rates, the §9.2 load scale, and the
 // burst/background split.
 #include <gtest/gtest.h>
 
@@ -20,9 +20,16 @@ size_t count_service(const std::vector<Request>& trace, unsigned s) {
                     [s](const Request& r) { return r.service == s; }));
 }
 
-TEST(Trace, SameSeedIsBitIdentical) {
+/// `services` services at `rate` req/s each.
+TraceOptions uniform(unsigned services, double rate) {
   TraceOptions opt;
-  opt.services = 3;
+  opt.services = services;
+  opt.per_service_rates.assign(services, rate);
+  return opt;
+}
+
+TEST(Trace, SameSeedIsBitIdentical) {
+  TraceOptions opt = uniform(3, 200.0);
   opt.duration = 500 * kNsPerMs;
   opt.seed = 0xabc;
   const auto a = generate_apollo_like_trace(opt);
@@ -35,8 +42,7 @@ TEST(Trace, SameSeedIsBitIdentical) {
 }
 
 TEST(Trace, DifferentSeedDiffers) {
-  TraceOptions opt;
-  opt.services = 3;
+  TraceOptions opt = uniform(3, 200.0);
   opt.duration = 500 * kNsPerMs;
   opt.seed = 0xabc;
   const auto a = generate_apollo_like_trace(opt);
@@ -50,8 +56,7 @@ TEST(Trace, DifferentSeedDiffers) {
 }
 
 TEST(Trace, SortedByArrival) {
-  TraceOptions opt;
-  opt.services = 4;
+  TraceOptions opt = uniform(4, 200.0);
   opt.duration = 300 * kNsPerMs;
   const auto t = generate_apollo_like_trace(opt);
   ASSERT_FALSE(t.empty());
@@ -65,8 +70,7 @@ TEST(Trace, PerServiceRatesOverrideTheDefault) {
   TraceOptions opt;
   opt.services = 3;
   opt.duration = 2 * kNsPerSec;
-  opt.rate_per_service = 100.0;          // services not covered below
-  opt.per_service_rates = {400.0, 100.0};  // service 2 uses the default
+  opt.per_service_rates = {400.0, 100.0, 100.0};
   const auto t = generate_apollo_like_trace(opt);
   const double c0 = static_cast<double>(count_service(t, 0));
   const double c1 = static_cast<double>(count_service(t, 1));
@@ -81,10 +85,8 @@ TEST(Trace, PerServiceRatesOverrideTheDefault) {
 }
 
 TEST(Trace, ScaleHalvesTheLoad) {
-  TraceOptions heavy;
-  heavy.services = 4;
+  TraceOptions heavy = uniform(4, 300.0);
   heavy.duration = 2 * kNsPerSec;
-  heavy.rate_per_service = 300.0;
   TraceOptions light = heavy;
   light.scale = 0.5;  // §9.2: light = half of heavy
   const double h = static_cast<double>(
@@ -99,10 +101,8 @@ TEST(Trace, BurstinessConcentratesArrivalsAtFrameTicks) {
   // frame ticks; with everything in the Poisson background they spread
   // uniformly. Compare the variance of per-frame-bin counts.
   auto binned_variance = [](double burstiness) {
-    TraceOptions opt;
-    opt.services = 1;
+    TraceOptions opt = uniform(1, 400.0);
     opt.duration = 2 * kNsPerSec;
-    opt.rate_per_service = 400.0;
     opt.burstiness = burstiness;
     opt.seed = 0xb57;
     const auto t = generate_apollo_like_trace(opt);
@@ -121,10 +121,8 @@ TEST(Trace, BurstinessConcentratesArrivalsAtFrameTicks) {
 }
 
 TEST(Trace, BurstinessPreservesTheMeanRate) {
-  TraceOptions opt;
-  opt.services = 2;
+  TraceOptions opt = uniform(2, 300.0);
   opt.duration = 2 * kNsPerSec;
-  opt.rate_per_service = 300.0;
   opt.seed = 0x591;
   opt.burstiness = 0.0;
   const double uniform = static_cast<double>(
@@ -138,34 +136,48 @@ TEST(Trace, BurstinessPreservesTheMeanRate) {
 // Regression: `> 0.0` let an infinite rate or scale through, every
 // exponential gap was then 0, and both arrival loops pushed requests
 // until memory ran out. frame_interval 0 failed inside the RNG as an
-// InvariantError.
+// InvariantError. A rate list shorter or longer than the service count
+// used to fall back to a default rate or be ignored past its end.
 TEST(Trace, RejectsNonFiniteRates) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  const auto rejects = [](const auto& set) {
-    TraceOptions opt;
-    opt.services = 2;
+  // Each case starts from two valid rates and breaks one thing; the
+  // message names what broke.
+  const auto rejects = [](const auto& set, const std::string& why) {
+    TraceOptions opt = uniform(2, 100.0);
     opt.duration = 10 * kNsPerMs;
     set(opt);
-    EXPECT_THROW(generate_apollo_like_trace(opt), ConfigError);
+    try {
+      generate_apollo_like_trace(opt);
+      ADD_FAILURE() << "no ConfigError (" << why << ")";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
   };
-  rejects([](TraceOptions& o) { o.scale = kInf; });
-  rejects([](TraceOptions& o) { o.scale = kNaN; });
-  rejects([](TraceOptions& o) { o.scale = -1.0; });
-  rejects([](TraceOptions& o) { o.rate_per_service = kInf; });
-  rejects([](TraceOptions& o) { o.per_service_rates = {100.0, kInf}; });
-  rejects([](TraceOptions& o) { o.per_service_rates = {kNaN}; });
-  rejects([](TraceOptions& o) { o.per_service_rates = {-5.0}; });
+  const std::string scale = "TraceOptions::scale must be";
+  const std::string rate = "a service's rate";
+  rejects([](TraceOptions& o) { o.scale = kInf; }, scale);
+  rejects([](TraceOptions& o) { o.scale = kNaN; }, scale);
+  rejects([](TraceOptions& o) { o.scale = -1.0; }, scale);
+  rejects([](TraceOptions& o) { o.per_service_rates = {100.0, kInf}; },
+          rate);
+  rejects([](TraceOptions& o) { o.per_service_rates = {kNaN, 100.0}; },
+          rate);
+  rejects([](TraceOptions& o) { o.per_service_rates = {-5.0, 100.0}; },
+          rate);
   rejects([](TraceOptions& o) {  // finite factors, infinite product
-    o.rate_per_service = 1e200;
+    o.per_service_rates = {1e200, 100.0};
     o.scale = 1e200;
-  });
-  rejects([](TraceOptions& o) { o.frame_interval = 0; });
+  }, rate);
+  rejects([](TraceOptions& o) { o.frame_interval = 0; }, "frame_interval");
+  const std::string count = "one rate per service";
+  rejects([](TraceOptions& o) { o.per_service_rates = {100.0}; }, count);
+  rejects([](TraceOptions& o) { o.per_service_rates.push_back(100.0); },
+          count);
 
-  TraceOptions ok;
-  ok.services = 2;
+  TraceOptions ok = uniform(2, 100.0);
   ok.duration = 10 * kNsPerMs;
-  ok.per_service_rates = {100.0};
   EXPECT_NO_THROW(generate_apollo_like_trace(ok));
 }
 
@@ -173,8 +185,8 @@ TEST(Trace, RejectsNonFiniteRates) {
 // ran the arrival loops out of memory. Σ rate × scale × duration is now
 // capped at 1e7 expected requests before anything is allocated.
 TEST(Trace, RejectsTracesAboveTheExpectedRequestCap) {
-  TraceOptions rate;  // 8 services × 1e12 req/s over the default 2 s
-  rate.rate_per_service = 1e12;
+  // 8 services × 1e12 req/s over the default 2 s.
+  const TraceOptions rate = uniform(8, 1e12);
   try {
     generate_apollo_like_trace(rate);
     ADD_FAILURE() << "no ConfigError";
@@ -184,7 +196,7 @@ TEST(Trace, RejectsTracesAboveTheExpectedRequestCap) {
         << e.what();
   }
 
-  TraceOptions duration;
+  TraceOptions duration = uniform(8, 200.0);
   duration.duration = 1ull << 62;
   EXPECT_THROW(generate_apollo_like_trace(duration), ConfigError);
 }
@@ -192,9 +204,7 @@ TEST(Trace, RejectsTracesAboveTheExpectedRequestCap) {
 TEST(Trace, RejectsBurstyWindowsAboveTheFrameTickCap) {
   // About 4.6e3 expected requests, under the request cap, but 4.6e11
   // frame ticks for the burst loop to visit.
-  TraceOptions o;
-  o.services = 1;
-  o.rate_per_service = 1e-6;
+  TraceOptions o = uniform(1, 1e-6);
   o.duration = 1ull << 62;
   try {
     generate_apollo_like_trace(o);
